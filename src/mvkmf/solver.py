@@ -11,6 +11,26 @@ Each of the three blocks has a closed-form minimizer, so one iteration is
 three exact updates and the objective never increases. Clustering labels come
 from running k-means on the columns of the fitted H (see ``mvkmf.kmeans``).
 
+Cost. A fit does no O(n^3) work and allocates no n x n matrix beyond the
+kernels themselves:
+
+- Initialization needs only the k leading eigenvectors of one n x n matrix
+  per view. A Lanczos solve (ARPACK through ``scipy.sparse.linalg.eigsh``)
+  finds them from a small multiple of k matrix-vector products, O(n^2 k) per
+  view. The row-sum coupling matrix of ``init_g`` is applied in O(n) per
+  vector and never formed.
+- Because H H^T = I, the reconstruction term expands with P_v = K_v H^T as
+
+      ||K_v - G_v H||_F^2 = ||K_v||_F^2 - ||P_v||_F^2 + ||P_v - G_v||_F^2,
+
+  so one iteration needs two n x k products per view: K_v P_v for the H step,
+  and K_v H^T for the new H, which gives both the loss and the next G step.
+  That is O(n^2 k) per view; ||K_v||_F^2 is computed once per ``iterate``.
+
+The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
+evaluate the definitions directly; they are the reference the fused sweep is
+tested against.
+
 Also here: the single-kernel and multi-kernel k-means baselines, and the
 non-sparse ablation variant that drops the Frobenius regularization in favor
 of the raw trace objective.
@@ -19,10 +39,11 @@ of the raw trace objective.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (
     BadParamError,
@@ -34,6 +55,9 @@ from .kernels import KernelMatrix, KernelSet
 
 RANK_TOL = 1e-12
 WEIGHT_CLAMP = 1e-12
+# seeds the Lanczos start vector and any restart vector ARPACK draws, so
+# eigensolves repeat bit for bit
+LANCZOS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -103,12 +127,53 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def _top_eigenvectors(M: np.ndarray, k: int) -> np.ndarray:
+def _top_eigenvectors(M, k: int) -> np.ndarray:
     """Columns: the k eigenvectors of symmetric M with largest eigenvalues,
-    in descending eigenvalue order, sign-fixed."""
-    _, vecs = np.linalg.eigh(M)
-    top = vecs[:, ::-1][:, :k]
-    return _fix_column_signs(top)
+    in descending eigenvalue order, sign-fixed.
+
+    M is an n x n array or a ``LinearOperator``. A Lanczos solve (ARPACK
+    ``eigsh`` at machine-precision tolerance) computes only the k leading
+    eigenpairs from matrix-vector products, O(n^2) each, instead of a full
+    O(n^3) decomposition. The start vector is a fixed-seed Gaussian, not
+    all-ones, which lies in the null space of the init matrix of a centered
+    kernel. A dense ``eigh`` runs only where the Krylov basis of
+    max(2k + 1, 20) vectors would span the whole space (this includes
+    k >= n - 1, where ARPACK cannot run) and when ARPACK fails, as it does on
+    the zero matrix.
+    """
+    n = M.shape[0]
+    if n > max(2 * k + 1, 20):
+        rng = np.random.default_rng(LANCZOS_SEED)
+        try:
+            vals, vecs = eigsh(M, k, which="LA", v0=rng.standard_normal(n),
+                               tol=0, rng=rng)
+        except ArpackError:
+            pass
+        else:
+            return _fix_column_signs(vecs[:, np.argsort(vals)[::-1]])
+    dense = M if isinstance(M, np.ndarray) else M @ np.eye(n)
+    _, vecs = np.linalg.eigh(dense)
+    return _fix_column_signs(vecs[:, ::-1][:, :k])
+
+
+def _polar(A: np.ndarray) -> np.ndarray:
+    """Row-orthonormal maximizer of tr(H^T A): the polar factor U V^T of the
+    thin SVD A = U S V^T. Warns when A is rank deficient, since the maximizer
+    is then not unique."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s[-1] < RANK_TOL:
+        warnings.warn(
+            f"trailing singular value {s[-1]:.3e} below {RANK_TOL:.0e}; "
+            "embedding subspace is not unique",
+            RankDeficientWarning,
+            stacklevel=3,
+        )
+    return U @ Vt
+
+
+def _sq_norm(X: np.ndarray) -> float:
+    """||X||_F^2 without an elementwise temporary."""
+    return float(np.vdot(X, X))
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +209,7 @@ def update_h(ks, G, omega: np.ndarray, alpha: float) -> np.ndarray:
     for K, G_v, w in zip(kernels, G, omega):
         Gt = G_v.T
         A += (w * w) * (Gt @ K + alpha * Gt)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] < RANK_TOL:
-        warnings.warn(
-            f"trailing singular value {s[-1]:.3e} below {RANK_TOL:.0e}; "
-            "embedding subspace is not unique",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-    return U @ Vt
+    return _polar(A)
 
 
 def update_weights(d) -> np.ndarray:
@@ -175,6 +232,48 @@ def per_view_loss(k_v, g_v: np.ndarray, H: np.ndarray, alpha: float) -> float:
     r1 = K - g_v @ H
     r2 = g_v - H.T
     return float(np.sum(r1 * r1) + alpha * np.sum(r2 * r2))
+
+
+# ---------------------------------------------------------------------------
+# Fused sweep of the sparse model
+# ---------------------------------------------------------------------------
+
+def _fused_view_loss(k_sq: float, P_v: np.ndarray, g_v: np.ndarray,
+                     H: np.ndarray, alpha: float) -> float:
+    """``per_view_loss`` from k_sq = ||K_v||_F^2 and P_v = K_v H^T, for
+    symmetric K_v and row-orthonormal H:
+
+        ||K_v - G_v H||^2 = ||K_v||^2 - ||P_v||^2 + ||P_v - G_v||^2
+
+    A near-exact reconstruction can round the difference slightly negative,
+    so the reconstruction term is clamped at 0. O(nk) given P_v.
+    """
+    recon = k_sq - _sq_norm(P_v) + _sq_norm(P_v - g_v)
+    return max(recon, 0.0) + alpha * _sq_norm(g_v - H.T)
+
+
+def _sweep(kernels, k_sq, P, H: np.ndarray, omega: np.ndarray, alpha: float):
+    """One G / H / loss iteration of the sparse model with two n x k kernel
+    products per view.
+
+    Takes P_v = K_v H^T for the current H and returns (G, H, P, d): the
+    ``update_g`` coefficients, the ``update_h`` embedding, P_v for the new H,
+    and the ``per_view_loss`` values at (G, new H). With G_v = (P_v + alpha
+    H^T) / (1 + alpha) and K_v symmetric, the H-step matrix is
+
+        G_v^T K_v + alpha G_v^T
+            = ((K_v P_v)^T + 2 alpha P_v^T + alpha^2 H) / (1 + alpha).
+    """
+    Ht = H.T
+    G = tuple((P_v + alpha * Ht) / (alpha + 1.0) for P_v in P)
+    A = np.zeros_like(H)
+    for K, P_v, w in zip(kernels, P, omega):
+        A += (w * w) * ((K @ P_v).T + 2.0 * alpha * P_v.T + alpha * alpha * H)
+    H = _polar(A / (alpha + 1.0))
+    P = [K @ H.T for K in kernels]
+    d = np.array([_fused_view_loss(s, P_v, G_v, H, alpha)
+                  for s, P_v, G_v in zip(k_sq, P, G)])
+    return G, H, P, d
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +329,32 @@ def global_similarity_matrix(k_v) -> np.ndarray:
 
     With A_i the i-th row sum of the kernel (total similarity of sample i to
     everything), entry (i, j) is A_{max(i,j)}; the diagonal extends the same
-    rule with A_i. Symmetric by construction.
+    rule with A_i. Symmetric by construction. ``init_g`` applies it through
+    ``_init_operator`` without forming it.
     """
     K = _as_matrix(k_v)
     A = K.sum(axis=1)
     idx = np.arange(K.shape[0])
     return A[np.maximum.outer(idx, idx)]
+
+
+def _init_operator(K: np.ndarray) -> LinearOperator:
+    """D + K as an operator, D = ``global_similarity_matrix(K)``.
+
+    Since D_ij = A_max(i,j), (D x)_i = A_i sum_{j<=i} x_j + sum_{j>i} A_j x_j:
+    two cumulative sums, O(n) per vector on top of the O(n^2) product K x.
+    """
+    n = K.shape[0]
+    A = K.sum(axis=1)
+
+    def apply(X):
+        a = A.reshape((n,) + (1,) * (X.ndim - 1))
+        ax = a * X
+        tail = np.zeros_like(ax)
+        tail[:-1] = np.cumsum(ax[:0:-1], axis=0)[::-1]
+        return K @ X + a * np.cumsum(X, axis=0) + tail
+
+    return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
 
 
 def init_g(k_v, k: int) -> np.ndarray:
@@ -244,12 +363,13 @@ def init_g(k_v, k: int) -> np.ndarray:
     K = _as_matrix(k_v)
     if k > K.shape[0]:
         raise BadParamError(f"k={k} exceeds sample count {K.shape[0]}")
-    return _top_eigenvectors(global_similarity_matrix(K) + K, k)
+    return _top_eigenvectors(_init_operator(K), k)
 
 
 def init_state(ks, cfg: SolverConfig) -> SolverState:
     """Seed all three blocks: G_v from the per-view eigenproblem, H as the
-    polar factor of the averaged G^T, and uniform weights."""
+    polar factor of the averaged G^T, and uniform weights. The sparse
+    objective at the seed comes from the same expansion as in ``iterate``."""
     kernels = _kernel_list(ks)
     n = kernels[0].shape[0]
     if cfg.k > n:
@@ -260,7 +380,13 @@ def init_state(ks, cfg: SolverConfig) -> SolverState:
     H = U @ Vt
     omega = np.full(len(kernels), 1.0 / len(kernels))
     state = SolverState(H=H, G=G, omega=omega, objective_trace=np.empty(0))
-    state.objective_trace = np.array([objective(kernels, state, cfg)])
+    if cfg.objective_variant == "sparse":
+        d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
+                      for K, G_v in zip(kernels, G)])
+        j0 = float(np.sum(omega * omega * d))
+    else:
+        j0 = objective(kernels, state, cfg)
+    state.objective_trace = np.array([j0])
     return state
 
 
@@ -272,6 +398,11 @@ def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
     """Yield the state after each alternating iteration, stopping on
     relative objective change < cfg.rel_tol or after cfg.max_iters.
 
+    The sparse model runs one fused sweep per iteration (``_sweep``): the
+    G, H and loss updates of ``update_g``, ``update_h`` and
+    ``per_view_loss`` from two n x k kernel products per view, O(n^2 k), with
+    no n x n temporary.
+
     Deterministic: identical inputs replay the identical sequence.
     """
     kernels = _kernel_list(ks)
@@ -281,16 +412,19 @@ def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
     trace = list(state.objective_trace)
     j_prev = trace[-1]
     H, omega = state.H, state.omega
+    if sparse:
+        n = H.shape[1]
+        for K in kernels:
+            if K.shape != (n, n):
+                raise DimensionMismatchError(f"kernel {K.shape} vs embedding n={n}")
+        k_sq = [_sq_norm(K) for K in kernels]
+        P = [K @ H.T for K in kernels]
     for _ in range(cfg.max_iters):
         if sparse:
-            G = tuple(update_g(K, H, cfg.alpha) for K in kernels)
+            G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
         else:
             G = tuple(_update_g_nonsparse(K, H, cfg.alpha) for K in kernels)
-        H = update_h(kernels, G, omega, cfg.alpha)
-        if sparse:
-            d = np.array([per_view_loss(K, G_v, H, cfg.alpha)
-                          for K, G_v in zip(kernels, G)])
-        else:
+            H = update_h(kernels, G, omega, cfg.alpha)
             d = np.array([_per_view_value_nonsparse(K, G_v, H, cfg.alpha)
                           for K, G_v in zip(kernels, G)])
         omega = update_weights(d)

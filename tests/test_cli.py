@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvkmf
 from mvkmf.cli import ALGORITHMS, DEFAULT_ALPHAS, ExperimentPlan, main
 from mvkmf.errors import BadParamError
 from mvkmf.io import read_matrix, read_records
@@ -443,10 +446,15 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(mvkmf.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "mvkmf.cli", "synth", "--per-cluster", "3",
          "--clusters", "2", "--views", "1", "--out", str(tmp_path / "d"),
          "--quiet"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "manifest.json").exists()

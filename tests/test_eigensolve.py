@@ -1,0 +1,143 @@
+"""Top-k Lanczos eigensolves against a dense ``eigh`` on hostile kernels.
+
+Every case runs at n >= 200, where ``_top_eigenvectors`` takes the ARPACK
+path (the small kernels elsewhere in the suite all take the dense one).
+Each returned basis must be orthonormal, sign-fixed, and span the same
+top-k subspace as ``np.linalg.eigh``: all principal-angle cosines >= 1 - 1e-10.
+"""
+
+import numpy as np
+import pytest
+
+from mvkmf import solver
+from mvkmf.kernels import normalize_kernel
+from mvkmf.solver import fit_kkm, fit_mkkm, global_similarity_matrix, init_g
+
+from conftest import random_psd_kernel
+
+N = 200
+COS_TOL = 1e-10
+
+
+def dense_top(M, k):
+    """Reference: the k leading eigenvectors from a full decomposition."""
+    _, vecs = np.linalg.eigh(M)
+    return vecs[:, ::-1][:, :k]
+
+
+def four_blocks(n=N, c=10.0):
+    """Four equal all-ones blocks (top eigenvalue n/4, multiplicity 4) plus a
+    rank-one term c u u^T with u orthogonal to the block indicators, so the
+    fifth eigenvalue c is simple and the top-5 subspace is unique too."""
+    m = n // 4
+    K = np.kron(np.eye(4), np.ones((m, m)))
+    u = np.random.default_rng(3).standard_normal(n)
+    u -= np.repeat(u.reshape(4, m).mean(axis=1), m)
+    u /= np.linalg.norm(u)
+    return K + c * np.outer(u, u)
+
+
+def hostile_kernels():
+    rng = np.random.default_rng(2024)
+    S = rng.standard_normal((N, N))
+    X = rng.standard_normal((8, N // 2))
+    X = np.hstack([X, X])                      # every sample twice
+    # integer features summing to zero over the samples: every row sum of
+    # Z Z^T is exactly 0, so the all-ones vector is an exact null vector
+    Z = rng.integers(-3, 4, size=(N, 5)).astype(float)
+    Z[-1] = -Z[:-1].sum(axis=0)
+    return {
+        "random_psd": (random_psd_kernel(rng, N).data, 4),
+        "indefinite": ((S + S.T) / 2.0, 4),
+        "four_blocks_k4": (four_blocks(), 4),
+        "four_blocks_k5": (four_blocks(), 5),
+        "duplicate_samples": (X.T @ X, 4),
+        "centered": (normalize_kernel(random_psd_kernel(rng, N), "center").data,
+                     4),
+        "centered_exact": (Z @ Z.T, 4),
+        "zero": (np.zeros((N, N)), 4),
+        "k_n_minus_1": (random_psd_kernel(rng, N).data, N - 1),
+    }
+
+
+CASES = hostile_kernels()
+
+
+def assert_same_subspace(V, reference, k):
+    assert V.shape == reference.shape == (N, k)
+    assert np.max(np.abs(V.T @ V - np.eye(k))) < 1e-10
+    lead = np.argmax(np.abs(V), axis=0)
+    assert np.all(V[lead, np.arange(k)] > 0)
+    cosines = np.linalg.svd(reference.T @ V, compute_uv=False)
+    assert cosines.min() >= 1.0 - COS_TOL
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Record each ARPACK call and whether it raised."""
+    calls = []
+    real = solver.eigsh
+
+    def spy(*args, **kwargs):
+        try:
+            out = real(*args, **kwargs)
+        except solver.ArpackError:
+            calls.append("raised")
+            raise
+        calls.append("ok")
+        return out
+
+    monkeypatch.setattr(solver, "eigsh", spy)
+    return calls
+
+
+def expected_calls(name):
+    if name == "k_n_minus_1":
+        return set()              # the Krylov basis would span the space
+    if name == "zero":
+        return {"raised"}         # ARPACK fails; dense fallback
+    return {"ok"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_init_g_matches_dense(name, eigsh_calls):
+    K, k = CASES[name]
+    reference = dense_top(global_similarity_matrix(K) + K, k)
+    assert_same_subspace(init_g(K, k), reference, k)
+    assert set(eigsh_calls) == expected_calls(name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fit_kkm_matches_dense(name, eigsh_calls):
+    K, k = CASES[name]
+    assert_same_subspace(fit_kkm(K, k).T, dense_top(K, k), k)
+    assert set(eigsh_calls) == expected_calls(name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fit_mkkm_matches_dense(name, eigsh_calls):
+    # two identical views keep gamma at 1/2, so every step solves K / 2
+    K, k = CASES[name]
+    H, gamma = fit_mkkm([K, K], k)
+    assert np.allclose(gamma, 0.5, atol=1e-12)
+    assert_same_subspace(H.T, dense_top(K, k), k)
+    assert set(eigsh_calls) == expected_calls(name)
+
+
+def test_init_operator_equals_dense_matrix():
+    K = random_psd_kernel(np.random.default_rng(7), 50).data
+    dense = global_similarity_matrix(K) + K
+    op = solver._init_operator(K)
+    x = np.random.default_rng(8).standard_normal(50)
+    assert np.allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-9)
+    assert np.array_equal(op @ np.eye(50), dense)
+
+
+def test_restarted_lanczos_repeats_bitwise():
+    # only a 3 x 3 block is nonzero, so the Krylov space closes after three
+    # steps and ARPACK draws restart vectors, which must come from the seed
+    B = np.random.default_rng(5).standard_normal((3, 3))
+    K = np.zeros((N, N))
+    K[:3, :3] = B @ B.T + 3.0 * np.eye(3)
+    assert np.array_equal(init_g(K, 4), init_g(K, 4))
+    assert np.array_equal(fit_kkm(K, 4), fit_kkm(K, 4))
