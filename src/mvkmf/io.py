@@ -11,7 +11,6 @@ the labels file, and the cluster count.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -479,10 +478,3 @@ def save_synthetic_dataset(out_dir, feats: list[FeatureMatrix],
                                views=tuple(views), base_dir=out)
     save_manifest(out / "manifest.json", manifest)
     return out / "manifest.json"
-
-
-def timed(fn, *args, **kwargs):
-    """(result, elapsed seconds) for one call."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0

@@ -225,7 +225,6 @@ class KernelReport:
     view_name: str
     n: int
     asymmetry: float
-    nan_count: int
     min_eig_estimate: float
     indefinite: bool
 
@@ -234,7 +233,6 @@ class KernelReport:
 class KernelSetReport:
     views: tuple[KernelReport, ...]
     n: int
-    ok: bool
 
     @property
     def warnings(self) -> list[str]:
@@ -298,9 +296,8 @@ def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
                 view_name=k.view_name,
                 n=k.n,
                 asymmetry=k.ingest_asymmetry,
-                nan_count=int(np.isnan(k.data).sum()),
                 min_eig_estimate=min_eig,
                 indefinite=min_eig < -1e-10 * max(1.0, abs(float(np.trace(k.data)))),
             )
         )
-    return KernelSetReport(views=tuple(reports), n=n, ok=True)
+    return KernelSetReport(views=tuple(reports), n=n)

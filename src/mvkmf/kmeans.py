@@ -2,8 +2,20 @@
 
 The embedding H is k x n; its columns are the points to cluster, passed to
 k-means unscaled. Restarts use k-means++ seeding, each restart drawing from
-its own generator derived from (seed, restart index), so serial and parallel
-execution pick the same winner.
+its own generator derived from (seed, restart index). Seeding is the only
+random step and a restart's draws depend on nothing but that generator, so
+seeding every restart up front draws exactly what one restart at a time
+would.
+
+The restarts then advance in lockstep. Each Lloyd step serves all restarts
+still running with one (n x R*k) distance product, one argmin and one
+``bincount`` over R*k offset bins for the cluster means, so a call costs a
+few array passes per step rather than a Python loop per restart. Every
+restart still does its own arithmetic in its own order: distances are the
+columns the one-restart product would give, and the bincount sums each
+cluster's points in sample order, as a per-restart loop does. A restart
+leaves the active set when its labels stop changing or its centers move by
+at most ``tol``; one that leaves a cluster empty is repaired on its own.
 """
 
 from __future__ import annotations
@@ -90,51 +102,70 @@ def _assign_with_repair(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(_sq_dists(X, centers), axis=1)
 
 
+def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(R, n) nearest-center labels for R restarts' centers (R, k, d), ties
+    to the lowest index. A restart that leaves a cluster empty is reassigned
+    by :func:`_assign_with_repair`, which moves its centers in place."""
+    R, k, d = centers.shape
+    dist = _sq_dists(X, centers.reshape(R * k, d)).reshape(-1, R, k)
+    labels = np.ascontiguousarray(np.argmin(dist, axis=2).T)
+    counts = np.bincount((labels + k * np.arange(R)[:, None]).ravel(),
+                         minlength=R * k).reshape(R, k)
+    for r in np.flatnonzero(np.any(counts == 0, axis=1)):
+        labels[r] = _assign_with_repair(X, centers[r])
+    return labels
+
+
 def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=k).astype(float)
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, labels, X)
-    return sums / np.maximum(counts, 1.0)[:, None]
+    """(R, k, d) means of the points each restart assigns to each cluster; an
+    empty cluster's mean is 0. Every sum adds its points in sample order."""
+    R, n = labels.shape
+    d = X.shape[1]
+    bins = labels + k * np.arange(R)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=R * k).astype(float)
+    sums = np.bincount((bins[:, :, None] * d + np.arange(d)).ravel(),
+                       weights=np.broadcast_to(X, (R, n, d)).ravel(),
+                       minlength=R * k * d)
+    return sums.reshape(R, k, d) / np.maximum(counts, 1.0).reshape(R, k, 1)
 
 
 def _wcss(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
     return float(np.sum((X - centers[labels]) ** 2))
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iters: int,
-           tol: float) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    centers = _kmeanspp_centers(X, k, rng)
-    labels = _assign_with_repair(X, centers)
-    history = []
-    for _ in range(max_iters):
-        new_centers = _cluster_means(X, labels, k)
-        shift = float(np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=1))))
-        centers = new_centers
-        new_labels = _assign_with_repair(X, centers)
-        history.append(_wcss(X, new_labels, _cluster_means(X, new_labels, k)))
-        if np.array_equal(new_labels, labels) or shift <= tol:
-            labels = new_labels
-            break
-        labels = new_labels
-    centers = _cluster_means(X, labels, k)
-    return labels, centers, _wcss(X, labels, centers), history
-
-
 def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     """Cluster the columns of ``points`` (dim x n) into cfg.k groups.
 
-    Runs cfg.restarts independent Lloyd passes with k-means++ seeding and
-    returns the labeling with minimum inertia; ties go to the lowest restart
-    index. Deterministic for fixed (points, cfg).
+    Runs cfg.restarts independent Lloyd passes with k-means++ seeding, all
+    advancing together, and returns the labeling with minimum inertia; ties
+    go to the lowest restart index. Deterministic for fixed (points, cfg).
     """
     X = np.asarray(points, dtype=np.float64).T
     n = X.shape[0]
     if n < cfg.k:
         raise TooFewPointsError(f"{n} points cannot form {cfg.k} clusters")
-    best: Labeling | None = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        labels, centers, inertia, _ = _lloyd(X, cfg.k, rng, cfg.max_iters, cfg.tol)
-        if best is None or inertia < best.inertia:
-            best = Labeling(labels=labels, inertia=inertia, centers=centers)
-    return best
+    k = cfg.k
+    centers = np.stack([
+        _kmeanspp_centers(X, k, np.random.default_rng([cfg.seed, r]))
+        for r in range(cfg.restarts)])
+    labels = _assign(X, centers)
+    final = np.empty_like(labels)
+    active = np.arange(cfg.restarts)
+    for _ in range(cfg.max_iters):
+        new_centers = _cluster_means(X, labels, k)
+        shift = np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=2),
+                               axis=1))
+        centers = new_centers
+        new_labels = _assign(X, centers)
+        done = np.all(new_labels == labels, axis=1) | (shift <= cfg.tol)
+        final[active[done]] = new_labels[done]
+        active, centers, labels = (active[~done], centers[~done],
+                                   new_labels[~done])
+        if active.size == 0:
+            break
+    final[active] = labels
+    means = _cluster_means(X, final, k)
+    inertia = [_wcss(X, final[r], means[r]) for r in range(cfg.restarts)]
+    best = int(np.argmin(inertia))
+    return Labeling(labels=final[best].copy(), inertia=inertia[best],
+                    centers=means[best].copy())

@@ -75,7 +75,6 @@ class SolverConfig:
     max_iters: int = 100
     rel_tol: float = 1e-6
     objective_variant: str = "sparse"
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 2:

@@ -421,6 +421,26 @@ def test_bench_thread_cap_respected(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "b"), "--quiet"]) == 0
 
 
+def test_bench_output_independent_of_thread_count(tmp_path, monkeypatch):
+    m1 = synth(tmp_path, name="one", per=8, clusters=3, seed=5)
+    m2 = synth(tmp_path, name="two", per=8, clusters=3, seed=6)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MVKMF_THREADS", threads)
+        out = tmp_path / f"bench{threads}"
+        assert main(["bench", "--manifest", str(m1), "--manifest", str(m2),
+                     "--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,8",
+                     "--seeds", "0,1,2", "--restarts", "10",
+                     "--out", str(out), "--quiet"]) == 0
+        records = [json.loads(line) for line in
+                   (out / "records.jsonl").read_text().splitlines()]
+        for rec in records:
+            del rec["wall_time_seconds"]
+        outputs.append((records, (out / "table.csv").read_text()))
+    assert len(outputs[0][0]) == 24     # (2 alphas + kkm + mkkm) * 3 seeds * 2
+    assert outputs[0] == outputs[1]
+
+
 def test_bench_bad_thread_env_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("MVKMF_THREADS", "lots")
     mpath = synth(tmp_path, per=5, clusters=2)
