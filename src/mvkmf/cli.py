@@ -37,7 +37,7 @@ from .solver import (
     iterate,
 )
 
-ALGORITHMS = ("umklmf", "umklmf-nonsp", "kkm", "mkkm")
+ALGORITHMS = ("umklmf", "kkm", "mkkm")
 DEFAULT_ALPHAS = tuple(float(2 ** i) for i in range(10))
 
 
@@ -82,44 +82,57 @@ def _g(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _variant_for(algorithm: str, objective: str | None) -> str:
-    if objective == "nonsparse" and algorithm == "umklmf":
-        return "umklmf-nonsp"
-    return algorithm
-
-
-def _solver_config(algorithm: str, alpha: float, clusters: int,
-                   max_iters: int, rel_tol: float) -> SolverConfig:
-    variant = "nonsparse" if algorithm == "umklmf-nonsp" else "sparse"
-    return SolverConfig(k=clusters, alpha=alpha, max_iters=max_iters,
-                        rel_tol=rel_tol, objective_variant=variant)
-
-
 def _mean_kernel(ks: KernelSet) -> np.ndarray:
     stack = [k.data for k in ks.kernels]
     return sum(stack) / len(stack)
 
 
-def _run_algorithm(ks: KernelSet, algorithm: str, alpha: float | None,
-                   clusters: int, max_iters: int, rel_tol: float):
-    """Fit one algorithm; returns (H, weights, trace, G tuple or None)."""
-    if algorithm in ("umklmf", "umklmf-nonsp"):
-        if alpha is None:
-            raise BadParamError(f"{algorithm} needs --alpha")
-        cfg = _solver_config(algorithm, alpha, clusters, max_iters, rel_tol)
-        state = fit(ks, cfg)
-        return state.H, state.omega, state.objective_trace, state.G
-    if algorithm == "kkm":
-        h = fit_kkm(_mean_kernel(ks), clusters)
-        return h, None, None, None
-    if algorithm == "mkkm":
-        h, gamma = fit_mkkm(ks, clusters, max_iters=max_iters, rel_tol=rel_tol)
-        return h, gamma, None, None
-    raise BadParamError(f"unknown algorithm {algorithm!r}")
-
-
 def _cluster_h(h: np.ndarray, clusters: int, restarts: int, seed: int):
     return kmeans(h, KMeansConfig(k=clusters, restarts=restarts, seed=seed))
+
+
+def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
+             alpha: float | None, seed: int, restarts: int, max_iters: int,
+             rel_tol: float):
+    """Fit one algorithm, cluster its embedding with k-means and score the
+    labels: the run behind both ``fit`` and each ``bench`` cell.
+
+    Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
+    are None where the algorithm has none. alpha is recorded as None for the
+    baselines, which take none. The wall time covers the fit and k-means.
+    """
+    clusters = manifest.clusters
+    if algorithm != "umklmf":
+        alpha = None
+    trace = g_list = None
+    t0 = time.perf_counter()
+    if algorithm == "umklmf":
+        if alpha is None:
+            raise BadParamError("umklmf needs --alpha")
+        state = fit(ks, SolverConfig(k=clusters, alpha=alpha,
+                                     max_iters=max_iters, rel_tol=rel_tol))
+        h, weights = state.H, state.omega
+        trace, g_list = state.objective_trace, state.G
+    elif algorithm == "kkm":
+        h, weights = fit_kkm(_mean_kernel(ks), clusters), None
+    elif algorithm == "mkkm":
+        h, weights = fit_mkkm(ks, clusters, max_iters=max_iters,
+                              rel_tol=rel_tol)
+    else:
+        raise BadParamError(f"unknown algorithm {algorithm!r}")
+    labels = _cluster_h(h, clusters, restarts, seed).labels
+    elapsed = time.perf_counter() - t0
+    record = mio.RunRecord(
+        dataset=manifest.name,
+        algorithm=algorithm,
+        alpha=alpha,
+        seed=seed,
+        metrics=mmetrics.evaluate(truth, labels).as_dict(),
+        iterations=0 if trace is None else len(trace) - 1,
+        objective_final=None if trace is None else float(trace[-1]),
+        wall_time_seconds=elapsed,
+    )
+    return record, (h, weights, trace, g_list, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +167,8 @@ def cmd_kernels(args) -> int:
 # fit
 
 
-def _write_fit_artifacts(out: Path, h, weights, trace, g_list, labels,
-                         view_names) -> None:
+def _write_fit_artifacts(out: Path, artifacts, view_names) -> None:
+    h, weights, trace, g_list, labels = artifacts
     out.mkdir(parents=True, exist_ok=True)
     mio.write_matrix(out / "H.mvk1", h)
     mio.write_labels(out / "labels.csv", labels)
@@ -172,36 +185,20 @@ def _write_fit_artifacts(out: Path, h, weights, trace, g_list, labels,
 def cmd_fit(args) -> int:
     manifest = mio.load_manifest(args.manifest)
     ks, truth = mio.load_dataset(manifest)
-    algorithm = _variant_for(args.algorithm, args.objective)
-    t0 = time.perf_counter()
-    h, weights, trace, g_list = _run_algorithm(
-        ks, algorithm, args.alpha, manifest.clusters, args.max_iters,
-        args.rel_tol)
-    labeling = _cluster_h(h, manifest.clusters, args.restarts, args.seed)
-    elapsed = time.perf_counter() - t0
-    report = mmetrics.evaluate(truth, labeling.labels)
+    record, artifacts = _run_fit(
+        manifest, ks, truth, args.algorithm, args.alpha, args.seed,
+        args.restarts, args.max_iters, args.rel_tol)
 
     out = Path(args.out)
-    _write_fit_artifacts(out, h, weights, trace, g_list, labeling.labels,
-                         ks.view_names)
-    record = mio.RunRecord(
-        dataset=manifest.name,
-        algorithm=algorithm,
-        alpha=args.alpha if algorithm in ("umklmf", "umklmf-nonsp") else None,
-        seed=args.seed,
-        metrics=report.as_dict(),
-        iterations=0 if trace is None else len(trace) - 1,
-        objective_final=None if trace is None else float(trace[-1]),
-        wall_time_seconds=elapsed,
-    )
+    _write_fit_artifacts(out, artifacts, ks.view_names)
     mio.append_record(out / "records.jsonl", record)
-    _say(args, f"{manifest.name} {algorithm}"
-               + (f" alpha={_g(args.alpha)}" if record.alpha is not None else "")
+    _say(args, f"{manifest.name} {record.algorithm}"
+               + (f" alpha={_g(record.alpha)}" if record.alpha is not None else "")
                + f" iters={record.iterations}"
                + (f" objective={_g(record.objective_final)}"
                   if record.objective_final is not None else ""))
     _say(args, "  " + " ".join(f"{k}={_g(v)}"
-                               for k, v in report.as_dict().items()))
+                               for k, v in record.metrics.items()))
     return 0
 
 
@@ -213,7 +210,7 @@ def _bench_cells(plan: ExperimentPlan):
     cells = []
     for m in plan.manifests:
         for alg in plan.algorithms:
-            alphas = plan.alphas if alg in ("umklmf", "umklmf-nonsp") else (None,)
+            alphas = plan.alphas if alg == "umklmf" else (None,)
             for alpha in alphas:
                 for seed in plan.seeds:
                     cells.append((m, alg, alpha, seed))
@@ -233,22 +230,9 @@ def _worker_count() -> int:
 def _run_cell(dataset_cache, plan: ExperimentPlan, cell):
     manifest_path, alg, alpha, seed = cell
     manifest, ks, truth = dataset_cache[manifest_path]
-    t0 = time.perf_counter()
-    h, _, trace, _ = _run_algorithm(ks, alg, alpha, manifest.clusters,
-                                    plan.max_iters, plan.rel_tol)
-    labeling = _cluster_h(h, manifest.clusters, plan.restarts, seed)
-    elapsed = time.perf_counter() - t0
-    report = mmetrics.evaluate(truth, labeling.labels)
-    return mio.RunRecord(
-        dataset=manifest.name,
-        algorithm=alg,
-        alpha=alpha,
-        seed=seed,
-        metrics=report.as_dict(),
-        iterations=0 if trace is None else len(trace) - 1,
-        objective_final=None if trace is None else float(trace[-1]),
-        wall_time_seconds=elapsed,
-    )
+    record, _ = _run_fit(manifest, ks, truth, alg, alpha, seed,
+                         plan.restarts, plan.max_iters, plan.rel_tol)
+    return record
 
 
 def cmd_bench(args) -> int:
@@ -272,6 +256,12 @@ def cmd_bench(args) -> int:
         dataset_names.append(manifest.name)
     if len(set(dataset_names)) != len(dataset_names):
         raise BadParamError("duplicate dataset names across manifests")
+    # the config validators reject bad restarts, iteration caps and
+    # tolerances here, before any cell runs
+    for manifest, _, _ in dataset_cache.values():
+        KMeansConfig(k=manifest.clusters, restarts=plan.restarts)
+        SolverConfig(k=manifest.clusters, alpha=plan.alphas[0],
+                     max_iters=plan.max_iters, rel_tol=plan.rel_tol)
 
     cells = _bench_cells(plan)
     results: dict = {}
@@ -303,7 +293,7 @@ def cmd_bench(args) -> int:
     table = np.full((len(plan.manifests), len(plan.algorithms)), np.nan)
     for i, mp in enumerate(plan.manifests):
         for j, alg in enumerate(plan.algorithms):
-            alphas = plan.alphas if alg in ("umklmf", "umklmf-nonsp") else (None,)
+            alphas = plan.alphas if alg == "umklmf" else (None,)
             best = None
             for alpha in sorted(alphas, key=lambda a: (a is not None, a)):
                 vals = [results[(mp, alg, alpha, s)].metrics[plan.select_metric]
@@ -399,13 +389,10 @@ def cmd_heatmap(args) -> int:
 def cmd_evolve(args) -> int:
     manifest = mio.load_manifest(args.manifest)
     ks, truth = mio.load_dataset(manifest)
-    algorithm = _variant_for(args.algorithm, args.objective)
-    if algorithm not in ("umklmf", "umklmf-nonsp"):
-        raise BadParamError(f"evolve traces iterative fits only, not {algorithm!r}")
     if args.alpha is None:
-        raise BadParamError(f"{algorithm} needs --alpha")
-    cfg = _solver_config(algorithm, args.alpha, manifest.clusters,
-                         args.max_iters, args.rel_tol)
+        raise BadParamError("umklmf needs --alpha")
+    cfg = SolverConfig(k=manifest.clusters, alpha=args.alpha,
+                       max_iters=args.max_iters, rel_tol=args.rel_tol)
 
     def row(iteration: int, state) -> list:
         labeling = _cluster_h(state.H, manifest.clusters, args.restarts,
@@ -462,8 +449,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None,
                    help="regularization weight (iterative algorithms)")
-    p.add_argument("--objective", choices=("sparse", "nonsparse"),
-                   default=None, help="objective variant for umklmf")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--restarts", type=int, default=50,
@@ -524,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="per-iteration metric trace of one fit")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--algorithm", choices=("umklmf", "umklmf-nonsp"),
-                   default="umklmf")
     _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_evolve)

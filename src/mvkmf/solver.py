@@ -31,9 +31,7 @@ The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
 evaluate the definitions directly; they are the reference the fused sweep is
 tested against.
 
-Also here: the single-kernel and multi-kernel k-means baselines, and the
-non-sparse ablation variant that drops the Frobenius regularization in favor
-of the raw trace objective.
+Also here: the single-kernel and multi-kernel k-means baselines.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (
@@ -66,15 +63,13 @@ class SolverConfig:
 
     ``alpha`` trades kernel reconstruction against pulling each G_v toward
     H^T; the benchmark grid is 2^0 .. 2^9 and the default sits where that
-    grid tends to peak. ``objective_variant`` selects the main model
-    ("sparse") or the trace-form ablation ("nonsparse").
+    grid tends to peak.
     """
 
     k: int
     alpha: float = 128.0
     max_iters: int = 100
     rel_tol: float = 1e-6
-    objective_variant: str = "sparse"
 
     def __post_init__(self):
         if self.k < 2:
@@ -85,8 +80,6 @@ class SolverConfig:
             raise BadParamError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise BadParamError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.objective_variant not in ("sparse", "nonsparse"):
-            raise BadParamError(f"unknown variant {self.objective_variant!r}")
 
 
 @dataclass
@@ -234,7 +227,7 @@ def per_view_loss(k_v, g_v: np.ndarray, H: np.ndarray, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fused sweep of the sparse model
+# Fused sweep
 # ---------------------------------------------------------------------------
 
 def _fused_view_loss(k_sq: float, P_v: np.ndarray, g_v: np.ndarray,
@@ -252,8 +245,7 @@ def _fused_view_loss(k_sq: float, P_v: np.ndarray, g_v: np.ndarray,
 
 
 def _sweep(kernels, k_sq, P, H: np.ndarray, omega: np.ndarray, alpha: float):
-    """One G / H / loss iteration of the sparse model with two n x k kernel
-    products per view.
+    """One G / H / loss iteration with two n x k kernel products per view.
 
     Takes P_v = K_v H^T for the current H and returns (G, H, P, d): the
     ``update_g`` coefficients, the ``update_h`` embedding, P_v for the new H,
@@ -276,37 +268,11 @@ def _sweep(kernels, k_sq, P, H: np.ndarray, omega: np.ndarray, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# Non-sparse ablation variant
-# ---------------------------------------------------------------------------
-
-def _update_g_nonsparse(K: np.ndarray, H: np.ndarray, alpha: float) -> np.ndarray:
-    """Stationary point of the trace-form loss: (K + eps I) G = K H^T + alpha H^T.
-
-    The raw normal equation K G = (K + alpha I) H^T can be singular, so a
-    trace-scaled Tikhonov term keeps the solve well-posed.
-    """
-    n = K.shape[0]
-    eps = 1e-8 * abs(float(np.trace(K))) / n
-    if eps == 0.0:
-        eps = 1e-12
-    Ht = H.T
-    rhs = K @ Ht + alpha * Ht
-    return scipy.linalg.solve(K + eps * np.eye(n), rhs, assume_a="sym")
-
-
-def _per_view_value_nonsparse(K: np.ndarray, G: np.ndarray, H: np.ndarray,
-                              alpha: float) -> float:
-    """tr(-2 H K G + G^T K G) - 2 alpha tr(G H) for one view."""
-    M = K @ G
-    return float(-2.0 * np.sum(H * M.T) + np.sum(G * M) - 2.0 * alpha * np.sum(G * H.T))
-
-
-# ---------------------------------------------------------------------------
 # Objective and initialization
 # ---------------------------------------------------------------------------
 
 def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
-    """Objective value at ``state``; variant chosen by the config."""
+    """Objective value at ``state``."""
     kernels = _kernel_list(ks)
     if len(kernels) != len(state.G) or len(kernels) != len(state.omega):
         raise DimensionMismatchError(
@@ -315,11 +281,7 @@ def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
         )
     total = 0.0
     for K, G_v, w in zip(kernels, state.G, state.omega):
-        if cfg.objective_variant == "sparse":
-            val = per_view_loss(K, G_v, state.H, cfg.alpha)
-        else:
-            val = _per_view_value_nonsparse(K, G_v, state.H, cfg.alpha)
-        total += (w * w) * val
+        total += (w * w) * per_view_loss(K, G_v, state.H, cfg.alpha)
     return total
 
 
@@ -367,8 +329,8 @@ def init_g(k_v, k: int) -> np.ndarray:
 
 def init_state(ks, cfg: SolverConfig) -> SolverState:
     """Seed all three blocks: G_v from the per-view eigenproblem, H as the
-    polar factor of the averaged G^T, and uniform weights. The sparse
-    objective at the seed comes from the same expansion as in ``iterate``."""
+    polar factor of the averaged G^T, and uniform weights. The objective at
+    the seed comes from the same expansion as in ``iterate``."""
     kernels = _kernel_list(ks)
     n = kernels[0].shape[0]
     if cfg.k > n:
@@ -378,15 +340,10 @@ def init_state(ks, cfg: SolverConfig) -> SolverState:
     U, _, Vt = np.linalg.svd(G_mean.T, full_matrices=False)
     H = U @ Vt
     omega = np.full(len(kernels), 1.0 / len(kernels))
-    state = SolverState(H=H, G=G, omega=omega, objective_trace=np.empty(0))
-    if cfg.objective_variant == "sparse":
-        d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
-                      for K, G_v in zip(kernels, G)])
-        j0 = float(np.sum(omega * omega * d))
-    else:
-        j0 = objective(kernels, state, cfg)
-    state.objective_trace = np.array([j0])
-    return state
+    d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
+                  for K, G_v in zip(kernels, G)])
+    j0 = float(np.sum(omega * omega * d))
+    return SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +354,7 @@ def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
     """Yield the state after each alternating iteration, stopping on
     relative objective change < cfg.rel_tol or after cfg.max_iters.
 
-    The sparse model runs one fused sweep per iteration (``_sweep``): the
+    Each iteration is one fused sweep (``_sweep``) and a weight update: the
     G, H and loss updates of ``update_g``, ``update_h`` and
     ``per_view_loss`` from two n x k kernel products per view, O(n^2 k), with
     no n x n temporary.
@@ -407,25 +364,17 @@ def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
     kernels = _kernel_list(ks)
     if state is None:
         state = init_state(kernels, cfg)
-    sparse = cfg.objective_variant == "sparse"
     trace = list(state.objective_trace)
     j_prev = trace[-1]
     H, omega = state.H, state.omega
-    if sparse:
-        n = H.shape[1]
-        for K in kernels:
-            if K.shape != (n, n):
-                raise DimensionMismatchError(f"kernel {K.shape} vs embedding n={n}")
-        k_sq = [_sq_norm(K) for K in kernels]
-        P = [K @ H.T for K in kernels]
+    n = H.shape[1]
+    for K in kernels:
+        if K.shape != (n, n):
+            raise DimensionMismatchError(f"kernel {K.shape} vs embedding n={n}")
+    k_sq = [_sq_norm(K) for K in kernels]
+    P = [K @ H.T for K in kernels]
     for _ in range(cfg.max_iters):
-        if sparse:
-            G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
-        else:
-            G = tuple(_update_g_nonsparse(K, H, cfg.alpha) for K in kernels)
-            H = update_h(kernels, G, omega, cfg.alpha)
-            d = np.array([_per_view_value_nonsparse(K, G_v, H, cfg.alpha)
-                          for K, G_v in zip(kernels, G)])
+        G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
         omega = update_weights(d)
         j = float(np.sum(omega * omega * d))
         if not np.isfinite(j):

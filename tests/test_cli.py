@@ -52,6 +52,8 @@ def test_plan_validation(tmp_path):
     with pytest.raises(BadParamError):
         ExperimentPlan(**{**kwargs, "algorithms": ("umklmf", "dbscan")})
     with pytest.raises(BadParamError):
+        ExperimentPlan(**{**kwargs, "algorithms": ("umklmf-nonsp",)})
+    with pytest.raises(BadParamError):
         ExperimentPlan(**{**kwargs, "alphas": (0.0,)})
     with pytest.raises(BadParamError):
         ExperimentPlan(**{**kwargs, "seeds": ()})
@@ -59,7 +61,7 @@ def test_plan_validation(tmp_path):
 
 def test_default_alpha_grid():
     assert DEFAULT_ALPHAS == tuple(2.0 ** p for p in range(10))
-    assert set(ALGORITHMS) == {"umklmf", "umklmf-nonsp", "kkm", "mkkm"}
+    assert set(ALGORITHMS) == {"umklmf", "kkm", "mkkm"}
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +178,6 @@ def test_fit_mkkm(tmp_path):
     gamma = read_matrix(out / "omega.csv")
     assert gamma.shape == (1, 2)
     assert gamma.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fit_objective_flag_switches_variant(tmp_path):
-    mpath = synth(tmp_path)
-    out = tmp_path / "nonsp"
-    assert main(["fit", "--manifest", str(mpath), "--alpha", "8",
-                 "--objective", "nonsparse", "--out", str(out),
-                 "--quiet"]) == 0
-    [record] = read_records(out / "records.jsonl")
-    assert record.algorithm == "umklmf-nonsp"
 
 
 def test_fit_numerical_failure_exit_3(tmp_path):
@@ -449,6 +441,47 @@ def test_bench_bad_thread_env_exit_2(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "b"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--restarts", "0"),
+                                         ("--max-iters", "-1"),
+                                         ("--rel-tol", "0")])
+def test_bench_bad_params_exit_2_before_any_cell(tmp_path, flag, value):
+    mpath = synth(tmp_path, per=5, clusters=2)
+    out = tmp_path / "b"
+    assert main(["bench", "--manifest", str(mpath),
+                 "--algorithms", "umklmf,kkm", "--alphas", "1",
+                 "--seeds", "0", flag, value,
+                 "--out", str(out), "--quiet"]) == 2
+    assert not (out / "records.jsonl").exists()
+
+
+def test_fit_record_equals_bench_record(tmp_path):
+    mpath = synth(tmp_path, per=8, clusters=3, seed=7)
+    common = ["--seed", "1", "--restarts", "10", "--quiet"]
+    bench_out = tmp_path / "bench"
+    assert main(["bench", "--manifest", str(mpath),
+                 "--algorithms", "umklmf,kkm,mkkm", "--alphas", "16",
+                 "--seeds", "1", "--out", str(bench_out)] + common) == 0
+
+    def strip(record):
+        d = record.to_dict()
+        del d["wall_time_seconds"]
+        return d
+
+    bench = {r.algorithm: strip(r)
+             for r in read_records(bench_out / "records.jsonl")}
+    assert sorted(bench) == ["kkm", "mkkm", "umklmf"]
+    for alg, extra in (("umklmf", ["--alpha", "16"]),
+                       ("kkm", ["--alpha", "16"]),
+                       ("mkkm", [])):
+        out = tmp_path / f"fit-{alg}"
+        assert main(["fit", "--manifest", str(mpath), "--algorithm", alg,
+                     "--out", str(out)] + extra + common) == 0
+        [record] = read_records(out / "records.jsonl")
+        assert strip(record) == bench[alg]
+    assert bench["umklmf"]["alpha"] == 16.0
+    assert bench["kkm"]["alpha"] is None
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 
@@ -463,6 +496,15 @@ def test_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["synth", "--frobnicate", str(tmp_path)])
     assert err.value.code == 2
+    # one solver model: no objective variant, no umklmf-nonsp, and evolve
+    # takes no --algorithm
+    manifest = str(tmp_path / "manifest.json")
+    for argv in (["fit", "--manifest", manifest, "--objective", "nonsparse"],
+                 ["fit", "--manifest", manifest, "--algorithm", "umklmf-nonsp"],
+                 ["evolve", "--manifest", manifest, "--algorithm", "umklmf"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_module_entry_point(tmp_path):

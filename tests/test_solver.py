@@ -62,8 +62,6 @@ def test_config_validation():
     with pytest.raises(BadParamError):
         SolverConfig(k=3, rel_tol=0.0)
     with pytest.raises(BadParamError):
-        SolverConfig(k=3, objective_variant="dense")
-    with pytest.raises(BadParamError):
         SolverConfig(k=3, max_iters=-1)
 
 
@@ -421,16 +419,6 @@ def test_iterate_yields_every_iteration():
     final = fit(ks, cfg)
     assert np.array_equal(states[-1].H, final.H)
     assert len(states[-1].objective_trace) == len(states) + 1
-
-
-def test_fit_nonsparse_variant_runs_clean():
-    ks, _ = blob_kernels(2, n_per=6, clusters=3, views=2)
-    cfg = SolverConfig(k=3, alpha=4.0, objective_variant="nonsparse",
-                       max_iters=60)
-    state = fit(ks, cfg)
-    assert np.all(np.isfinite(state.objective_trace))
-    assert np.max(np.abs(state.H @ state.H.T - np.eye(3))) < 1e-8
-    assert abs(state.omega.sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
