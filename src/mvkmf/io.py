@@ -29,9 +29,9 @@ from .kernels import (
     KernelMatrix,
     KernelSet,
     KernelSpec,
+    _check_views,
     build_kernel,
     normalize_kernel,
-    validate_kernel_set,
 )
 
 _MAGIC = b"MVK1"
@@ -315,7 +315,9 @@ def load_dataset(manifest: DatasetManifest) -> tuple[KernelSet, np.ndarray]:
 
     Views with raw features are pushed through their kernel recipe (linear by
     default); precomputed kernels are ingested as-is. Every view then gets
-    its configured normalization, and the assembled set is cross-validated.
+    its configured normalization, and the assembled set is checked for a
+    common sample count and distinct view names. The per-view health report
+    (``validate_kernel_set``) is left to the callers that use it.
     """
     kernels = []
     for view in manifest.views:
@@ -329,7 +331,7 @@ def load_dataset(manifest: DatasetManifest) -> tuple[KernelSet, np.ndarray]:
             k = build_kernel(x, spec)
         kernels.append(normalize_kernel(k, view.normalization))
     ks = KernelSet(kernels=tuple(kernels))
-    validate_kernel_set(ks)
+    _check_views(ks)
     labels = read_labels(manifest.resolve(manifest.labels))
     return ks, labels
 

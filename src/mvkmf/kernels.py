@@ -4,6 +4,17 @@ A "view" is one feature representation of a common sample set. Each view
 enters the solver as a symmetric n x n kernel matrix; this module builds
 those matrices from raw features (columns = samples), normalizes them, and
 sanity-checks a whole multi-view collection before fitting.
+
+An rbf kernel costs one squared-distance pass: ``pdist(..., "sqeuclidean")``
+gives the condensed vector of the n(n-1)/2 pairwise squared distances, the
+median heuristic reads sigma from it by one selection, and ``exp`` runs on
+the condensed vector before ``squareform`` expands it, so the build holds
+about 1.5 n^2 floats at its peak. The sqrt of the selected squared distance
+is exactly the median of the Euclidean distances: sqrt is monotone, so it
+maps order statistics onto order statistics, and ``pdist``'s euclidean
+element is the sqrt of its sqeuclidean element. The symmetry check and the
+eigenvalue bound of :func:`validate_kernel_set` work in tiles of rows, so
+neither forms an n x n temporary.
 """
 
 from __future__ import annotations
@@ -24,6 +35,10 @@ from .errors import (
 # Asymmetry up to this magnitude is treated as file rounding noise and
 # repaired by (K + K^T)/2; anything larger is rejected.
 SYMMETRY_TOL = 1e-8
+
+# Rows per tile in the blockwise passes over a kernel (the symmetry check and
+# the row sums of |K|); a tile of n rows is the largest temporary they form.
+_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -72,7 +87,7 @@ class KernelMatrix:
             )
         if not np.all(np.isfinite(data)):
             raise NonFiniteError(f"view {self.view_name!r}: kernel contains NaN/Inf")
-        asym = float(np.max(np.abs(data - data.T))) if data.size else 0.0
+        asym = _max_asymmetry(data)
         if asym > SYMMETRY_TOL:
             raise AsymmetricKernelError(
                 f"view {self.view_name!r}: asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
@@ -85,6 +100,21 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max |A - A^T| over the tile pairs (I, J) with I <= J; 0.0 if empty.
+
+    |A_IJ - A_JI^T| holds the same magnitudes as the mirrored pair, so the
+    upper tiles see every entry of A - A^T and the max equals the full one.
+    """
+    n = a.shape[0]
+    asym = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            d = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
+            asym = max(asym, float(np.max(np.abs(d, out=d))))
+    return asym
 
 
 @dataclass(frozen=True)
@@ -118,7 +148,8 @@ class KernelSpec:
     """Kernel function descriptor: linear, rbf(sigma), or polynomial(c, degree).
 
     ``sigma=None`` selects the median heuristic: the median of the nonzero
-    pairwise Euclidean distances.
+    pairwise Euclidean distances, read exactly as the sqrt of the middle
+    squared distances (sqrt is monotone).
     """
 
     kind: str = "rbf"
@@ -154,12 +185,32 @@ class KernelSpec:
 
 
 def median_heuristic_sigma(features: FeatureMatrix) -> float:
-    """Median of nonzero pairwise Euclidean distances; 1.0 if all coincide."""
-    dists = pdist(features.data.T)
-    nonzero = dists[dists > 0]
-    if nonzero.size == 0:
+    """Median of nonzero pairwise Euclidean distances; 1.0 if all coincide.
+
+    Computed from the squared distances: sqrt is monotone, so the sqrt of
+    the middle squared distance is the middle distance, bit for bit.
+    """
+    return _median_sigma(pdist(features.data.T, "sqeuclidean"))
+
+
+def _median_sigma(sq: np.ndarray) -> float:
+    """Median heuristic from condensed squared distances ``sq``.
+
+    One selection places the upper middle of the nonzero entries at index
+    ``hi``; for an even count the lower middle is the largest entry below
+    it (the zeros sit anywhere below ``hi``, all smaller). The two middles
+    are averaged as ``np.median`` averages them.
+    """
+    zeros = int(np.count_nonzero(sq == 0.0))
+    m = sq.size - zeros
+    if m == 0:
         return 1.0
-    return float(np.median(nonzero))
+    hi = zeros + m // 2
+    part = np.partition(sq, hi)
+    upper = np.sqrt(part[hi])
+    if m % 2:
+        return float(upper)
+    return float((np.sqrt(part[:hi].max()) + upper) / 2.0)
 
 
 def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
@@ -177,11 +228,17 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
         K = X.T @ X
         K = (K + K.T) / 2.0
     elif spec.kind == "rbf":
-        sigma = spec.sigma if spec.sigma is not None else median_heuristic_sigma(features)
+        c = pdist(X.T, "sqeuclidean")
+        sigma = spec.sigma if spec.sigma is not None else _median_sigma(c)
         if not sigma > 0:
             raise BadParamError(f"rbf sigma must be > 0, got {sigma}")
-        sq = squareform(pdist(X.T, "sqeuclidean"))
-        K = np.exp(-sq / (2.0 * sigma * sigma))
+        # in place, the same elementwise steps in the same order as
+        # exp(-sq / (2 sigma^2)), so the bits match the n x n expression
+        np.negative(c, out=c)
+        np.divide(c, 2.0 * sigma * sigma, out=c)
+        np.exp(c, out=c)
+        K = squareform(c)
+        del c  # freed before KernelMatrix's checks allocate
         np.fill_diagonal(K, 1.0)
     else:  # polynomial
         K = (X.T @ X + spec.c) ** spec.degree
@@ -254,7 +311,9 @@ def _estimate_min_eigenvalue(K: np.ndarray, iters: int = 60) -> float:
     n = K.shape[0]
     if n == 1:
         return float(K[0, 0])
-    mu = float(np.max(np.sum(np.abs(K), axis=1)))
+    # the row sums of |K|, a tile of rows at a time
+    mu = max(float(np.max(np.sum(np.abs(K[i:i + _TILE]), axis=1)))
+             for i in range(0, n, _TILE))
     if mu == 0.0:
         return 0.0
     rng = np.random.default_rng(0)
@@ -270,15 +329,9 @@ def _estimate_min_eigenvalue(K: np.ndarray, iters: int = 60) -> float:
     return float(mu - v @ (mu * v - K @ v))
 
 
-def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
-    """Check a kernel set for cross-view consistency and per-view health.
-
-    Raises ``DimensionMismatchError`` when views disagree on the sample count
-    or reuse a view name. Small asymmetries were already repaired at ingest
-    (and are reported here); indefinite kernels are flagged but accepted,
-    since the solver's closed-form updates never need positive
-    semidefiniteness.
-    """
+def _check_views(ks: KernelSet) -> None:
+    """Raise ``DimensionMismatchError`` when views disagree on the sample
+    count or reuse a view name."""
     n = ks.kernels[0].n
     for k in ks.kernels[1:]:
         if k.n != n:
@@ -288,6 +341,18 @@ def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
     names = ks.view_names
     if len(set(names)) != len(names):
         raise DimensionMismatchError(f"duplicate view names in {names}")
+
+
+def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
+    """Check a kernel set for cross-view consistency and per-view health.
+
+    Raises ``DimensionMismatchError`` when views disagree on the sample count
+    or reuse a view name. Small asymmetries were already repaired at ingest
+    (and are reported here); indefinite kernels are flagged but accepted,
+    since the solver's closed-form updates never need positive
+    semidefiniteness.
+    """
+    _check_views(ks)
     reports = []
     for k in ks.kernels:
         min_eig = _estimate_min_eigenvalue(k.data)
@@ -300,4 +365,4 @@ def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
                 indefinite=min_eig < -1e-10 * max(1.0, abs(float(np.trace(k.data)))),
             )
         )
-    return KernelSetReport(views=tuple(reports), n=n)
+    return KernelSetReport(views=tuple(reports), n=ks.n)

@@ -103,6 +103,27 @@ def test_kernels_idempotent(tmp_path):
     assert first == second
 
 
+def test_kernels_estimates_each_view_once(tmp_path, monkeypatch):
+    import mvkmf.kernels
+
+    estimates = []
+    original = mvkmf.kernels._estimate_min_eigenvalue
+
+    def counted(K, *args, **kwargs):
+        estimates.append(original(K, *args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(mvkmf.kernels, "_estimate_min_eigenvalue", counted)
+    mpath = synth(tmp_path, views=3)
+    out = tmp_path / "kout"
+    assert main(["kernels", "--manifest", str(mpath), "--out", str(out),
+                 "--quiet"]) == 0
+    # once per view: load_dataset leaves the health report to the command
+    assert len(estimates) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert [v["min_eigenvalue_estimate"] for v in report["views"]] == estimates
+
+
 def test_kernels_bad_manifest_exit_2(tmp_path):
     missing = tmp_path / "nope" / "manifest.json"
     assert main(["kernels", "--manifest", str(missing), "--quiet"]) == 2

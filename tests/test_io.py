@@ -274,6 +274,27 @@ def test_load_dataset_builds_kernels(tmp_path):
         assert np.allclose(np.diag(k.data), 1.0)     # cosine-normalized rbf
 
 
+def test_load_dataset_rejects_inconsistent_views(tmp_path):
+    # load_manifest would catch both; a manifest built in code reaches
+    # load_dataset's own check
+    write_matrix(tmp_path / "a.mvk1", np.eye(6))
+    write_matrix(tmp_path / "b.mvk1", np.eye(5))
+    write_labels(tmp_path / "labels.csv", [0, 1] * 3)
+
+    def manifest(*views):
+        return DatasetManifest(name="toy", n=6, clusters=2,
+                               labels="labels.csv", base_dir=tmp_path,
+                               views=tuple(ViewSource(name=name, kernel=rel)
+                                           for name, rel in views))
+
+    with pytest.raises(DimensionMismatchError):
+        load_dataset(manifest(("a", "a.mvk1"), ("b", "b.mvk1")))
+    with pytest.raises(DimensionMismatchError):
+        load_dataset(manifest(("a", "a.mvk1"), ("a", "a.mvk1")))
+    ks, _ = load_dataset(manifest(("a", "a.mvk1"), ("b", "a.mvk1")))
+    assert ks.view_names == ("a", "b")
+
+
 # ---------------------------------------------------------------------------
 # run records
 

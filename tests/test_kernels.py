@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from mvkmf.errors import (
     AsymmetricKernelError,
@@ -8,11 +11,15 @@ from mvkmf.errors import (
     NonFiniteError,
     ZeroDiagonalError,
 )
+from mvkmf.io import make_synthetic
 from mvkmf.kernels import (
+    SYMMETRY_TOL,
+    _TILE,
     FeatureMatrix,
     KernelMatrix,
     KernelSet,
     KernelSpec,
+    _median_sigma,
     build_kernel,
     median_heuristic_sigma,
     normalize_kernel,
@@ -242,3 +249,181 @@ def test_kernel_set_properties():
     assert ks.n == 4
     assert ks.V == 2
     assert ks.view_names == ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the kernel code before the one-pass rbf build, the
+# selection median and the tiled checks. The shipped code must give the same
+# bits on every input below.
+
+
+def _ref_median_sigma(X):
+    dists = pdist(X.T)
+    nonzero = dists[dists > 0]
+    if nonzero.size == 0:
+        return 1.0
+    return float(np.median(nonzero))
+
+
+def _ref_rbf(X, sigma):
+    sq = squareform(pdist(X.T, "sqeuclidean"))
+    K = np.exp(-sq / (2.0 * sigma * sigma))
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+def _ref_asymmetry(A):
+    return float(np.max(np.abs(A - A.T))) if A.size else 0.0
+
+
+def _ref_min_eig(K, iters=60):
+    n = K.shape[0]
+    if n == 1:
+        return float(K[0, 0])
+    mu = float(np.max(np.sum(np.abs(K), axis=1)))
+    if mu == 0.0:
+        return 0.0
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = mu * v - K @ v
+        norm = np.linalg.norm(w)
+        if norm < 1e-300:
+            return float(v @ (K @ v))
+        v = w / norm
+    return float(mu - v @ (mu * v - K @ v))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_features(rng):
+    """Small adversarial feature sets: rounded coordinates (many ties),
+    duplicated samples (zero distances), or all samples coincident."""
+    n = int(rng.integers(2, 61))
+    d = int(rng.integers(1, 5))
+    X = np.round(rng.standard_normal((d, n)) * rng.choice([1.0, 3.0, 10.0]),
+                 int(rng.integers(0, 3)))
+    shape = rng.random()
+    if shape < 0.3:
+        X = X[:, rng.integers(0, n, size=n)]
+    elif shape < 0.4:
+        X = np.repeat(X[:, :1], n, axis=1)
+    return X
+
+
+def _assert_matches_reference(X, sigma):
+    fm = FeatureMatrix(X, "v")
+    ref_sigma = _ref_median_sigma(X)
+    assert _same_bits(median_heuristic_sigma(fm), ref_sigma)
+    k = build_kernel(fm, KernelSpec(kind="rbf", sigma=sigma))
+    ref_k = _ref_rbf(X, ref_sigma if sigma is None else sigma)
+    assert _same_bits(k.data, ref_k)
+    assert k.ingest_asymmetry == _ref_asymmetry(ref_k) == 0.0
+    report = validate_kernel_set(KernelSet(kernels=(k,)))
+    assert _same_bits(report.views[0].min_eig_estimate, _ref_min_eig(ref_k))
+
+
+def test_rbf_sigma_and_min_eig_match_frozen_reference():
+    rng = np.random.default_rng(2024)
+    parities = set()
+    for _ in range(240):
+        X = _random_features(rng)
+        parities.add(int(np.count_nonzero(pdist(X.T))) % 2)
+        sigma = None if rng.random() < 0.6 else float(rng.uniform(0.1, 5.0))
+        _assert_matches_reference(X, sigma)
+    # both median branches ran: an even and an odd count of nonzero distances
+    assert parities == {0, 1}
+
+
+def test_median_sigma_with_zeros_scattered_below_the_middle():
+    # condensed squared distances with zeros anywhere in the vector; after
+    # the selection some of these leave the lower middle among the zeros'
+    # slots, so it must be looked for in the whole lower part
+    for case in range(3000):
+        rng = np.random.default_rng([7, case])
+        size = int(rng.integers(2, 1000))
+        sq = rng.random(size) ** 2
+        sq[rng.random(size) < rng.random()] = 0.0
+        dists = np.sqrt(sq)
+        nonzero = dists[dists > 0]
+        ref = float(np.median(nonzero)) if nonzero.size else 1.0
+        assert _same_bits(_median_sigma(sq), ref)
+
+
+def test_rbf_matches_frozen_reference_on_synthetic_view():
+    feats, _ = make_synthetic(500, 4, 3, separation=2.5, seed=101)
+    _assert_matches_reference(feats[0].data, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+def test_asymmetry_matches_frozen_reference_at_tile_boundaries(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    base = (a + a.T) / 2.0
+    edges = sorted({0, _TILE - 1, _TILE, 2 * _TILE, n - 1} & set(range(n)))
+    spots = [(i, j) for i in edges for j in edges if i != j]
+    assert spots or n == 1
+    for i, j in spots or [(0, 0)]:
+        for scale in (0.0, 0.5, 0.999, 2.0):
+            for sign in (1.0, -1.0):
+                A = base.copy()
+                A[i, j] += sign * scale * SYMMETRY_TOL
+                ref = _ref_asymmetry(A)
+                for data in (A, np.asfortranarray(A)):
+                    if ref > SYMMETRY_TOL:
+                        with pytest.raises(AsymmetricKernelError):
+                            KernelMatrix(data, "v")
+                        continue
+                    km = KernelMatrix(data, "v")
+                    assert _same_bits(km.ingest_asymmetry, ref)
+                    repaired = (A + A.T) / 2.0 if ref > 0.0 else A
+                    assert _same_bits(km.data, repaired)
+    K = KernelMatrix(base, "v").data
+    for data in (K, np.asfortranarray(K)):
+        report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(data, "v"),)))
+        assert _same_bits(report.views[0].min_eig_estimate, _ref_min_eig(data))
+    bad = base.copy()
+    bad[n - 1, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        KernelMatrix(bad, "v")
+
+
+def test_rbf_permuting_samples_permutes_kernel():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        X = _random_features(rng)
+        perm = rng.permutation(X.shape[1])
+        fm, fp = FeatureMatrix(X, "v"), FeatureMatrix(X[:, perm], "v")
+        assert _same_bits(median_heuristic_sigma(fp), median_heuristic_sigma(fm))
+        k = build_kernel(fm, KernelSpec(kind="rbf")).data
+        kp = build_kernel(fp, KernelSpec(kind="rbf")).data
+        assert _same_bits(kp, k[np.ix_(perm, perm)])
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while fn runs, above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_rbf_build_and_validation_peak_memory():
+    n = 1000
+    feats, _ = make_synthetic(n // 4, 4, 1, separation=2.5, seed=1)
+    matrix = n * n * 8
+    k, build_peak = _traced_peak(lambda: build_kernel(feats[0], KernelSpec(kind="rbf")))
+    # the kernel itself plus the condensed squared distances it is expanded
+    # from (1.5 n^2 floats); validation allocates one tile of rows at a time
+    assert build_peak <= 1.75 * matrix
+    ks = KernelSet(kernels=(k,))
+    _, validate_peak = _traced_peak(lambda: validate_kernel_set(ks))
+    assert validate_peak <= 0.5 * matrix
