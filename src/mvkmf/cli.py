@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import re
 import sys
@@ -33,6 +34,7 @@ from .solver import (
     fit,
     fit_kkm,
     fit_mkkm,
+    init_point,
     init_state,
     iterate,
 )
@@ -61,10 +63,15 @@ class ExperimentPlan:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise BadParamError(f"unknown algorithm {a!r}")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise BadParamError("alpha grid values must be > 0")
+        if not self.alphas or not all(math.isfinite(a) and a > 0
+                                      for a in self.alphas):
+            raise BadParamError("alpha grid values must be finite and > 0")
         if not self.seeds:
             raise BadParamError("need at least one seed")
+        for what, values in (("algorithms", self.algorithms),
+                             ("alphas", self.alphas), ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise BadParamError(f"duplicate {what} in {values}")
         if self.select_metric not in ("acc", "nmi", "purity", "ari"):
             raise BadParamError(f"unknown metric {self.select_metric!r}")
 
@@ -91,37 +98,66 @@ def _cluster_h(h: np.ndarray, clusters: int, restarts: int, seed: int):
     return kmeans(h, KMeansConfig(k=clusters, restarts=restarts, seed=seed))
 
 
+def _shared_part(ks: KernelSet, clusters: int, algorithm: str,
+                 max_iters: int, rel_tol: float):
+    """The part of a run that depends on neither alpha nor the k-means seed,
+    so ``bench`` computes it once per (dataset, algorithm): the umklmf
+    ``InitPoint``, the kkm embedding H, or the mkkm pair (H, gamma).
+
+    Returns (part, seconds it took).
+    """
+    t0 = time.perf_counter()
+    if algorithm == "umklmf":
+        part = init_point(ks, clusters)
+    elif algorithm == "kkm":
+        part = fit_kkm(_mean_kernel(ks), clusters)
+    elif algorithm == "mkkm":
+        part = fit_mkkm(ks, clusters, max_iters=max_iters, rel_tol=rel_tol)
+    else:
+        raise BadParamError(f"unknown algorithm {algorithm!r}")
+    return part, time.perf_counter() - t0
+
+
 def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
              alpha: float | None, seed: int, restarts: int, max_iters: int,
-             rel_tol: float):
+             rel_tol: float, shared=None):
     """Fit one algorithm, cluster its embedding with k-means and score the
     labels: the run behind both ``fit`` and each ``bench`` cell.
 
+    ``shared`` is the (part, seconds) pair of ``_shared_part`` for this
+    dataset and algorithm; when None it is computed here, after the config
+    is validated. The umklmf fit starts from the shared init point; the
+    baselines' embedding is the shared part itself.
+
     Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
     are None where the algorithm has none. alpha is recorded as None for the
-    baselines, which take none. The wall time covers the fit and k-means.
+    baselines, which take none. The wall time is what the run costs alone:
+    the shared part's seconds plus the fit and k-means.
     """
     clusters = manifest.clusters
-    if algorithm != "umklmf":
-        alpha = None
-    trace = g_list = None
-    t0 = time.perf_counter()
+    cfg = None
     if algorithm == "umklmf":
         if alpha is None:
             raise BadParamError("umklmf needs --alpha")
-        state = fit(ks, SolverConfig(k=clusters, alpha=alpha,
-                                     max_iters=max_iters, rel_tol=rel_tol))
+        cfg = SolverConfig(k=clusters, alpha=alpha, max_iters=max_iters,
+                           rel_tol=rel_tol)
+    else:
+        alpha = None
+    if shared is None:
+        shared = _shared_part(ks, clusters, algorithm, max_iters, rel_tol)
+    part, shared_seconds = shared
+    weights = trace = g_list = None
+    t0 = time.perf_counter()
+    if cfg is not None:
+        state = fit(ks, cfg, part)
         h, weights = state.H, state.omega
         trace, g_list = state.objective_trace, state.G
-    elif algorithm == "kkm":
-        h, weights = fit_kkm(_mean_kernel(ks), clusters), None
     elif algorithm == "mkkm":
-        h, weights = fit_mkkm(ks, clusters, max_iters=max_iters,
-                              rel_tol=rel_tol)
+        h, weights = part
     else:
-        raise BadParamError(f"unknown algorithm {algorithm!r}")
+        h = part
     labels = _cluster_h(h, clusters, restarts, seed).labels
-    elapsed = time.perf_counter() - t0
+    elapsed = shared_seconds + (time.perf_counter() - t0)
     record = mio.RunRecord(
         dataset=manifest.name,
         algorithm=algorithm,
@@ -227,11 +263,12 @@ def _worker_count() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def _run_cell(dataset_cache, plan: ExperimentPlan, cell):
+def _run_cell(dataset_cache, plan: ExperimentPlan, shared, cell):
     manifest_path, alg, alpha, seed = cell
     manifest, ks, truth = dataset_cache[manifest_path]
     record, _ = _run_fit(manifest, ks, truth, alg, alpha, seed,
-                         plan.restarts, plan.max_iters, plan.rel_tol)
+                         plan.restarts, plan.max_iters, plan.rel_tol,
+                         shared[manifest_path, alg])
     return record
 
 
@@ -263,11 +300,23 @@ def cmd_bench(args) -> int:
         SolverConfig(k=manifest.clusters, alpha=plan.alphas[0],
                      max_iters=plan.max_iters, rel_tol=plan.rel_tol)
 
+    # each (dataset, algorithm) pair's seed- and alpha-free part, once; one
+    # that fails fails every cell that uses it, with the same error
+    shared: dict = {}
+    for mp, (manifest, ks, _) in dataset_cache.items():
+        for alg in plan.algorithms:
+            try:
+                shared[mp, alg] = _shared_part(ks, manifest.clusters, alg,
+                                               plan.max_iters, plan.rel_tol)
+            except MvkmfError as exc:
+                shared[mp, alg] = exc
+
     cells = _bench_cells(plan)
-    results: dict = {}
+    results: dict = {c: shared[c[:2]] for c in cells
+                     if isinstance(shared[c[:2]], MvkmfError)}
     with concurrent.futures.ThreadPoolExecutor(_worker_count()) as pool:
-        futures = {pool.submit(_run_cell, dataset_cache, plan, c): c
-                   for c in cells}
+        futures = {pool.submit(_run_cell, dataset_cache, plan, shared, c): c
+                   for c in cells if c not in results}
         for fut in concurrent.futures.as_completed(futures):
             cell = futures[fut]
             try:

@@ -26,6 +26,8 @@ kernels themselves:
   so one iteration needs two n x k products per view: K_v P_v for the H step,
   and K_v H^T for the new H, which gives both the loss and the next G step.
   That is O(n^2 k) per view; ||K_v||_F^2 is computed once per ``iterate``.
+- The start G and H (``init_point``) do not depend on alpha, so fits over an
+  alpha grid can share one and pay the eigensolves once.
 
 The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
 evaluate the definitions directly; they are the reference the fused sweep is
@@ -36,6 +38,7 @@ Also here: the single-kernel and multi-kernel k-means baselines.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -74,8 +77,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 2:
             raise BadParamError(f"cluster count must be >= 2, got {self.k}")
-        if self.alpha < 0:
-            raise BadParamError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise BadParamError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.max_iters < 0:
             raise BadParamError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.rel_tol > 0:
@@ -327,18 +330,48 @@ def init_g(k_v, k: int) -> np.ndarray:
     return _top_eigenvectors(_init_operator(K), k)
 
 
-def init_state(ks, cfg: SolverConfig) -> SolverState:
-    """Seed all three blocks: G_v from the per-view eigenproblem, H as the
-    polar factor of the averaged G^T, and uniform weights. The objective at
-    the seed comes from the same expansion as in ``iterate``."""
+@dataclass(frozen=True)
+class InitPoint:
+    """The alpha-free start of a fit: G_v from ``init_g`` per view and H,
+    the polar factor of the averaged G^T. It depends on the kernels and k
+    only, so one point serves every alpha of a grid. The arrays are
+    read-only because concurrent fits share them."""
+
+    G: tuple[np.ndarray, ...]
+    H: np.ndarray
+
+
+def init_point(ks, k: int) -> InitPoint:
+    """Compute the ``InitPoint`` of kernels ``ks`` for k clusters: one top-k
+    eigensolve per view, O(n^2 k) each, and one k x n SVD."""
     kernels = _kernel_list(ks)
     n = kernels[0].shape[0]
-    if cfg.k > n:
-        raise BadParamError(f"k={cfg.k} exceeds sample count {n}")
-    G = tuple(init_g(K, cfg.k) for K in kernels)
+    if k > n:
+        raise BadParamError(f"k={k} exceeds sample count {n}")
+    G = tuple(init_g(K, k) for K in kernels)
     G_mean = sum(G) / len(G)
     U, _, Vt = np.linalg.svd(G_mean.T, full_matrices=False)
     H = U @ Vt
+    for a in (*G, H):
+        a.setflags(write=False)
+    return InitPoint(G=G, H=H)
+
+
+def init_state(ks, cfg: SolverConfig,
+               init: InitPoint | None = None) -> SolverState:
+    """Seed all three blocks: G and H from ``init`` (computed by
+    ``init_point`` when None) and uniform weights. The objective at the seed
+    comes from the same expansion as in ``iterate``, at ``cfg.alpha``; it is
+    the only alpha-dependent part, O(n^2 k) per view."""
+    kernels = _kernel_list(ks)
+    if init is None:
+        init = init_point(kernels, cfg.k)
+    G, H = init.G, init.H
+    n = kernels[0].shape[0]
+    if len(G) != len(kernels) or H.shape != (cfg.k, n):
+        raise DimensionMismatchError(
+            f"init point with {len(G)} views and H {H.shape} vs "
+            f"{len(kernels)} kernels, k={cfg.k}, n={n}")
     omega = np.full(len(kernels), 1.0 / len(kernels))
     d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
                   for K, G_v in zip(kernels, G)])
@@ -388,14 +421,18 @@ def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
         j_prev = j
 
 
-def fit(ks, cfg: SolverConfig) -> SolverState:
+def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
     """Run initialization plus alternating updates to convergence.
 
-    The returned state's objective_trace has the initial value followed by
-    one entry per iteration; it is non-increasing throughout. Follow with
-    k-means on the columns of ``state.H`` to obtain cluster labels.
+    ``init`` is the start from ``init_point(ks, cfg.k)``; pass it to share
+    one start across fits that differ only in alpha or the iteration limits.
+    When None it is computed here. Either way the result is the same, bit
+    for bit. The returned state's objective_trace has the initial value
+    followed by one entry per iteration; it is non-increasing throughout.
+    Follow with k-means on the columns of ``state.H`` to obtain cluster
+    labels.
     """
-    state = init_state(ks, cfg)
+    state = init_state(ks, cfg, init)
     for state in iterate(ks, cfg, state):
         pass
     return state

@@ -57,6 +57,11 @@ def test_plan_validation(tmp_path):
         ExperimentPlan(**{**kwargs, "alphas": (0.0,)})
     with pytest.raises(BadParamError):
         ExperimentPlan(**{**kwargs, "seeds": ()})
+    for bad in ({"alphas": (float("nan"),)}, {"alphas": (1.0, float("inf"))},
+                {"alphas": (1.0, 2.0, 1.0)}, {"seeds": (0, 0)},
+                {"algorithms": ("kkm", "umklmf", "kkm")}):
+        with pytest.raises(BadParamError):
+            ExperimentPlan(**{**kwargs, **bad})
 
 
 def test_default_alpha_grid():
@@ -168,6 +173,15 @@ def test_fit_negative_alpha_usage_error(tmp_path):
     mpath = synth(tmp_path)
     assert main(["fit", "--manifest", str(mpath), "--alpha", "-1",
                  "--out", str(tmp_path / "x"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_fit_non_finite_alpha_usage_error(tmp_path, alpha):
+    mpath = synth(tmp_path)
+    out = tmp_path / "x"
+    assert main(["fit", "--manifest", str(mpath), "--alpha", alpha,
+                 "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
 
 
 def test_fit_umklmf_requires_alpha(tmp_path):
@@ -464,7 +478,12 @@ def test_bench_bad_thread_env_exit_2(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flag, value", [("--restarts", "0"),
                                          ("--max-iters", "-1"),
-                                         ("--rel-tol", "0")])
+                                         ("--rel-tol", "0"),
+                                         ("--alphas", "nan"),
+                                         ("--alphas", "1,inf"),
+                                         ("--alphas", "1,1"),
+                                         ("--seeds", "0,0"),
+                                         ("--algorithms", "kkm,kkm")])
 def test_bench_bad_params_exit_2_before_any_cell(tmp_path, flag, value):
     mpath = synth(tmp_path, per=5, clusters=2)
     out = tmp_path / "b"
@@ -473,6 +492,95 @@ def test_bench_bad_params_exit_2_before_any_cell(tmp_path, flag, value):
                  "--seeds", "0", flag, value,
                  "--out", str(out), "--quiet"]) == 2
     assert not (out / "records.jsonl").exists()
+
+
+def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
+    import threading
+
+    import mvkmf.cli as cli
+
+    calls = {"init_point": 0, "fit_kkm": 0, "fit_mkkm": 0, "fit": 0}
+    lock = threading.Lock()     # fit runs in the pool threads
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    m1 = synth(tmp_path, name="one", per=8, clusters=3, seed=5)
+    m2 = synth(tmp_path, name="two", per=8, clusters=3, seed=6)
+    out = tmp_path / "bench"
+    assert main(["bench", "--manifest", str(m1), "--manifest", str(m2),
+                 "--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,8",
+                 "--seeds", "0,1,2", "--restarts", "10",
+                 "--out", str(out), "--quiet"]) == 0
+    assert len(read_records(out / "records.jsonl")) == 24
+    # once per dataset; fit_kkm counts only the kkm cells' call, not the
+    # ones fit_mkkm makes inside the solver module
+    assert calls == {"init_point": 2, "fit_kkm": 2, "fit_mkkm": 2,
+                     "fit": 2 * 2 * 3}
+
+
+def write_overflow_dataset(root):
+    """Manifest whose kernel's trace overflows: every mkkm fit on it raises
+    NonFiniteError, and so does every umklmf fit, in its iterations."""
+    from mvkmf.io import write_labels, write_matrix
+
+    root.mkdir(parents=True, exist_ok=True)
+    write_matrix(root / "k.mvk1", np.eye(8) * 6e307)
+    write_labels(root / "labels.csv", [0, 1] * 4)
+    (root / "manifest.json").write_text(json.dumps({
+        "name": "overflow", "n": 8, "clusters": 2, "labels": "labels.csv",
+        "views": [{"name": "a", "kernel": "k.mvk1"}],
+    }))
+    return root / "manifest.json"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bench_failed_shared_part_fails_its_cells(tmp_path, capsys):
+    good = synth(tmp_path, name="fine", per=6, clusters=2)
+    bad = write_overflow_dataset(tmp_path / "overflow")
+    grid = ["--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,2",
+            "--seeds", "0,1", "--restarts", "5"]
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["bench", "--manifest", str(good), "--manifest", str(bad),
+                   "--out", str(tmp_path / "both")] + grid)
+        assert main(["bench", "--manifest", str(good),
+                     "--out", str(tmp_path / "alone"), "--quiet"] + grid) == 0
+    assert rc == 0
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("cell failed:")]
+    umklmf = "objective became NaN/Inf; check the kernels"
+    mkkm = "combined-kernel objective became NaN/Inf"
+    # every cell of a failed shared part reports that part's error, in cell
+    # order, exactly as when each cell computed the part itself
+    assert failed == [
+        f"cell failed: overflow umklmf alpha=1.0 seed=0: {umklmf}",
+        f"cell failed: overflow umklmf alpha=1.0 seed=1: {umklmf}",
+        f"cell failed: overflow umklmf alpha=2.0 seed=0: {umklmf}",
+        f"cell failed: overflow umklmf alpha=2.0 seed=1: {umklmf}",
+        f"cell failed: overflow mkkm alpha=None seed=0: {mkkm}",
+        f"cell failed: overflow mkkm alpha=None seed=1: {mkkm}",
+    ]
+
+    def stripped(out):
+        records = [r.to_dict() for r in read_records(out / "records.jsonl")]
+        for r in records:
+            del r["wall_time_seconds"]
+        return records
+
+    both, alone = stripped(tmp_path / "both"), stripped(tmp_path / "alone")
+    assert [r for r in both if r["dataset"] == "fine"] == alone
+    assert [(r["algorithm"], r["seed"]) for r in both
+            if r["dataset"] == "overflow"] == [("kkm", 0), ("kkm", 1)]
 
 
 def test_fit_record_equals_bench_record(tmp_path):

@@ -9,12 +9,14 @@ from mvkmf.errors import (
 )
 from mvkmf.kernels import KernelMatrix, KernelSet
 from mvkmf.solver import (
+    InitPoint,
     SolverConfig,
     fit,
     fit_kkm,
     fit_mkkm,
     global_similarity_matrix,
     init_g,
+    init_point,
     init_state,
     iterate,
     objective,
@@ -63,6 +65,9 @@ def test_config_validation():
         SolverConfig(k=3, rel_tol=0.0)
     with pytest.raises(BadParamError):
         SolverConfig(k=3, max_iters=-1)
+    for alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadParamError):
+            SolverConfig(k=3, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +367,95 @@ def test_init_state_identical_views_match_single_view(rng):
 def test_init_state_rejects_k_above_n():
     with pytest.raises(BadParamError):
         init_state([np.eye(3)], SolverConfig(k=4))
+
+
+def frozen_init_state(kernels, cfg):
+    """Reference for ``init_point`` + ``init_state``: the start and its
+    objective computed in one pass, with no shared point."""
+    from mvkmf.solver import _fused_view_loss, _sq_norm
+
+    G = tuple(init_g(K, cfg.k) for K in kernels)
+    G_mean = sum(G) / len(G)
+    U, _, Vt = np.linalg.svd(G_mean.T, full_matrices=False)
+    H = U @ Vt
+    omega = np.full(len(kernels), 1.0 / len(kernels))
+    d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
+                  for K, G_v in zip(kernels, G)])
+    j0 = float(np.sum(omega * omega * d))
+    return H, G, np.array([j0])
+
+
+def init_point_cases():
+    """(kernels, k): a separable synthetic set, and symmetric indefinite
+    kernels. Both are large enough that ``init_g`` takes the Lanczos path."""
+    ks, _ = blob_kernels(11, n_per=15, clusters=4, views=3)
+    rng = np.random.default_rng(7)
+    indefinite = []
+    for _ in range(2):
+        S = rng.standard_normal((40, 40))
+        indefinite.append((S + S.T) / 2.0)
+    assert min(np.linalg.eigvalsh(K)[0] for K in indefinite) < 0
+    return [([k.data for k in ks.kernels], 4), (indefinite, 3)]
+
+
+LADDER = tuple(2.0 ** p for p in range(10))
+
+
+def test_init_state_with_and_without_point_matches_frozen_reference():
+    for kernels, k in init_point_cases():
+        point = init_point(kernels, k)
+        for alpha in LADDER:
+            cfg = SolverConfig(k=k, alpha=alpha)
+            H, G, trace = frozen_init_state(kernels, cfg)
+            for state in (init_state(kernels, cfg),
+                          init_state(kernels, cfg, point)):
+                assert np.array_equal(state.H, H)
+                assert all(np.array_equal(a, b) for a, b in zip(state.G, G))
+                assert np.array_equal(state.objective_trace, trace)
+                assert np.array_equal(state.omega,
+                                      np.full(len(kernels), 1 / len(kernels)))
+
+
+def test_fit_from_shared_init_point_is_bitwise_equal():
+    for kernels, k in init_point_cases():
+        point = init_point(kernels, k)
+        for alpha in LADDER:
+            cfg = SolverConfig(k=k, alpha=alpha)
+            a, b = fit(kernels, cfg), fit(kernels, cfg, point)
+            assert np.array_equal(a.H, b.H)
+            assert len(a.G) == len(b.G)
+            assert all(np.array_equal(x, y) for x, y in zip(a.G, b.G))
+            assert np.array_equal(a.omega, b.omega)
+            assert np.array_equal(a.objective_trace, b.objective_trace)
+        # sharing the point left it as it was
+        assert np.array_equal(point.H, init_point(kernels, k).H)
+
+
+def test_init_point_arrays_are_read_only(rng):
+    point = init_point([random_psd_kernel(rng, 9), random_psd_kernel(rng, 9)],
+                       3)
+    assert isinstance(point, InitPoint)
+    for a in (point.H, *point.G):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_init_point_rejects_k_above_n():
+    with pytest.raises(BadParamError):
+        init_point([np.eye(3)], 4)
+
+
+def test_init_state_rejects_mismatched_point(rng):
+    kernels = [random_psd_kernel(rng, 8).data for _ in range(2)]
+    point = init_point(kernels, 3)
+    with pytest.raises(DimensionMismatchError):
+        init_state(kernels[:1], SolverConfig(k=3), point)
+    with pytest.raises(DimensionMismatchError):
+        init_state(kernels, SolverConfig(k=2), point)
+    with pytest.raises(DimensionMismatchError):
+        init_state([random_psd_kernel(rng, 9).data] * 2, SolverConfig(k=3),
+                   point)
 
 
 # ---------------------------------------------------------------------------
