@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 usage or validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+# read only by benchmarks/tracing.py (Tracer.install); ROADMAP item 5 drops both
 import concurrent.futures
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -242,36 +242,6 @@ def cmd_fit(args) -> int:
 # bench
 
 
-def _bench_cells(plan: ExperimentPlan):
-    cells = []
-    for m in plan.manifests:
-        for alg in plan.algorithms:
-            alphas = plan.alphas if alg == "umklmf" else (None,)
-            for alpha in alphas:
-                for seed in plan.seeds:
-                    cells.append((m, alg, alpha, seed))
-    return cells
-
-
-def _worker_count() -> int:
-    env = os.environ.get("MVKMF_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise BadParamError(f"MVKMF_THREADS={env!r} is not an integer") from exc
-    return max(1, min(8, os.cpu_count() or 1))
-
-
-def _run_cell(dataset_cache, plan: ExperimentPlan, shared, cell):
-    manifest_path, alg, alpha, seed = cell
-    manifest, ks, truth = dataset_cache[manifest_path]
-    record, _ = _run_fit(manifest, ks, truth, alg, alpha, seed,
-                         plan.restarts, plan.max_iters, plan.rel_tol,
-                         shared[manifest_path, alg])
-    return record
-
-
 def cmd_bench(args) -> int:
     plan = ExperimentPlan(
         manifests=tuple(Path(m) for m in args.manifest),
@@ -284,85 +254,68 @@ def cmd_bench(args) -> int:
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
     )
-    dataset_cache = {}
-    dataset_names = []
+    datasets = []
     for mp in plan.manifests:
         manifest = mio.load_manifest(mp)
-        ks, truth = mio.load_dataset(manifest)
-        dataset_cache[mp] = (manifest, ks, truth)
-        dataset_names.append(manifest.name)
+        datasets.append((manifest, *mio.load_dataset(manifest)))
+    dataset_names = [manifest.name for manifest, _, _ in datasets]
     if len(set(dataset_names)) != len(dataset_names):
         raise BadParamError("duplicate dataset names across manifests")
     # the config validators reject bad restarts, iteration caps and
     # tolerances here, before any cell runs
-    for manifest, _, _ in dataset_cache.values():
+    for manifest, _, _ in datasets:
         KMeansConfig(k=manifest.clusters, restarts=plan.restarts)
         SolverConfig(k=manifest.clusters, alpha=plan.alphas[0],
                      max_iters=plan.max_iters, rel_tol=plan.rel_tol)
 
-    # each (dataset, algorithm) pair's seed- and alpha-free part, once; one
-    # that fails fails every cell that uses it, with the same error
-    shared: dict = {}
-    for mp, (manifest, ks, _) in dataset_cache.items():
-        for alg in plan.algorithms:
+    # cells run in (dataset, algorithm, alpha, seed) order; a table entry is
+    # the mean select-metric across seeds at the best alpha (by that mean)
+    records = []
+    n_cells = 0
+    table = np.full((len(plan.manifests), len(plan.algorithms)), np.nan)
+    for i, (manifest, ks, truth) in enumerate(datasets):
+        for j, alg in enumerate(plan.algorithms):
+            # the seed- and alpha-free part, once; one that fails fails
+            # every cell that uses it, with the same error
             try:
-                shared[mp, alg] = _shared_part(ks, manifest.clusters, alg,
-                                               plan.max_iters, plan.rel_tol)
+                shared = _shared_part(ks, manifest.clusters, alg,
+                                      plan.max_iters, plan.rel_tol)
             except MvkmfError as exc:
-                shared[mp, alg] = exc
-
-    cells = _bench_cells(plan)
-    results: dict = {c: shared[c[:2]] for c in cells
-                     if isinstance(shared[c[:2]], MvkmfError)}
-    with concurrent.futures.ThreadPoolExecutor(_worker_count()) as pool:
-        futures = {pool.submit(_run_cell, dataset_cache, plan, shared, c): c
-                   for c in cells if c not in results}
-        for fut in concurrent.futures.as_completed(futures):
-            cell = futures[fut]
-            try:
-                results[cell] = fut.result()
-            except MvkmfError as exc:
-                results[cell] = exc
+                shared = exc
+            means = []
+            for alpha in plan.alphas if alg == "umklmf" else (None,):
+                vals = []
+                for seed in plan.seeds:
+                    n_cells += 1
+                    try:
+                        if isinstance(shared, MvkmfError):
+                            raise shared
+                        record, _ = _run_fit(
+                            manifest, ks, truth, alg, alpha, seed,
+                            plan.restarts, plan.max_iters, plan.rel_tol,
+                            shared)
+                    except MvkmfError as exc:
+                        _say(args, f"cell failed: {manifest.name} {alg} "
+                                   f"alpha={alpha} seed={seed}: {exc}")
+                        continue
+                    records.append(record)
+                    vals.append(record.metrics[plan.select_metric])
+                if vals:
+                    means.append(float(np.mean(vals)))
+            if means:
+                table[i, j] = max(means)
 
     plan.out_dir.mkdir(parents=True, exist_ok=True)
     records_path = plan.out_dir / "records.jsonl"
-    n_ok = 0
-    for cell in cells:   # deterministic (dataset, algorithm, alpha, seed) order
-        rec = results[cell]
-        if isinstance(rec, mio.RunRecord):
-            mio.append_record(records_path, rec)
-            n_ok += 1
-        else:
-            manifest_path, alg, alpha, seed = cell
-            _say(args, f"cell failed: {dataset_cache[manifest_path][0].name} "
-                       f"{alg} alpha={alpha} seed={seed}: {rec}")
-
-    # per-(dataset, algorithm) cell: mean select-metric across seeds at the
-    # best alpha (by that same mean), ties to the smaller alpha
-    table = np.full((len(plan.manifests), len(plan.algorithms)), np.nan)
-    for i, mp in enumerate(plan.manifests):
-        for j, alg in enumerate(plan.algorithms):
-            alphas = plan.alphas if alg == "umklmf" else (None,)
-            best = None
-            for alpha in sorted(alphas, key=lambda a: (a is not None, a)):
-                vals = [results[(mp, alg, alpha, s)].metrics[plan.select_metric]
-                        for s in plan.seeds
-                        if isinstance(results.get((mp, alg, alpha, s)),
-                                      mio.RunRecord)]
-                if not vals:
-                    continue
-                mean = float(np.mean(vals))
-                if best is None or mean > best:
-                    best = mean
-            if best is not None:
-                table[i, j] = best
+    for record in records:
+        mio.append_record(records_path, record)
     rt = mstats.ResultsTable(scores=table,
                              dataset_names=tuple(dataset_names),
                              algorithm_names=plan.algorithms)
     mstats.write_results_table(plan.out_dir / "table.csv", rt)
-    _say(args, f"{n_ok}/{len(cells)} cells succeeded; wrote "
+    _say(args, f"{len(records)}/{n_cells} cells succeeded; wrote "
                f"{plan.out_dir / 'table.csv'}")
-    return 0 if n_ok > 0 else 3
+    return 0 if records else 3
 
 
 # ---------------------------------------------------------------------------

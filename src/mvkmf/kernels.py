@@ -280,8 +280,6 @@ class KernelReport:
     """Per-view health summary produced by :func:`validate_kernel_set`."""
 
     view_name: str
-    n: int
-    asymmetry: float
     min_eig_estimate: float
     indefinite: bool
 
@@ -289,7 +287,6 @@ class KernelReport:
 @dataclass(frozen=True)
 class KernelSetReport:
     views: tuple[KernelReport, ...]
-    n: int
 
     @property
     def warnings(self) -> list[str]:
@@ -348,8 +345,8 @@ def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
 
     Raises ``DimensionMismatchError`` when views disagree on the sample count
     or reuse a view name. Small asymmetries were already repaired at ingest
-    (and are reported here); indefinite kernels are flagged but accepted,
-    since the solver's closed-form updates never need positive
+    (see ``KernelMatrix.ingest_asymmetry``); indefinite kernels are flagged
+    but accepted, since the solver's closed-form updates never need positive
     semidefiniteness.
     """
     _check_views(ks)
@@ -359,10 +356,8 @@ def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
         reports.append(
             KernelReport(
                 view_name=k.view_name,
-                n=k.n,
-                asymmetry=k.ingest_asymmetry,
                 min_eig_estimate=min_eig,
                 indefinite=min_eig < -1e-10 * max(1.0, abs(float(np.trace(k.data)))),
             )
         )
-    return KernelSetReport(views=tuple(reports), n=ks.n)
+    return KernelSetReport(views=tuple(reports))

@@ -307,9 +307,14 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
 
     Since D_ij = A_max(i,j), (D x)_i = A_i sum_{j<=i} x_j + sum_{j>i} A_j x_j:
     two cumulative sums, O(n) per vector on top of the O(n^2) product K x.
+    Raises ``NonFiniteError`` when a row sum overflows, since the
+    eigensolve would otherwise fail on it without saying why.
     """
     n = K.shape[0]
-    A = K.sum(axis=1)
+    with np.errstate(over="ignore"):
+        A = K.sum(axis=1)
+    if not np.isfinite(A).all():
+        raise NonFiniteError("kernel row sums overflow; rescale the kernel")
 
     def apply(X):
         a = A.reshape((n,) + (1,) * (X.ndim - 1))
@@ -335,7 +340,7 @@ class InitPoint:
     """The alpha-free start of a fit: G_v from ``init_g`` per view and H,
     the polar factor of the averaged G^T. It depends on the kernels and k
     only, so one point serves every alpha of a grid. The arrays are
-    read-only because concurrent fits share them."""
+    read-only because every fit of the grid shares them."""
 
     G: tuple[np.ndarray, ...]
     H: np.ndarray

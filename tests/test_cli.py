@@ -25,18 +25,24 @@ def synth(tmp_path, name="toy", per=10, clusters=3, views=2, kernel="rbf",
     return out / "manifest.json"
 
 
-def write_hostile_dataset(root):
-    """Manifest whose single precomputed kernel overflows the solver."""
+def write_kernel_dataset(root, name, kernel):
+    """Two-cluster manifest with one precomputed view, ``kernel``."""
     from mvkmf.io import write_labels, write_matrix
 
+    n = kernel.shape[0]
     root.mkdir(parents=True, exist_ok=True)
-    write_matrix(root / "k.mvk1", np.full((8, 8), 1e200))
-    write_labels(root / "labels.csv", [0, 1] * 4)
+    write_matrix(root / "k.mvk1", kernel)
+    write_labels(root / "labels.csv", [0, 1] * (n // 2))
     (root / "manifest.json").write_text(json.dumps({
-        "name": "hostile", "n": 8, "clusters": 2, "labels": "labels.csv",
+        "name": name, "n": n, "clusters": 2, "labels": "labels.csv",
         "views": [{"name": "a", "kernel": "k.mvk1"}],
     }))
     return root / "manifest.json"
+
+
+def write_hostile_dataset(root):
+    """Manifest whose single precomputed kernel overflows the solver."""
+    return write_kernel_dataset(root, "hostile", np.full((8, 8), 1e200))
 
 
 # ---------------------------------------------------------------------------
@@ -440,42 +446,6 @@ def test_bench_table_feeds_stats(tmp_path, capsys):
     assert "mean ranks:" in capsys.readouterr().out
 
 
-def test_bench_thread_cap_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("MVKMF_THREADS", "1")
-    mpath = synth(tmp_path, per=5, clusters=2)
-    assert main(["bench", "--manifest", str(mpath), "--algorithms", "kkm",
-                 "--alphas", "1", "--seeds", "0", "--restarts", "5",
-                 "--out", str(tmp_path / "b"), "--quiet"]) == 0
-
-
-def test_bench_output_independent_of_thread_count(tmp_path, monkeypatch):
-    m1 = synth(tmp_path, name="one", per=8, clusters=3, seed=5)
-    m2 = synth(tmp_path, name="two", per=8, clusters=3, seed=6)
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MVKMF_THREADS", threads)
-        out = tmp_path / f"bench{threads}"
-        assert main(["bench", "--manifest", str(m1), "--manifest", str(m2),
-                     "--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,8",
-                     "--seeds", "0,1,2", "--restarts", "10",
-                     "--out", str(out), "--quiet"]) == 0
-        records = [json.loads(line) for line in
-                   (out / "records.jsonl").read_text().splitlines()]
-        for rec in records:
-            del rec["wall_time_seconds"]
-        outputs.append((records, (out / "table.csv").read_text()))
-    assert len(outputs[0][0]) == 24     # (2 alphas + kkm + mkkm) * 3 seeds * 2
-    assert outputs[0] == outputs[1]
-
-
-def test_bench_bad_thread_env_exit_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("MVKMF_THREADS", "lots")
-    mpath = synth(tmp_path, per=5, clusters=2)
-    assert main(["bench", "--manifest", str(mpath), "--algorithms", "kkm",
-                 "--alphas", "1", "--seeds", "0",
-                 "--out", str(tmp_path / "b"), "--quiet"]) == 2
-
-
 @pytest.mark.parametrize("flag, value", [("--restarts", "0"),
                                          ("--max-iters", "-1"),
                                          ("--rel-tol", "0"),
@@ -500,14 +470,14 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
     import mvkmf.cli as cli
 
     calls = {"init_point": 0, "fit_kkm": 0, "fit_mkkm": 0, "fit": 0}
-    lock = threading.Lock()     # fit runs in the pool threads
+    threads = set()
 
     def counted(name):
         fn = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
-            with lock:
-                calls[name] += 1
+            calls[name] += 1
+            threads.add(threading.get_ident())
             return fn(*args, **kwargs)
         return wrapper
 
@@ -525,28 +495,28 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
     # ones fit_mkkm makes inside the solver module
     assert calls == {"init_point": 2, "fit_kkm": 2, "fit_mkkm": 2,
                      "fit": 2 * 2 * 3}
+    # every cell runs on the calling thread
+    assert threads == {threading.get_ident()}
 
 
 def write_overflow_dataset(root):
     """Manifest whose kernel's trace overflows: every mkkm fit on it raises
     NonFiniteError, and so does every umklmf fit, in its iterations."""
-    from mvkmf.io import write_labels, write_matrix
-
-    root.mkdir(parents=True, exist_ok=True)
-    write_matrix(root / "k.mvk1", np.eye(8) * 6e307)
-    write_labels(root / "labels.csv", [0, 1] * 4)
-    (root / "manifest.json").write_text(json.dumps({
-        "name": "overflow", "n": 8, "clusters": 2, "labels": "labels.csv",
-        "views": [{"name": "a", "kernel": "k.mvk1"}],
-    }))
-    return root / "manifest.json"
+    return write_kernel_dataset(root, "overflow", np.eye(8) * 6e307)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_bench_failed_shared_part_fails_its_cells(tmp_path, capsys):
+def _stripped_records(out):
+    records = [r.to_dict() for r in read_records(out / "records.jsonl")]
+    for r in records:
+        del r["wall_time_seconds"]
+    return records
+
+
+def check_bench_beside_good_set(tmp_path, capsys, bad, umklmf_error):
+    """Bench a good set next to the one-view set ``bad`` and the good set
+    alone: only the umklmf and mkkm cells of ``bad`` fail, with their shared
+    part's error, and the good set's records do not change."""
     good = synth(tmp_path, name="fine", per=6, clusters=2)
-    bad = write_overflow_dataset(tmp_path / "overflow")
     grid = ["--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,2",
             "--seeds", "0,1", "--restarts", "5"]
     capsys.readouterr()
@@ -558,29 +528,54 @@ def test_bench_failed_shared_part_fails_its_cells(tmp_path, capsys):
     assert rc == 0
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("cell failed:")]
-    umklmf = "objective became NaN/Inf; check the kernels"
+    name = json.loads(bad.read_text())["name"]
     mkkm = "combined-kernel objective became NaN/Inf"
     # every cell of a failed shared part reports that part's error, in cell
     # order, exactly as when each cell computed the part itself
     assert failed == [
-        f"cell failed: overflow umklmf alpha=1.0 seed=0: {umklmf}",
-        f"cell failed: overflow umklmf alpha=1.0 seed=1: {umklmf}",
-        f"cell failed: overflow umklmf alpha=2.0 seed=0: {umklmf}",
-        f"cell failed: overflow umklmf alpha=2.0 seed=1: {umklmf}",
-        f"cell failed: overflow mkkm alpha=None seed=0: {mkkm}",
-        f"cell failed: overflow mkkm alpha=None seed=1: {mkkm}",
+        f"cell failed: {name} umklmf alpha=1.0 seed=0: {umklmf_error}",
+        f"cell failed: {name} umklmf alpha=1.0 seed=1: {umklmf_error}",
+        f"cell failed: {name} umklmf alpha=2.0 seed=0: {umklmf_error}",
+        f"cell failed: {name} umklmf alpha=2.0 seed=1: {umklmf_error}",
+        f"cell failed: {name} mkkm alpha=None seed=0: {mkkm}",
+        f"cell failed: {name} mkkm alpha=None seed=1: {mkkm}",
     ]
 
-    def stripped(out):
-        records = [r.to_dict() for r in read_records(out / "records.jsonl")]
-        for r in records:
-            del r["wall_time_seconds"]
-        return records
-
-    both, alone = stripped(tmp_path / "both"), stripped(tmp_path / "alone")
-    assert [r for r in both if r["dataset"] == "fine"] == alone
+    both = _stripped_records(tmp_path / "both")
+    assert [r for r in both if r["dataset"] == "fine"] == \
+        _stripped_records(tmp_path / "alone")
     assert [(r["algorithm"], r["seed"]) for r in both
-            if r["dataset"] == "overflow"] == [("kkm", 0), ("kkm", 1)]
+            if r["dataset"] == name] == [("kkm", 0), ("kkm", 1)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bench_failed_shared_part_fails_its_cells(tmp_path, capsys):
+    check_bench_beside_good_set(
+        tmp_path, capsys, write_overflow_dataset(tmp_path / "overflow"),
+        "objective became NaN/Inf; check the kernels")
+
+
+def write_full_dataset(root, n):
+    """Manifest whose n x n kernel is filled with 1e308, so its row sums
+    overflow to inf."""
+    return write_kernel_dataset(root, "full", np.full((n, n), 1e308))
+
+
+@pytest.mark.parametrize("n", [8, 40])   # dense eigh and Lanczos paths
+def test_fit_overflowing_row_sums_exit_3(tmp_path, capsys, n):
+    mpath = write_full_dataset(tmp_path / "full", n)
+    assert main(["fit", "--manifest", str(mpath), "--alpha", "2",
+                 "--restarts", "5", "--out", str(tmp_path / "fit")]) == 3
+    assert "kernel row sums overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bench_overflowing_row_sums_fail_their_cells(tmp_path, capsys):
+    check_bench_beside_good_set(
+        tmp_path, capsys, write_full_dataset(tmp_path / "full", 8),
+        "kernel row sums overflow; rescale the kernel")
 
 
 def test_fit_record_equals_bench_record(tmp_path):
