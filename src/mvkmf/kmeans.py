@@ -1,21 +1,43 @@
 """Multi-restart Lloyd k-means over the columns of a consensus embedding.
 
 The embedding H is k x n; its columns are the points to cluster, passed to
-k-means unscaled. Restarts use k-means++ seeding, each restart drawing from
-its own generator derived from (seed, restart index). Seeding is the only
-random step and a restart's draws depend on nothing but that generator, so
-seeding every restart up front draws exactly what one restart at a time
-would.
+k-means unscaled, and they must all be finite. Restarts use k-means++
+seeding (Arthur and Vassilvitskii, SODA 2007), each restart drawing from its
+own generator derived from (seed, restart index).
+
+Seeding runs all restarts as (R, n) arrays with the draws and arithmetic of
+the serial loop in ``_kmeanspp_centers``. That loop draws one
+``integers(n)``, then one ``Generator.choice(n, p=d2 / total)`` per further
+center; inside numpy, ``choice`` is one ``random()`` draw ``u``, a
+normalized cumsum (``cdf = cumsum(p); cdf /= cdf[-1]``) and
+``searchsorted(cdf, u, side="right")``. So each restart draws
+``integers(n)`` and ``random(k - 1)`` from its own generator up front, and
+each step runs the same division, cumsum and normalization on every row and
+takes the index as the count of ``cdf <= u``, which is what
+``searchsorted(side="right")`` returns on a sorted row. If a numpy release
+changes these internals of ``choice``, the frozen serial reference in
+``tests/test_kmeans.py`` stops matching bit for bit.
+
+The serial code draws ``integers(n)`` instead of calling ``choice`` when a
+D^2 total is 0, and the batched draws cannot predict that. D^2 sampling
+never picks a point at distance 0 from an existing center while the total is
+positive, so a total reaches 0 only when there are fewer than k distinct
+points, and then every restart reaches it: the replay is all or nothing in
+practice. The restarts that reach it are seeded again one at a time by the
+serial code, with fresh generators. A D^2 total that overflows to inf raises
+:class:`NonFiniteError`, where ``choice`` would raise a bare ``ValueError``.
 
 The restarts then advance in lockstep. Each Lloyd step serves all restarts
-still running with one (n x R*k) distance product, one argmin and one
-``bincount`` over R*k offset bins for the cluster means, so a call costs a
-few array passes per step rather than a Python loop per restart. Every
-restart still does its own arithmetic in its own order: distances are the
-columns the one-restart product would give, and the bincount sums each
-cluster's points in sample order, as a per-restart loop does. A restart
-leaves the active set when its labels stop changing or its centers move by
-at most ``tol``; one that leaves a cluster empty is repaired on its own.
+still running with one (n x R*k) distance product, one argmin and, for the
+cluster means, one ``bincount`` per coordinate over R*k offset bins, so a
+call costs a few array passes per step rather than a Python loop per
+restart. Every restart still does its own arithmetic in its own order:
+distances are the columns the one-restart product would give, and each
+bincount sums a cluster's points in sample order, as a per-restart loop
+does. A restart leaves the active set when its labels stop changing or its
+centers move by at most ``tol``; one that leaves a cluster empty is repaired
+on its own. The inertia of every restart comes from one reduction over its
+n x d squared residuals, summed in the order a per-restart sum uses.
 """
 
 from __future__ import annotations
@@ -24,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParamError, TooFewPointsError
+from .errors import BadParamError, NonFiniteError, TooFewPointsError
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,8 @@ def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One restart's k-means++ centers, seeded serially; only the restarts
+    whose D^2 total reaches 0 come here (see the module docstring)."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
@@ -80,6 +104,41 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             idx = int(rng.integers(n))
         centers[j] = X[idx]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _seed_centers(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
+    """(R, k, d) k-means++ centers of all restarts, equal bit for bit to
+    :func:`_kmeanspp_centers` with ``default_rng([seed, r])`` for each r."""
+    n = X.shape[0]
+    first = np.empty(restarts, dtype=np.intp)
+    u = np.empty((restarts, k - 1))
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        first[r] = rng.integers(n)
+        u[r] = rng.random(k - 1)
+    centers = np.empty((restarts, k, X.shape[1]))
+    centers[:, 0] = X[first]
+    replay = np.zeros(restarts, dtype=bool)
+    # overflow is reported below as an infinite total; a zero total makes
+    # its row NaN, and that row is replayed
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.sum((X - centers[:, :1]) ** 2, axis=2)
+        for j in range(1, k):
+            total = d2.sum(axis=1)
+            if np.isinf(total).any():
+                raise NonFiniteError(
+                    "squared distances between points overflow; rescale "
+                    "the points")
+            replay |= total == 0
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            idx = np.count_nonzero(cdf <= u[:, j - 1, None], axis=1)
+            centers[:, j] = X[idx]
+            d2 = np.minimum(d2, np.sum((X - centers[:, j, None]) ** 2, axis=2))
+        for r in np.flatnonzero(replay):
+            centers[r] = _kmeanspp_centers(X, k,
+                                           np.random.default_rng([seed, r]))
     return centers
 
 
@@ -119,18 +178,12 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """(R, k, d) means of the points each restart assigns to each cluster; an
     empty cluster's mean is 0. Every sum adds its points in sample order."""
-    R, n = labels.shape
-    d = X.shape[1]
-    bins = labels + k * np.arange(R)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=R * k).astype(float)
-    sums = np.bincount((bins[:, :, None] * d + np.arange(d)).ravel(),
-                       weights=np.broadcast_to(X, (R, n, d)).ravel(),
-                       minlength=R * k * d)
-    return sums.reshape(R, k, d) / np.maximum(counts, 1.0).reshape(R, k, 1)
-
-
-def _wcss(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
-    return float(np.sum((X - centers[labels]) ** 2))
+    R = labels.shape[0]
+    bins = (labels + k * np.arange(R)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=R * k).astype(float)
+    sums = np.stack([np.bincount(bins, weights=np.tile(x, R), minlength=R * k)
+                     for x in X.T], axis=1)
+    return sums.reshape(R, k, -1) / np.maximum(counts, 1.0).reshape(R, k, 1)
 
 
 def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
@@ -139,15 +192,17 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     Runs cfg.restarts independent Lloyd passes with k-means++ seeding, all
     advancing together, and returns the labeling with minimum inertia; ties
     go to the lowest restart index. Deterministic for fixed (points, cfg).
+    Raises :class:`NonFiniteError` when a point is not finite or squared
+    distances between points overflow.
     """
     X = np.asarray(points, dtype=np.float64).T
     n = X.shape[0]
     if n < cfg.k:
         raise TooFewPointsError(f"{n} points cannot form {cfg.k} clusters")
+    if not np.isfinite(X).all():
+        raise NonFiniteError("points contain NaN or Inf")
     k = cfg.k
-    centers = np.stack([
-        _kmeanspp_centers(X, k, np.random.default_rng([cfg.seed, r]))
-        for r in range(cfg.restarts)])
+    centers = _seed_centers(X, k, cfg.seed, cfg.restarts)
     labels = _assign(X, centers)
     final = np.empty_like(labels)
     active = np.arange(cfg.restarts)
@@ -165,7 +220,8 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
             break
     final[active] = labels
     means = _cluster_means(X, final, k)
-    inertia = [_wcss(X, final[r], means[r]) for r in range(cfg.restarts)]
+    residuals = X - means[np.arange(cfg.restarts)[:, None], final]
+    inertia = np.sum((residuals ** 2).reshape(cfg.restarts, -1), axis=1)
     best = int(np.argmin(inertia))
-    return Labeling(labels=final[best].copy(), inertia=inertia[best],
+    return Labeling(labels=final[best].copy(), inertia=float(inertia[best]),
                     centers=means[best].copy())

@@ -1,10 +1,11 @@
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from mvkmf.errors import BadParamError, TooFewPointsError
+from mvkmf.errors import BadParamError, NonFiniteError, TooFewPointsError
 from mvkmf.io import make_synthetic
 from mvkmf.kernels import KernelSet, KernelSpec, build_kernel
 from mvkmf.kmeans import (
@@ -290,11 +291,94 @@ def test_lockstep_matches_reference_adversarial(monkeypatch):
     assert repairs                            # empty clusters were repaired
 
 
-def test_lockstep_matches_reference_empty_cluster():
+def test_lockstep_matches_reference_empty_cluster(monkeypatch):
     # four centers on three distinct spots: every restart starts with an
-    # empty cluster and must be repaired
-    pts = np.array([[0.0, 0.0, 0.0, 0.0, 5.0, 9.0]])
-    assert_matches_reference(pts, KMeansConfig(k=4, restarts=20, seed=1))
+    # empty cluster and must be repaired. Its seeding reaches a zero D^2
+    # total, so every restart is seeded again serially; with k = n distinct
+    # points none is, and the last center is the one point left
+    replays = []
+    serial = kmeans_module._kmeanspp_centers
+
+    def counted(X, k, rng):
+        replays.append(1)
+        return serial(X, k, rng)
+
+    monkeypatch.setattr(kmeans_module, "_kmeanspp_centers", counted)
+    for pts, k, restarts in [
+        ([[0.0, 0.0, 0.0, 0.0, 5.0, 9.0]], 4, 20),
+        ([[0.0, 0.0, 5.0, 9.0]], 4, 7),                       # k = n
+        ([[0.0, 3.0, 5.0, 9.0, 4.0], [1.0, 0.0, 2.0, 2.0, 7.0]], 5, 9),
+    ]:
+        replays.clear()
+        assert_matches_reference(np.array(pts), KMeansConfig(
+            k=k, restarts=restarts, seed=1), f"k {k}")
+        distinct = len(np.unique(np.array(pts).T, axis=0))
+        assert len(replays) == (restarts if distinct < k else 0), pts
+
+
+@pytest.mark.parametrize("d", [8, 9, 16])
+def test_lockstep_matches_reference_wide_points(d):
+    # numpy sums a row of 8 or more elements pairwise, so this checks that
+    # the batched (R, n, d) reductions add each point's coordinates in the
+    # order of the serial (n, d) ones
+    rng = np.random.default_rng(d)
+    for case in range(12):
+        n = int(rng.integers(10, 201))
+        pts = rng.standard_normal((d, n)) * rng.choice([1e-3, 1.0, 1e3])
+        cfg = KMeansConfig(k=int(rng.integers(2, 9)),
+                           restarts=int(rng.integers(1, 51)), seed=case)
+        assert_matches_reference(pts, cfg, f"case {case}: n {n}, {cfg}")
+
+
+def squares_summing_to(m, terms=10):
+    """Integers whose squares add up to m < 2**53; greedy, so that every
+    partial sum is an exact float."""
+    parts = []
+    for _ in range(terms):
+        parts.append(math.isqrt(m))
+        m -= parts[-1] ** 2
+    assert m == 0
+    return parts
+
+
+def first_draws(seed, n):
+    rng = np.random.default_rng([seed, 0])
+    return int(rng.integers(n)), rng.random()
+
+
+def second_center(seed, d2):
+    """Seed two centers of restart 0 on points at squared distances d2 (exact
+    integers below 2**53, in sample order) from its first center; returns
+    the position in d2 of the second center, checked against the reference."""
+    n = len(d2) + 1
+    first, _ = first_draws(seed, n)
+    others = [i for i in range(n) if i != first]
+    X = np.zeros((n, 10))
+    for i, m in zip(others, d2):
+        X[i] = squares_summing_to(m)
+    expected = ref_kmeanspp_centers(X, 2, np.random.default_rng([seed, 0]))
+    assert np.array_equal(kmeans_module._seed_centers(X, 2, seed, 1)[0],
+                          expected)
+    return others.index(int(np.flatnonzero((X == expected[1]).all(axis=1))[0]))
+
+
+def test_seeding_draw_on_a_cdf_step_goes_right():
+    # choice's searchsorted(side="right") passes a step of the cdf that the
+    # uniform draw u hits exactly; D^2 of m and 2**53 - m puts the step at
+    # m / 2**53 = u
+    m = int(first_draws(5, 3)[1] * 2**53)
+    assert second_center(5, [m, 2**53 - m]) == 1
+
+
+def test_seeding_normalizes_the_cdf():
+    # these D^2 put the first cdf step exactly on u before choice divides the
+    # cdf by its last entry, which rounds to just below 1, and just above u
+    # after it, so only the normalized cdf picks the first point
+    d2 = [225967059896157, 147857766761657, 26034883124268,
+          276412150897911, 161304818851875]
+    cdf = np.cumsum(np.array(d2, dtype=float) / sum(d2))
+    assert cdf[0] == first_draws(0, 6)[1] and cdf[-1] < 1.0
+    assert second_center(0, d2) == 0
 
 
 def test_lockstep_matches_reference_shift_exit():
@@ -338,3 +422,43 @@ def test_lockstep_matches_reference_on_fits(n, algorithm, alpha):
     H = fitted_embedding(n, algorithm, alpha)
     for seed in (0, 1):
         assert_matches_reference(H, KMeansConfig(k=4, seed=seed), f"seed {seed}")
+
+
+class CountingGenerator:
+    """Delegates to the generator ``default_rng(seed)`` would return and
+    records each ``choice`` call."""
+
+    def __init__(self, seed, calls):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._calls = calls
+
+    def choice(self, *args, **kwargs):
+        self._calls.append(1)
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_production_call_makes_no_choice_call(monkeypatch):
+    H = fitted_embedding(300, "umklmf", 16.0)
+    made, calls = [], []
+
+    def default_rng(seed):
+        made.append(seed)
+        return CountingGenerator(seed, calls)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    kmeans(H, KMeansConfig(k=4, restarts=50, seed=3))
+    assert len(made) == 50 and calls == []
+    # a restart seeded again serially does call choice, so the count works
+    kmeans(np.array([[0.0, 0.0, 5.0, 9.0]]), KMeansConfig(k=4, restarts=2))
+    assert calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_non_finite_points_raise(bad):
+    # 1e200 is finite, but its squared distance to the other points is not
+    pts = np.array([[0.0, 1.0, bad, 2.0, 3.0], [0.0, 1.0, 1.0, 0.0, 2.0]])
+    with pytest.raises(NonFiniteError):
+        kmeans(pts, KMeansConfig(k=2, restarts=3))
