@@ -77,7 +77,7 @@ class ExperimentPlan:
 
 
 def _say(args, text: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(text)
 
 
@@ -441,8 +441,7 @@ def cmd_synth(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="mvkmf-out", help="output directory")
     p.add_argument("--quiet", action="store_true",
                    help="suppress informational output")
@@ -455,6 +454,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--restarts", type=int, default=50,
                    help="k-means restarts")
+    p.add_argument("--seed", type=int, default=0, help="k-means seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,17 +467,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernels", help="build and validate view kernels")
     p.add_argument("--manifest", required=True)
-    _add_common(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_kernels)
 
     p = sub.add_parser("fit", help="fit one algorithm on one dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="umklmf")
     _add_solver_flags(p)
-    _add_common(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("bench", help="run a grid of fits and tabulate")
+    # no abbreviated flags, so that a stray --seed is an error rather than
+    # a silent --seeds
+    p = sub.add_parser("bench", help="run a grid of fits and tabulate",
+                       allow_abbrev=False)
     p.add_argument("--manifest", action="append", required=True,
                    help="dataset manifest (repeatable)")
     p.add_argument("--algorithms", default=",".join(ALGORITHMS),
@@ -492,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--restarts", type=int, default=50)
-    _add_common(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="Friedman/Nemenyi analysis of a table")
@@ -500,19 +503,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-alpha", type=float, default=1.96)
     p.add_argument("--lower-is-better", action="store_true",
                    help="rank smaller scores as better")
-    _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("heatmap", help="render cluster-sorted similarity maps")
     p.add_argument("--state", required=True,
                    help="directory holding H.mvk1, labels.csv, G_*.mvk1")
-    _add_common(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("evolve", help="per-iteration metric trace of one fit")
     p.add_argument("--manifest", required=True)
     _add_solver_flags(p)
-    _add_common(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -526,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalization", choices=("none", "cosine", "center"),
                    default="none")
     p.add_argument("--name", default="synthetic")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="data RNG seed")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -40,6 +40,10 @@ SYMMETRY_TOL = 1e-8
 # the row sums of |K|); a tile of n rows is the largest temporary they form.
 _TILE = 256
 
+# Power-iteration steps of the smallest-eigenvalue estimate; its value is
+# part of every kernel report.
+_POWER_ITERS = 60
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -288,16 +292,8 @@ class KernelReport:
 class KernelSetReport:
     views: tuple[KernelReport, ...]
 
-    @property
-    def warnings(self) -> list[str]:
-        return [
-            f"view {v.view_name!r}: indefinite kernel (min eig ~ {v.min_eig_estimate:.3e})"
-            for v in self.views
-            if v.indefinite
-        ]
 
-
-def _estimate_min_eigenvalue(K: np.ndarray, iters: int = 60) -> float:
+def _estimate_min_eigenvalue(K: np.ndarray) -> float:
     """Power-iteration estimate of the smallest eigenvalue.
 
     Power iteration alone converges to the eigenvalue of largest magnitude,
@@ -316,7 +312,7 @@ def _estimate_min_eigenvalue(K: np.ndarray, iters: int = 60) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = mu * v - K @ v
         norm = np.linalg.norm(w)
         if norm < 1e-300:

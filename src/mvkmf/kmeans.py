@@ -5,27 +5,22 @@ k-means unscaled, and they must all be finite. Restarts use k-means++
 seeding (Arthur and Vassilvitskii, SODA 2007), each restart drawing from its
 own generator derived from (seed, restart index).
 
-Seeding runs all restarts as (R, n) arrays with the draws and arithmetic of
-the serial loop in ``_kmeanspp_centers``. That loop draws one
-``integers(n)``, then one ``Generator.choice(n, p=d2 / total)`` per further
-center; inside numpy, ``choice`` is one ``random()`` draw ``u``, a
-normalized cumsum (``cdf = cumsum(p); cdf /= cdf[-1]``) and
-``searchsorted(cdf, u, side="right")``. So each restart draws
-``integers(n)`` and ``random(k - 1)`` from its own generator up front, and
-each step runs the same division, cumsum and normalization on every row and
-takes the index as the count of ``cdf <= u``, which is what
+Seeding runs all restarts as (R, n) arrays, and each restart draws from its
+own generator exactly what a serial loop over the restarts draws. That loop
+draws one ``integers(n)``, then one ``Generator.choice(n, p=d2 / total)``
+per further center; inside numpy, ``choice`` is one ``random()`` draw ``u``,
+a normalized cumsum (``cdf = cumsum(p); cdf /= cdf[-1]``) and
+``searchsorted(cdf, u, side="right")``. So each step draws one ``random()``
+per restart, runs the same division, cumsum and normalization on every row
+and takes the index as the count of ``cdf <= u``, which is what
 ``searchsorted(side="right")`` returns on a sorted row. If a numpy release
 changes these internals of ``choice``, the frozen serial reference in
-``tests/test_kmeans.py`` stops matching bit for bit.
-
-The serial code draws ``integers(n)`` instead of calling ``choice`` when a
-D^2 total is 0, and the batched draws cannot predict that. D^2 sampling
-never picks a point at distance 0 from an existing center while the total is
-positive, so a total reaches 0 only when there are fewer than k distinct
-points, and then every restart reaches it: the replay is all or nothing in
-practice. The restarts that reach it are seeded again one at a time by the
-serial code, with fresh generators. A D^2 total that overflows to inf raises
-:class:`NonFiniteError`, where ``choice`` would raise a bare ``ValueError``.
+``tests/test_kmeans.py`` stops matching bit for bit. A restart whose D^2
+total is 0 (every point on an existing center) draws ``integers(n)``
+instead, as the serial loop does, and takes that integer as the index.
+Points so large that the Lloyd steps' distance expansion could overflow
+(4 |x|^2 is not finite), and D^2 totals that overflow to inf, raise
+:class:`NonFiniteError`; ``choice`` would raise a bare ``ValueError``.
 
 The restarts then advance in lockstep. Each Lloyd step serves all restarts
 still running with one (n x R*k) distance product, one argmin and, for the
@@ -88,40 +83,15 @@ def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One restart's k-means++ centers, seeded serially; only the restarts
-    whose D^2 total reaches 0 come here (see the module docstring)."""
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            # every point coincides with an existing center
-            idx = int(rng.integers(n))
-        centers[j] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-    return centers
-
-
 def _seed_centers(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
-    """(R, k, d) k-means++ centers of all restarts, equal bit for bit to
-    :func:`_kmeanspp_centers` with ``default_rng([seed, r])`` for each r."""
+    """(R, k, d) k-means++ centers of all restarts, restart r drawing from
+    ``default_rng([seed, r])`` (see the module docstring)."""
     n = X.shape[0]
-    first = np.empty(restarts, dtype=np.intp)
-    u = np.empty((restarts, k - 1))
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        first[r] = rng.integers(n)
-        u[r] = rng.random(k - 1)
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     centers = np.empty((restarts, k, X.shape[1]))
-    centers[:, 0] = X[first]
-    replay = np.zeros(restarts, dtype=bool)
+    centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
     # overflow is reported below as an infinite total; a zero total makes
-    # its row NaN, and that row is replayed
+    # its row NaN, and that row takes its drawn integer instead
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.sum((X - centers[:, :1]) ** 2, axis=2)
         for j in range(1, k):
@@ -130,15 +100,16 @@ def _seed_centers(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray
                 raise NonFiniteError(
                     "squared distances between points overflow; rescale "
                     "the points")
-            replay |= total == 0
+            positive = total > 0
+            draw = np.array([rng.random() if p else rng.integers(n)
+                             for rng, p in zip(rngs, positive)])
             cdf = np.cumsum(d2 / total[:, None], axis=1)
             cdf /= cdf[:, -1:]
-            idx = np.count_nonzero(cdf <= u[:, j - 1, None], axis=1)
+            idx = np.where(positive,
+                           np.count_nonzero(cdf <= draw[:, None], axis=1),
+                           draw.astype(np.intp))
             centers[:, j] = X[idx]
             d2 = np.minimum(d2, np.sum((X - centers[:, j, None]) ** 2, axis=2))
-        for r in np.flatnonzero(replay):
-            centers[r] = _kmeanspp_centers(X, k,
-                                           np.random.default_rng([seed, r]))
     return centers
 
 
@@ -192,15 +163,19 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     Runs cfg.restarts independent Lloyd passes with k-means++ seeding, all
     advancing together, and returns the labeling with minimum inertia; ties
     go to the lowest restart index. Deterministic for fixed (points, cfg).
-    Raises :class:`NonFiniteError` when a point is not finite or squared
-    distances between points overflow.
+    Raises :class:`NonFiniteError` when a point is not finite, or so large
+    that squared norms or distances overflow.
     """
     X = np.asarray(points, dtype=np.float64).T
     n = X.shape[0]
     if n < cfg.k:
         raise TooFewPointsError(f"{n} points cannot form {cfg.k} clusters")
-    if not np.isfinite(X).all():
-        raise NonFiniteError("points contain NaN or Inf")
+    # the Lloyd steps expand a squared distance as |x|^2 - 2 x.c + |c|^2,
+    # where each center c is a mean of points: all finite while 4 |x|^2 is
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * np.sum(X * X, axis=1)).all():
+            raise NonFiniteError("points contain NaN or Inf, or their squared "
+                                 "norms overflow; rescale the points")
     k = cfg.k
     centers = _seed_centers(X, k, cfg.seed, cfg.restarts)
     labels = _assign(X, centers)

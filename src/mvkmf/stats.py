@@ -38,11 +38,6 @@ class ResultsTable:
         if len(set(self.algorithm_names)) != len(self.algorithm_names):
             raise ParseError("duplicate algorithm names")
 
-    @property
-    def missing(self) -> np.ndarray:
-        """Boolean mask of missing cells (the '-' entries)."""
-        return np.isnan(self.scores)
-
 
 @dataclass(frozen=True)
 class RankSummary:

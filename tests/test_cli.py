@@ -337,7 +337,7 @@ def rigged_table(path, n=10, k=9):
 def test_stats_prints_summary(tmp_path, capsys):
     table = tmp_path / "table.csv"
     rigged_table(table)
-    assert main(["stats", "--table", str(table), "--quiet"]) == 0
+    assert main(["stats", "--table", str(table)]) == 0
     text = capsys.readouterr().out
     assert "df1=8" in text and "df2=72" in text
     assert "2.4004" in text                 # CD for 9 algorithms, 10 datasets
@@ -349,7 +349,7 @@ def test_stats_constant_table(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("dataset,a,b,c\n"
                      + "".join(f"d{i},0.5,0.5,0.5\n" for i in range(6)))
-    assert main(["stats", "--table", str(table), "--quiet"]) == 0
+    assert main(["stats", "--table", str(table)]) == 0
     text = capsys.readouterr().out
     assert "F: 0" in text
     assert "none" in text
@@ -358,14 +358,14 @@ def test_stats_constant_table(tmp_path, capsys):
 def test_stats_reports_dropped_rows(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("dataset,a,b\nd0,0.9,0.4\nd1,0.8,-\nd2,0.7,0.6\n")
-    assert main(["stats", "--table", str(table), "--quiet"]) == 0
+    assert main(["stats", "--table", str(table)]) == 0
     assert "dropped 1" in capsys.readouterr().out
 
 
 def test_stats_too_few_rows_exit_2(tmp_path):
     table = tmp_path / "table.csv"
     table.write_text("dataset,a,b\nd0,0.9,0.4\nd1,0.8,-\n")
-    assert main(["stats", "--table", str(table), "--quiet"]) == 2
+    assert main(["stats", "--table", str(table)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +441,7 @@ def test_bench_table_feeds_stats(tmp_path, capsys):
                  "--seeds", "0", "--restarts", "10",
                  "--out", str(out), "--quiet"]) == 0
     capsys.readouterr()
-    assert main(["stats", "--table", str(out / "table.csv"),
-                 "--quiet"]) == 0
+    assert main(["stats", "--table", str(out / "table.csv")]) == 0
     assert "mean ranks:" in capsys.readouterr().out
 
 
@@ -580,7 +579,7 @@ def test_bench_overflowing_row_sums_fail_their_cells(tmp_path, capsys):
 
 def test_fit_record_equals_bench_record(tmp_path):
     mpath = synth(tmp_path, per=8, clusters=3, seed=7)
-    common = ["--seed", "1", "--restarts", "10", "--quiet"]
+    common = ["--restarts", "10", "--quiet"]
     bench_out = tmp_path / "bench"
     assert main(["bench", "--manifest", str(mpath),
                  "--algorithms", "umklmf,kkm,mkkm", "--alphas", "16",
@@ -599,7 +598,7 @@ def test_fit_record_equals_bench_record(tmp_path):
                        ("mkkm", [])):
         out = tmp_path / f"fit-{alg}"
         assert main(["fit", "--manifest", str(mpath), "--algorithm", alg,
-                     "--out", str(out)] + extra + common) == 0
+                     "--seed", "1", "--out", str(out)] + extra + common) == 0
         [record] = read_records(out / "records.jsonl")
         assert strip(record) == bench[alg]
     assert bench["umklmf"]["alpha"] == 16.0
@@ -623,9 +622,18 @@ def test_unknown_flag_is_usage_error(tmp_path):
     # one solver model: no objective variant, no umklmf-nonsp, and evolve
     # takes no --algorithm
     manifest = str(tmp_path / "manifest.json")
+    table = str(tmp_path / "table.csv")
     for argv in (["fit", "--manifest", manifest, "--objective", "nonsparse"],
                  ["fit", "--manifest", manifest, "--algorithm", "umklmf-nonsp"],
-                 ["evolve", "--manifest", manifest, "--algorithm", "umklmf"]):
+                 ["evolve", "--manifest", manifest, "--algorithm", "umklmf"],
+                 # flags that no command reads: only fit, evolve and synth
+                 # take a seed, and stats writes nothing but its summary
+                 ["kernels", "--manifest", manifest, "--seed", "1"],
+                 ["bench", "--manifest", manifest, "--seed", "1"],
+                 ["heatmap", "--state", str(tmp_path), "--seed", "1"],
+                 ["stats", "--table", table, "--seed", "1"],
+                 ["stats", "--table", table, "--out", str(tmp_path)],
+                 ["stats", "--table", table, "--quiet"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -291,29 +291,26 @@ def test_lockstep_matches_reference_adversarial(monkeypatch):
     assert repairs                            # empty clusters were repaired
 
 
-def test_lockstep_matches_reference_empty_cluster(monkeypatch):
+def test_lockstep_matches_reference_empty_cluster():
     # four centers on three distinct spots: every restart starts with an
     # empty cluster and must be repaired. Its seeding reaches a zero D^2
-    # total, so every restart is seeded again serially; with k = n distinct
-    # points none is, and the last center is the one point left
-    replays = []
-    serial = kmeans_module._kmeanspp_centers
-
-    def counted(X, k, rng):
-        replays.append(1)
-        return serial(X, k, rng)
-
-    monkeypatch.setattr(kmeans_module, "_kmeanspp_centers", counted)
+    # total, where each restart draws integers(n) instead of choice's
+    # random(); with k = n distinct points the last center is the one point
+    # left. The repair overwrites the centers drawn at a zero total, so only
+    # the seeded centers themselves show that draw
     for pts, k, restarts in [
         ([[0.0, 0.0, 0.0, 0.0, 5.0, 9.0]], 4, 20),
         ([[0.0, 0.0, 5.0, 9.0]], 4, 7),                       # k = n
         ([[0.0, 3.0, 5.0, 9.0, 4.0], [1.0, 0.0, 2.0, 2.0, 7.0]], 5, 9),
     ]:
-        replays.clear()
-        assert_matches_reference(np.array(pts), KMeansConfig(
+        pts = np.array(pts)
+        assert_matches_reference(pts, KMeansConfig(
             k=k, restarts=restarts, seed=1), f"k {k}")
-        distinct = len(np.unique(np.array(pts).T, axis=0))
-        assert len(replays) == (restarts if distinct < k else 0), pts
+        seeded = kmeans_module._seed_centers(pts.T, k, 1, restarts)
+        for r in range(restarts):
+            expected = ref_kmeanspp_centers(pts.T, k,
+                                            np.random.default_rng([1, r]))
+            assert np.array_equal(seeded[r], expected), (k, r)
 
 
 @pytest.mark.parametrize("d", [8, 9, 16])
@@ -451,14 +448,33 @@ def test_production_call_makes_no_choice_call(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     kmeans(H, KMeansConfig(k=4, restarts=50, seed=3))
     assert len(made) == 50 and calls == []
-    # a restart seeded again serially does call choice, so the count works
+    # a zero D^2 total draws from the same generators, with no second seeding
+    made.clear()
     kmeans(np.array([[0.0, 0.0, 5.0, 9.0]]), KMeansConfig(k=4, restarts=2))
-    assert calls
+    assert len(made) == 2 and calls == []
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200,
+                                 "1e160", "8e153"])
 def test_non_finite_points_raise(bad):
-    # 1e200 is finite, but its squared distance to the other points is not
-    pts = np.array([[0.0, 1.0, bad, 2.0, 3.0], [0.0, 1.0, 1.0, 0.0, 2.0]])
+    # 1e200 is finite, but its squared distance to the other points is not.
+    # A string is the center of 2 x 40 points spread by 1e-10 of it: their
+    # squared distances are finite, but the expansion |x|^2 - 2 x.c + |c|^2
+    # of the Lloyd steps overflows (at 8e153, only the sum of the terms)
+    if isinstance(bad, str):
+        rng = np.random.default_rng(0)
+        pts = float(bad) * (1.0 + 1e-10 * rng.standard_normal((2, 40)))
+        k = 3
+    else:
+        pts, k = np.array([[0.0, 1.0, bad, 2.0, 3.0],
+                           [0.0, 1.0, 1.0, 0.0, 2.0]]), 2
     with pytest.raises(NonFiniteError):
+        kmeans(pts, KMeansConfig(k=k, restarts=3))
+
+
+def test_overflowing_seeding_total_raises():
+    # 4 |x|^2 is finite for each point, but the D^2 total of 50 points at
+    # the opposite corner is not
+    pts = np.repeat([[1.5e153, -1.5e153], [1.5e153, -1.5e153]], 50, axis=1)
+    with pytest.raises(NonFiniteError, match="squared distances"):
         kmeans(pts, KMeansConfig(k=2, restarts=3))

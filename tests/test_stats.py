@@ -266,8 +266,7 @@ def test_results_table_missing_dash(tmp_path):
     path.write_text("dataset,a,b\nwine,0.9,-\ncars,0.8,0.7\n")
     table = read_results_table(path)
     assert np.isnan(table.scores[0, 1])
-    assert table.missing[0, 1]
-    assert not table.missing[1, 0]
+    assert not np.isnan(table.scores[1, 0])
 
 
 def test_results_table_parse_errors(tmp_path):
