@@ -312,6 +312,9 @@ def _estimate_min_eigenvalue(K: np.ndarray) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    # K @ v stays numpy's gemv although K is symmetric: a one-triangle dsymv
+    # sums in another order, and the estimate is part of every kernel report,
+    # pinned bit for bit by frozen references in the tests
     for _ in range(_POWER_ITERS):
         w = mu * v - K @ v
         norm = np.linalg.norm(w)

@@ -18,7 +18,9 @@ kernels themselves:
   per view. A Lanczos solve (ARPACK through ``scipy.sparse.linalg.eigsh``)
   finds them from a small multiple of k matrix-vector products, O(n^2 k) per
   view. The row-sum coupling matrix of ``init_g`` is applied in O(n) per
-  vector and never formed.
+  vector and never formed. Each product with K_v is BLAS ``dsymv`` from
+  scipy's bundled OpenBLAS (``scipy.linalg.blas``), which reads one triangle
+  of K_v, so a kernel passed as a raw array must be symmetric.
 - Because H H^T = I, the reconstruction term expands with P_v = K_v H^T as
 
       ||K_v - G_v H||_F^2 = ||K_v||_F^2 - ||P_v||_F^2 + ||P_v - G_v||_F^2,
@@ -43,6 +45,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (
@@ -137,6 +140,10 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     the zero matrix.
     """
     n = M.shape[0]
+    # an array M (fit_kkm, fit_mkkm) keeps numpy's gemv: through scipy's
+    # dsymv, the kkm solves between bench's k-means calls at n=300 took about
+    # twice as long, most likely because scipy's OpenBLAS thread pool then
+    # competes with numpy's for the cores
     if n > max(2 * k + 1, 20):
         rng = np.random.default_rng(LANCZOS_SEED)
         try:
@@ -309,8 +316,19 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
     two cumulative sums, O(n) per vector on top of the O(n^2) product K x.
     Raises ``NonFiniteError`` when a row sum overflows, since the
     eigensolve would otherwise fail on it without saying why.
+
+    K must be symmetric. A single vector's K x is BLAS ``dsymv`` (scipy's
+    bundled OpenBLAS, through ``scipy.linalg.blas``), which reads one
+    triangle of K: half the memory traffic of a full product, and the
+    eigensolve is bound by that traffic. ``dsymv`` wants a Fortran-ordered
+    array and would copy any other on every call. So the operator holds K
+    C-ordered, as K itself or as K^T of a Fortran-ordered K (the same
+    matrix), and passes its Fortran-ordered transpose; only a non-contiguous
+    K is copied, once. Every layout of K then gives the same bits. Blocks of
+    vectors keep numpy's ``K @ X``.
     """
     n = K.shape[0]
+    K = np.ascontiguousarray(K.T if K.flags.f_contiguous else K)
     with np.errstate(over="ignore"):
         A = K.sum(axis=1)
     if not np.isfinite(A).all():
@@ -321,14 +339,20 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
         ax = a * X
         tail = np.zeros_like(ax)
         tail[:-1] = np.cumsum(ax[:0:-1], axis=0)[::-1]
-        return K @ X + a * np.cumsum(X, axis=0) + tail
+        KX = dsymv(1.0, K.T, X) if X.ndim == 1 else K @ X
+        return KX + a * np.cumsum(X, axis=0) + tail
 
     return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
 
 
 def init_g(k_v, k: int) -> np.ndarray:
     """Initial G_v: the k leading eigenvectors of (D_v + K_v), where D_v is
-    the row-sum coupling matrix. Columns are orthonormal and sign-fixed."""
+    the row-sum coupling matrix. Columns are orthonormal and sign-fixed.
+
+    The Lanczos steps multiply by K_v with BLAS ``dsymv`` from scipy's
+    bundled OpenBLAS, which reads one triangle of K_v: a raw-array kernel
+    must be symmetric. Any memory layout gives the same bits, and none is
+    copied per step (see ``_init_operator``)."""
     K = _as_matrix(k_v)
     if k > K.shape[0]:
         raise BadParamError(f"k={k} exceeds sample count {K.shape[0]}")

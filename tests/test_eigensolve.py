@@ -6,6 +6,8 @@ Each returned basis must be orthonormal, sign-fixed, and span the same
 top-k subspace as ``np.linalg.eigh``: all principal-angle cosines >= 1 - 1e-10.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,50 @@ def test_restarted_lanczos_repeats_bitwise():
     K[:3, :3] = B @ B.T + 3.0 * np.eye(3)
     assert np.array_equal(init_g(K, 4), init_g(K, 4))
     assert np.array_equal(fit_kkm(K, 4), fit_kkm(K, 4))
+
+
+def _symmetric(n, seed):
+    S = np.random.default_rng(seed).standard_normal((n, n))
+    return (S + S.T) / 2.0
+
+
+def test_init_g_same_bits_for_any_layout():
+    # every layout holds the same symmetric matrix, so the seed operator must
+    # hand BLAS the same values in the same order
+    big = _symmetric(2 * N, 9)
+    K = np.ascontiguousarray(big[::2, ::2])
+    read_only = K.copy()
+    read_only.setflags(write=False)
+    reference = init_g(K, 4)
+    for M in (np.asfortranarray(K), read_only, big[::2, ::2]):
+        assert np.array_equal(init_g(M, 4), reference)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_init_g_copies_no_kernel(order):
+    # a copy of K per matrix-vector product (or once) would peak at n^2
+    # floats; the eigensolve itself needs O(n k)
+    n = 1000
+    K = np.asarray(_symmetric(n, 10), order=order)
+    tracemalloc.start()
+    try:
+        init_g(K, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n * n * 8
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_init_operator_reads_one_triangle(order):
+    # dsymv reads the upper triangle of the Fortran-ordered array it gets:
+    # K^T's for a C-ordered K, so K's lower triangle, and K's own upper
+    # triangle for a Fortran-ordered K. NaN in the other triangle must not
+    # reach a matrix-vector product.
+    K = np.asarray(_symmetric(50, 11), order=order)
+    op = solver._init_operator(K)
+    x = np.random.default_rng(12).standard_normal(50)
+    before = op.matvec(x)
+    unread = np.triu_indices(50, 1) if order == "C" else np.tril_indices(50, -1)
+    K[unread] = np.nan
+    assert np.array_equal(op.matvec(x), before)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -503,6 +505,49 @@ def test_fit_raises_on_overflowing_kernels():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
             fit([K], SolverConfig(k=2, alpha=1.0))
+
+
+def hostile_fit_cases():
+    """(kernels, k) at n = 60, where the seed eigensolve takes the Lanczos
+    path (except k = n, which leaves it no room)."""
+    n = 60
+    rng = np.random.default_rng(31)
+
+    def psd(rank):
+        X = rng.standard_normal((rank, n))
+        return X.T @ X
+
+    X = rng.standard_normal((5, n // 2))
+    X = np.hstack([X, X])                      # every sample twice
+    S = rng.standard_normal((n, n))
+    K = psd(n)
+    return {
+        "k_equals_n": ([psd(n), psd(n)], n),
+        "duplicate_samples": ([X.T @ X, psd(n)], 4),
+        "rank_2": ([psd(2), psd(2)], 4),
+        "indefinite": ([(S + S.T) / 2.0, psd(n)], 4),
+        "zero_view": ([np.zeros((n, n)), psd(n)], 4),
+        "identical_views": ([K, K.copy()], 4),
+    }
+
+
+HOSTILE_FITS = hostile_fit_cases()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 128.0])
+@pytest.mark.parametrize("name", sorted(HOSTILE_FITS))
+def test_fit_on_hostile_kernels(name, alpha):
+    kernels, k = HOSTILE_FITS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = fit(kernels, SolverConfig(k=k, alpha=alpha))
+    trace = state.objective_trace
+    assert np.all(np.isfinite(trace))
+    # non-increasing up to roundoff in the objective's last digits
+    assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+    assert np.max(np.abs(state.H @ state.H.T - np.eye(k))) < 1e-10
+    assert np.all(state.omega >= 0.0)
+    assert abs(state.omega.sum() - 1.0) < 1e-12
 
 
 def test_iterate_yields_every_iteration():
