@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 usage or validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-# read only by benchmarks/tracing.py (Tracer.install); ROADMAP item 5 drops both
+# read only by benchmarks/tracing.py (Tracer.install); ROADMAP item 1 drops both
 import concurrent.futures
 import json
 import math
@@ -94,10 +94,6 @@ def _mean_kernel(ks: KernelSet) -> np.ndarray:
     return sum(stack) / len(stack)
 
 
-def _cluster_h(h: np.ndarray, clusters: int, restarts: int, seed: int):
-    return kmeans(h, KMeansConfig(k=clusters, restarts=restarts, seed=seed))
-
-
 def _shared_part(ks: KernelSet, clusters: int, algorithm: str,
                  max_iters: int, rel_tol: float):
     """The part of a run that depends on neither alpha nor the k-means seed,
@@ -125,9 +121,9 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
     labels: the run behind both ``fit`` and each ``bench`` cell.
 
     ``shared`` is the (part, seconds) pair of ``_shared_part`` for this
-    dataset and algorithm; when None it is computed here, after the config
-    is validated. The umklmf fit starts from the shared init point; the
-    baselines' embedding is the shared part itself.
+    dataset and algorithm; when None it is computed here, after the solver
+    and k-means configs are validated. The umklmf fit starts from the shared
+    init point; the baselines' embedding is the shared part itself.
 
     Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
     are None where the algorithm has none. alpha is recorded as None for the
@@ -135,6 +131,7 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
     the shared part's seconds plus the fit and k-means.
     """
     clusters = manifest.clusters
+    km_cfg = KMeansConfig(k=clusters, restarts=restarts, seed=seed)
     cfg = None
     if algorithm == "umklmf":
         if alpha is None:
@@ -156,7 +153,7 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
         h, weights = part
     else:
         h = part
-    labels = _cluster_h(h, clusters, restarts, seed).labels
+    labels = kmeans(h, km_cfg).labels
     elapsed = shared_seconds + (time.perf_counter() - t0)
     record = mio.RunRecord(
         dataset=manifest.name,
@@ -390,16 +387,17 @@ def cmd_heatmap(args) -> int:
 
 def cmd_evolve(args) -> int:
     manifest = mio.load_manifest(args.manifest)
-    ks, truth = mio.load_dataset(manifest)
     if args.alpha is None:
         raise BadParamError("umklmf needs --alpha")
+    # both configs are validated before the data is read and the fit starts
     cfg = SolverConfig(k=manifest.clusters, alpha=args.alpha,
                        max_iters=args.max_iters, rel_tol=args.rel_tol)
+    km_cfg = KMeansConfig(k=manifest.clusters, restarts=args.restarts,
+                          seed=args.seed)
+    ks, truth = mio.load_dataset(manifest)
 
     def row(iteration: int, state) -> list:
-        labeling = _cluster_h(state.H, manifest.clusters, args.restarts,
-                              args.seed)
-        report = mmetrics.evaluate(truth, labeling.labels)
+        report = mmetrics.evaluate(truth, kmeans(state.H, km_cfg).labels)
         return [iteration, float(state.objective_trace[-1]), report.acc,
                 report.nmi, report.purity, report.ari]
 

@@ -5,7 +5,8 @@ Matrix files use the MVK1 container: one ASCII header line ``MVK1 <rows>
 order. Anything not starting with the magic is parsed as comma-separated
 text. Datasets are described by a small JSON manifest naming each view's
 source (raw features plus a kernel recipe, or a precomputed kernel matrix),
-the labels file, and the cluster count.
+the labels file, the sample count n and the cluster count. Loading reads
+each data file once and checks it against n where it is read.
 """
 
 from __future__ import annotations
@@ -121,30 +122,6 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
-def read_matrix_shape(path) -> tuple[int, int]:
-    """Dimensions without materializing the payload (MVK1 reads only the
-    header; text matrices are parsed in full)."""
-    path = Path(path)
-    try:
-        with path.open("rb") as fh:
-            head = fh.read(256)
-            if not head:
-                raise CorruptHeaderError(f"{path}: empty file")
-            if not head.startswith(_MAGIC):
-                return _parse_csv_matrix(path.read_bytes(), path).shape
-            rows, cols, offset = _parse_mvk1_header(head, path)
-            size = path.stat().st_size
-    except FileNotFoundError as exc:
-        raise MissingFileError(str(path)) from exc
-    expected = offset + rows * cols * 8
-    if size < expected:
-        raise TruncatedDataError(f"{path}: file holds {size} bytes, "
-                                 f"expected {expected}")
-    if size > expected:
-        raise CorruptHeaderError(f"{path}: {size - expected} trailing bytes")
-    return rows, cols
-
-
 # ---------------------------------------------------------------------------
 # labels
 
@@ -229,11 +206,10 @@ def _view_from_dict(obj: dict, where: str) -> ViewSource:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse and cross-check a dataset manifest.
+    """Parse and schema-check a dataset manifest.
 
-    Beyond JSON shape this verifies that every referenced file exists, that
-    the labels file holds exactly n values, and that each view's stored
-    dimensions agree with n.
+    Only the manifest itself is read. The data files it names are read, and
+    checked against its n, by :func:`load_dataset`.
     """
     path = Path(path)
     try:
@@ -266,26 +242,9 @@ def load_manifest(path) -> DatasetManifest:
     if len({v.name for v in views}) != len(views):
         raise ParseError(f"{path}: duplicate view names")
 
-    manifest = DatasetManifest(name=name, n=n, clusters=clusters,
-                               labels=labels_rel, views=views,
-                               base_dir=path.parent)
-
-    labels = read_labels(manifest.resolve(labels_rel))
-    if labels.shape[0] != n:
-        raise DimensionMismatchError(
-            f"{path}: labels file holds {labels.shape[0]} values, expected {n}")
-    for view in views:
-        rel = view.features if view.features is not None else view.kernel
-        shape = read_matrix_shape(manifest.resolve(rel))
-        if view.kernel is not None and shape != (n, n):
-            raise DimensionMismatchError(
-                f"{path}: view {view.name!r} kernel is {shape}, expected "
-                f"({n}, {n})")
-        if view.features is not None and shape[1] != n:
-            raise DimensionMismatchError(
-                f"{path}: view {view.name!r} has {shape[1]} columns, "
-                f"expected {n}")
-    return manifest
+    return DatasetManifest(name=name, n=n, clusters=clusters,
+                           labels=labels_rel, views=views,
+                           base_dir=path.parent)
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
@@ -313,26 +272,40 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 def load_dataset(manifest: DatasetManifest) -> tuple[KernelSet, np.ndarray]:
     """Materialize the kernel set and ground-truth labels for a manifest.
 
-    Views with raw features are pushed through their kernel recipe (linear by
-    default); precomputed kernels are ingested as-is. Every view then gets
-    its configured normalization, and the assembled set is checked for a
-    common sample count and distinct view names. The per-view health report
-    (``validate_kernel_set``) is left to the callers that use it.
+    Each data file is read once and checked against ``manifest.n`` as it is
+    read: the labels must hold n values, a precomputed kernel must be n x n
+    and a feature matrix must have n columns, or ``DimensionMismatchError``
+    is raised. Views with raw features are pushed through their kernel recipe
+    (linear by default); precomputed kernels are ingested as-is. Every view
+    then gets its configured normalization, and the view names must be
+    distinct. The per-view health report (``validate_kernel_set``) is left
+    to the callers that use it.
     """
+    n = manifest.n
+    labels_path = manifest.resolve(manifest.labels)
+    labels = read_labels(labels_path)
+    if labels.shape[0] != n:
+        raise DimensionMismatchError(
+            f"{labels_path}: holds {labels.shape[0]} labels, expected {n}")
     kernels = []
     for view in manifest.views:
+        path = manifest.resolve(view.kernel if view.kernel is not None
+                                else view.features)
+        data = read_matrix(path)
+        # a kernel is n x n; a feature matrix may have any number of rows
+        rows = n if view.kernel is not None else data.shape[0]
+        if data.shape != (rows, n):
+            raise DimensionMismatchError(
+                f"{path}: view {view.name!r} is {data.shape}, expected "
+                f"({rows}, {n})")
         if view.kernel is not None:
-            k = KernelMatrix(data=read_matrix(manifest.resolve(view.kernel)),
-                             view_name=view.name)
+            k = KernelMatrix(data=data, view_name=view.name)
         else:
-            x = FeatureMatrix(data=read_matrix(manifest.resolve(view.features)),
-                              view_name=view.name)
-            spec = view.kernel_spec or KernelSpec(kind="linear")
-            k = build_kernel(x, spec)
+            k = build_kernel(FeatureMatrix(data=data, view_name=view.name),
+                             view.kernel_spec or KernelSpec(kind="linear"))
         kernels.append(normalize_kernel(k, view.normalization))
     ks = KernelSet(kernels=tuple(kernels))
     _check_views(ks)
-    labels = read_labels(manifest.resolve(manifest.labels))
     return ks, labels
 
 

@@ -104,15 +104,32 @@ class SolverState:
 
 
 def _as_matrix(kernel) -> np.ndarray:
+    """The kernel as a float64 array, checked to be square by its shape
+    alone (no pass over the entries)."""
     if isinstance(kernel, KernelMatrix):
         return kernel.data
-    return np.asarray(kernel, dtype=np.float64)
+    K = np.asarray(kernel, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise DimensionMismatchError(
+            f"kernel must be a square 2-D array, got shape {K.shape}")
+    return K
 
 
 def _kernel_list(ks) -> list[np.ndarray]:
+    """The kernels of ``ks`` as arrays: at least one, all square with one
+    common sample count."""
     if isinstance(ks, KernelSet):
-        return [k.data for k in ks.kernels]
-    return [_as_matrix(k) for k in ks]
+        kernels = [k.data for k in ks.kernels]
+    else:
+        kernels = [_as_matrix(k) for k in ks]
+    if not kernels:
+        raise BadParamError("need at least one kernel")
+    n = kernels[0].shape[0]
+    for K in kernels[1:]:
+        if K.shape[0] != n:
+            raise DimensionMismatchError(
+                f"kernels disagree on sample count: {n} vs {K.shape[0]}")
+    return kernels
 
 
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
@@ -314,8 +331,9 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
 
     Since D_ij = A_max(i,j), (D x)_i = A_i sum_{j<=i} x_j + sum_{j>i} A_j x_j:
     two cumulative sums, O(n) per vector on top of the O(n^2) product K x.
-    Raises ``NonFiniteError`` when a row sum overflows, since the
-    eigensolve would otherwise fail on it without saying why.
+    Raises ``NonFiniteError`` when a row sum is not finite (a NaN or Inf
+    entry, or an overflow), since the eigensolve would otherwise fail on it
+    without saying why.
 
     K must be symmetric. A single vector's K x is BLAS ``dsymv`` (scipy's
     bundled OpenBLAS, through ``scipy.linalg.blas``), which reads one
@@ -332,7 +350,8 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
     with np.errstate(over="ignore"):
         A = K.sum(axis=1)
     if not np.isfinite(A).all():
-        raise NonFiniteError("kernel row sums overflow; rescale the kernel")
+        raise NonFiniteError("kernel row sums are not finite: the kernel "
+                             "holds NaN or Inf, or its rows overflow")
 
     def apply(X):
         a = A.reshape((n,) + (1,) * (X.ndim - 1))

@@ -272,6 +272,30 @@ def test_evolve_row_count_matches_fit_iterations(tmp_path):
     assert len(lines) == record.iterations + 2      # header + init + iters
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--algorithm", "umklmf", "--alpha", "16", "--restarts", "0"],
+    ["fit", "--algorithm", "kkm", "--restarts", "0"],
+    ["fit", "--algorithm", "mkkm", "--restarts", "0"],
+    ["fit", "--algorithm", "umklmf", "--alpha", "16", "--max-iters", "-1"],
+    ["evolve", "--alpha", "16", "--restarts", "0"],
+    ["evolve", "--alpha", "16", "--rel-tol", "0"],
+])
+def test_bad_config_exits_2_before_fitting(tmp_path, monkeypatch, argv):
+    import mvkmf.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("fit started before the config was validated")
+
+    mpath = synth(tmp_path, per=5, clusters=2)
+    for name in ("fit", "fit_kkm", "fit_mkkm", "init_point", "init_state",
+                 "iterate"):
+        monkeypatch.setattr(cli, name, unreachable)
+    out = tmp_path / "out"
+    assert main(argv + ["--manifest", str(mpath), "--out", str(out),
+                        "--quiet"]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # heatmap
 
@@ -566,7 +590,7 @@ def test_fit_overflowing_row_sums_exit_3(tmp_path, capsys, n):
     mpath = write_full_dataset(tmp_path / "full", n)
     assert main(["fit", "--manifest", str(mpath), "--alpha", "2",
                  "--restarts", "5", "--out", str(tmp_path / "fit")]) == 3
-    assert "kernel row sums overflow" in capsys.readouterr().err
+    assert "kernel row sums are not finite" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -574,7 +598,8 @@ def test_fit_overflowing_row_sums_exit_3(tmp_path, capsys, n):
 def test_bench_overflowing_row_sums_fail_their_cells(tmp_path, capsys):
     check_bench_beside_good_set(
         tmp_path, capsys, write_full_dataset(tmp_path / "full", 8),
-        "kernel row sums overflow; rescale the kernel")
+        "kernel row sums are not finite: the kernel holds NaN or Inf, or its "
+        "rows overflow")
 
 
 def test_fit_record_equals_bench_record(tmp_path):

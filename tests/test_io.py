@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from mvkmf.io import (
     make_synthetic,
     read_labels,
     read_matrix,
-    read_matrix_shape,
     read_records,
     save_manifest,
     save_synthetic_dataset,
@@ -67,8 +67,6 @@ def test_empty_file_rejected(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(CorruptHeaderError):
         read_matrix(path)
-    with pytest.raises(CorruptHeaderError):
-        read_matrix_shape(path)
 
 
 def test_truncated_payload(tmp_path):
@@ -78,8 +76,6 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(TruncatedDataError):
         read_matrix(path)
-    with pytest.raises(TruncatedDataError):
-        read_matrix_shape(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -103,19 +99,11 @@ def test_bad_header_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(MissingFileError):
         read_matrix(tmp_path / "nope.mvk1")
-    with pytest.raises(MissingFileError):
-        read_matrix_shape(tmp_path / "nope.mvk1")
 
 
 def test_write_rejects_non_2d(tmp_path):
     with pytest.raises(DimensionMismatchError):
         write_matrix(tmp_path / "v.mvk1", np.arange(4.0))
-
-
-def test_shape_without_payload_read(tmp_path):
-    path = tmp_path / "m.mvk1"
-    write_matrix(path, np.zeros((5, 9)))
-    assert read_matrix_shape(path) == (5, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +116,6 @@ def test_csv_round_trip(tmp_path, rng):
     write_matrix_csv(path, m)
     back = read_matrix(path)              # autodetected: no magic prefix
     assert np.allclose(back, m, rtol=1e-15, atol=0.0)
-    assert read_matrix_shape(path) == (4, 6)
 
 
 def test_csv_ragged_rows(tmp_path):
@@ -209,7 +196,7 @@ def test_manifest_cluster_invariant(tmp_path):
 def test_manifest_label_length_mismatch(tmp_path):
     path = write_minimal_dataset(tmp_path, n=6, label_count=5)
     with pytest.raises(DimensionMismatchError):
-        load_manifest(path)
+        load_dataset(load_manifest(path))
 
 
 def test_manifest_kernel_dimension_mismatch(tmp_path):
@@ -220,14 +207,15 @@ def test_manifest_kernel_dimension_mismatch(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(DimensionMismatchError):
-        load_manifest(path)
+        load_dataset(load_manifest(path))
 
 
 def test_manifest_missing_view_file(tmp_path):
     path = write_minimal_dataset(tmp_path)
     (tmp_path / "x.mvk1").unlink()
+    manifest = load_manifest(path)        # reads the manifest only
     with pytest.raises(MissingFileError):
-        load_manifest(path)
+        load_dataset(manifest)
 
 
 def test_manifest_rejects_both_sources(tmp_path):
@@ -275,8 +263,8 @@ def test_load_dataset_builds_kernels(tmp_path):
 
 
 def test_load_dataset_rejects_inconsistent_views(tmp_path):
-    # load_manifest would catch both; a manifest built in code reaches
-    # load_dataset's own check
+    # a 5 x 5 kernel against n=6 fails its own shape check; a reused view
+    # name fails the check on the assembled set
     write_matrix(tmp_path / "a.mvk1", np.eye(6))
     write_matrix(tmp_path / "b.mvk1", np.eye(5))
     write_labels(tmp_path / "labels.csv", [0, 1] * 3)
@@ -293,6 +281,50 @@ def test_load_dataset_rejects_inconsistent_views(tmp_path):
         load_dataset(manifest(("a", "a.mvk1"), ("a", "a.mvk1")))
     ks, _ = load_dataset(manifest(("a", "a.mvk1"), ("b", "a.mvk1")))
     assert ks.view_names == ("a", "b")
+
+
+@pytest.mark.parametrize("label_count, views", [
+    (4, [("features", (3, 6))]),
+    (6, [("features", (3, 5)), ("features", (2, 5))]),
+    (6, [("kernel", (5, 5))]),
+], ids=["short-labels", "feature-columns", "kernel-size"])
+def test_load_dataset_checks_files_against_n(tmp_path, label_count, views):
+    # a manifest built in code never passes through load_manifest, so the
+    # files are checked against n where load_dataset reads them; the two
+    # feature views agree with each other, only not with n
+    rng = np.random.default_rng(0)
+    write_labels(tmp_path / "labels.csv", np.arange(label_count) % 2)
+    sources = []
+    for i, (kind, shape) in enumerate(views):
+        rel = f"v{i}.mvk1"
+        if kind == "kernel":
+            write_matrix(tmp_path / rel, np.eye(shape[0]))
+        else:
+            write_matrix(tmp_path / rel, rng.standard_normal(shape))
+        sources.append(ViewSource(name=f"v{i}", **{kind: rel}))
+    manifest = DatasetManifest(name="toy", n=6, clusters=2,
+                               labels="labels.csv", views=tuple(sources),
+                               base_dir=tmp_path)
+    with pytest.raises(DimensionMismatchError):
+        load_dataset(manifest)
+
+
+def test_each_file_is_read_once(tmp_path, monkeypatch):
+    feats, labels = make_synthetic(4, 2, 2, seed=1)
+    mpath = save_synthetic_dataset(tmp_path, feats, labels, clusters=2)
+    opened = []
+    open_path = Path.open
+
+    def spy(self, *args, **kwargs):
+        opened.append(self.name)
+        return open_path(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy)
+    manifest = load_manifest(mpath)
+    assert opened == ["manifest.json"]
+    load_dataset(manifest)
+    assert sorted(opened) == ["labels.csv", "manifest.json", "view0.mvk1",
+                              "view1.mvk1"]
 
 
 # ---------------------------------------------------------------------------

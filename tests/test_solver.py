@@ -507,6 +507,43 @@ def test_fit_raises_on_overflowing_kernels():
             fit([K], SolverConfig(k=2, alpha=1.0))
 
 
+def test_fit_names_non_finite_kernels():
+    X = np.random.default_rng(5).standard_normal((3, 30))
+    K = X.T @ X
+    K[3, 4] = K[4, 3] = np.nan
+    with pytest.raises(NonFiniteError, match="not finite"):
+        fit([K], SolverConfig(k=2))
+
+
+def psd_array(n):
+    X = np.random.default_rng(n).standard_normal((3, n))
+    return X.T @ X
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda cfg: fit([], cfg), BadParamError),
+    (lambda cfg: fit([psd_array(30), psd_array(40)], cfg),
+     DimensionMismatchError),
+    (lambda cfg: fit(KernelSet((KernelMatrix(psd_array(30), "a"),
+                                KernelMatrix(psd_array(40), "b"))), cfg),
+     DimensionMismatchError),
+    (lambda cfg: fit([np.ones((30, 40))], cfg), DimensionMismatchError),
+    (lambda cfg: fit(np.ones((30, 40)), cfg), DimensionMismatchError),
+    (lambda cfg: init_point([psd_array(30), psd_array(40)], cfg.k),
+     DimensionMismatchError),
+    (lambda cfg: fit_mkkm([], cfg.k), BadParamError),
+    (lambda cfg: fit_mkkm([psd_array(30), psd_array(40)], cfg.k),
+     DimensionMismatchError),
+    (lambda cfg: fit_kkm(np.ones((30, 40)), cfg.k), DimensionMismatchError),
+], ids=["fit-empty", "fit-mixed-n", "fit-mixed-n-set", "fit-non-square",
+        "fit-bare-array", "init-point-mixed-n", "mkkm-empty", "mkkm-mixed-n",
+        "kkm-non-square"])
+def test_solver_entry_rejects_bad_shapes(call, error):
+    # the checks read shapes only, so they raise before any kernel product
+    with pytest.raises(error):
+        call(SolverConfig(k=2))
+
+
 def hostile_fit_cases():
     """(kernels, k) at n = 60, where the seed eigensolve takes the Lanczos
     path (except k = n, which leaves it no room)."""
