@@ -81,8 +81,19 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _fname(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+def _view_files(prefix: str, view_names) -> list[str]:
+    """One file name per view: ``<prefix>_<name>.mvk1``, where each run of
+    characters outside ``[A-Za-z0-9._-]`` in the name becomes ``_``. Raises
+    ``BadParamError`` when two views map to the same file, so that neither
+    overwrites the other."""
+    owner: dict[str, str] = {}
+    for name in view_names:
+        path = f"{prefix}_{re.sub(r'[^A-Za-z0-9._-]+', '_', name)}.mvk1"
+        if path in owner:
+            raise BadParamError(f"views {owner[path]!r} and {name!r} would "
+                                f"both be written to {path}; rename one")
+        owner[path] = name
+    return list(owner)
 
 
 def _g(x: float) -> str:
@@ -98,7 +109,8 @@ def _shared_part(ks: KernelSet, clusters: int, algorithm: str,
                  max_iters: int, rel_tol: float):
     """The part of a run that depends on neither alpha nor the k-means seed,
     so ``bench`` computes it once per (dataset, algorithm): the umklmf
-    ``InitPoint``, the kkm embedding H, or the mkkm pair (H, gamma).
+    ``InitPoint``, or a baseline's pair (H, weights), which for kkm is
+    (H, None) and for mkkm (H, gamma).
 
     Returns (part, seconds it took).
     """
@@ -106,11 +118,9 @@ def _shared_part(ks: KernelSet, clusters: int, algorithm: str,
     if algorithm == "umklmf":
         part = init_point(ks, clusters)
     elif algorithm == "kkm":
-        part = fit_kkm(_mean_kernel(ks), clusters)
-    elif algorithm == "mkkm":
-        part = fit_mkkm(ks, clusters, max_iters=max_iters, rel_tol=rel_tol)
+        part = fit_kkm(_mean_kernel(ks), clusters), None
     else:
-        raise BadParamError(f"unknown algorithm {algorithm!r}")
+        part = fit_mkkm(ks, clusters, max_iters=max_iters, rel_tol=rel_tol)
     return part, time.perf_counter() - t0
 
 
@@ -123,7 +133,7 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
     ``shared`` is the (part, seconds) pair of ``_shared_part`` for this
     dataset and algorithm; when None it is computed here, after the solver
     and k-means configs are validated. The umklmf fit starts from the shared
-    init point; the baselines' embedding is the shared part itself.
+    init point; a baseline's (H, weights) is the shared part itself.
 
     Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
     are None where the algorithm has none. alpha is recorded as None for the
@@ -143,16 +153,14 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
     if shared is None:
         shared = _shared_part(ks, clusters, algorithm, max_iters, rel_tol)
     part, shared_seconds = shared
-    weights = trace = g_list = None
+    trace = g_list = None
     t0 = time.perf_counter()
     if cfg is not None:
         state = fit(ks, cfg, part)
         h, weights = state.H, state.omega
         trace, g_list = state.objective_trace, state.G
-    elif algorithm == "mkkm":
-        h, weights = part
     else:
-        h = part
+        h, weights = part
     labels = kmeans(h, km_cfg).labels
     elapsed = shared_seconds + (time.perf_counter() - t0)
     record = mio.RunRecord(
@@ -175,12 +183,13 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
 def cmd_kernels(args) -> int:
     manifest = mio.load_manifest(args.manifest)
     ks, _ = mio.load_dataset(manifest)
+    files = _view_files("K", ks.view_names)
     report = validate_kernel_set(ks)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    for view, kr in zip(ks.kernels, report.views):
-        mio.write_matrix(out / f"K_{_fname(view.view_name)}.mvk1", view.data)
+    for view, kr, file in zip(ks.kernels, report, files):
+        mio.write_matrix(out / file, view.data)
         summary.append({
             "view": view.view_name,
             "n": view.n,
@@ -200,7 +209,7 @@ def cmd_kernels(args) -> int:
 # fit
 
 
-def _write_fit_artifacts(out: Path, artifacts, view_names) -> None:
+def _write_fit_artifacts(out: Path, artifacts, g_files) -> None:
     h, weights, trace, g_list, labels = artifacts
     out.mkdir(parents=True, exist_ok=True)
     mio.write_matrix(out / "H.mvk1", h)
@@ -211,19 +220,20 @@ def _write_fit_artifacts(out: Path, artifacts, view_names) -> None:
         mio.write_matrix_csv(out / "objective_trace.csv",
                              np.asarray(trace)[:, None])
     if g_list is not None:
-        for name, g in zip(view_names, g_list):
-            mio.write_matrix(out / f"G_{_fname(name)}.mvk1", g)
+        for file, g in zip(g_files, g_list):
+            mio.write_matrix(out / file, g)
 
 
 def cmd_fit(args) -> int:
     manifest = mio.load_manifest(args.manifest)
     ks, truth = mio.load_dataset(manifest)
+    g_files = _view_files("G", ks.view_names)
     record, artifacts = _run_fit(
         manifest, ks, truth, args.algorithm, args.alpha, args.seed,
         args.restarts, args.max_iters, args.rel_tol)
 
     out = Path(args.out)
-    _write_fit_artifacts(out, artifacts, ks.view_names)
+    _write_fit_artifacts(out, artifacts, g_files)
     mio.append_record(out / "records.jsonl", record)
     _say(args, f"{manifest.name} {record.algorithm}"
                + (f" alpha={_g(record.alpha)}" if record.alpha is not None else "")

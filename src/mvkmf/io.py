@@ -6,13 +6,14 @@ order. Anything not starting with the magic is parsed as comma-separated
 text. Datasets are described by a small JSON manifest naming each view's
 source (raw features plus a kernel recipe, or a precomputed kernel matrix),
 the labels file, the sample count n and the cluster count. Loading reads
-each data file once and checks it against n where it is read.
+each data file once and checks it against n where it is read; the
+resulting ``KernelSet`` rejects repeated view names itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .kernels import (
     KernelMatrix,
     KernelSet,
     KernelSpec,
-    _check_views,
     build_kernel,
     normalize_kernel,
 )
@@ -277,9 +277,10 @@ def load_dataset(manifest: DatasetManifest) -> tuple[KernelSet, np.ndarray]:
     and a feature matrix must have n columns, or ``DimensionMismatchError``
     is raised. Views with raw features are pushed through their kernel recipe
     (linear by default); precomputed kernels are ingested as-is. Every view
-    then gets its configured normalization, and the view names must be
-    distinct. The per-view health report (``validate_kernel_set``) is left
-    to the callers that use it.
+    then gets its configured normalization. The views go into a
+    ``KernelSet``, which rejects repeated view names with
+    ``DimensionMismatchError``. The per-view health report
+    (``validate_kernel_set``) is left to the callers that use it.
     """
     n = manifest.n
     labels_path = manifest.resolve(manifest.labels)
@@ -304,9 +305,7 @@ def load_dataset(manifest: DatasetManifest) -> tuple[KernelSet, np.ndarray]:
             k = build_kernel(FeatureMatrix(data=data, view_name=view.name),
                              view.kernel_spec or KernelSpec(kind="linear"))
         kernels.append(normalize_kernel(k, view.normalization))
-    ks = KernelSet(kernels=tuple(kernels))
-    _check_views(ks)
-    return ks, labels
+    return KernelSet(kernels=tuple(kernels)), labels
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +324,7 @@ class RunRecord:
     wall_time_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "metrics": dict(self.metrics),
-            "iterations": self.iterations,
-            "objective_final": self.objective_final,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunRecord":

@@ -123,9 +123,11 @@ def _max_asymmetry(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KernelSet:
-    """The per-view kernels of one dataset. Cross-view checks live in
-    :func:`validate_kernel_set`, so a structurally inconsistent set can be
-    constructed and then rejected with a useful report."""
+    """The per-view kernels of one dataset: at least one view, all with one
+    sample count and distinct view names. An inconsistent set raises on
+    construction (``BadParamError`` when empty, ``DimensionMismatchError``
+    otherwise), so every ``KernelSet`` is consistent; per-view health is
+    :func:`validate_kernel_set`'s job."""
 
     kernels: tuple[KernelMatrix, ...]
 
@@ -133,6 +135,15 @@ class KernelSet:
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.kernels) < 1:
             raise BadParamError("kernel set needs at least one view")
+        n = self.kernels[0].n
+        for k in self.kernels[1:]:
+            if k.n != n:
+                raise DimensionMismatchError(
+                    f"views disagree on sample count: {n} vs {k.n} "
+                    f"({k.view_name!r})")
+        names = self.view_names
+        if len(set(names)) != len(names):
+            raise DimensionMismatchError(f"duplicate view names in {names}")
 
     @property
     def n(self) -> int:
@@ -288,11 +299,6 @@ class KernelReport:
     indefinite: bool
 
 
-@dataclass(frozen=True)
-class KernelSetReport:
-    views: tuple[KernelReport, ...]
-
-
 def _estimate_min_eigenvalue(K: np.ndarray) -> float:
     """Power-iteration estimate of the smallest eigenvalue.
 
@@ -325,30 +331,15 @@ def _estimate_min_eigenvalue(K: np.ndarray) -> float:
     return float(mu - v @ (mu * v - K @ v))
 
 
-def _check_views(ks: KernelSet) -> None:
-    """Raise ``DimensionMismatchError`` when views disagree on the sample
-    count or reuse a view name."""
-    n = ks.kernels[0].n
-    for k in ks.kernels[1:]:
-        if k.n != n:
-            raise DimensionMismatchError(
-                f"views disagree on sample count: {n} vs {k.n} ({k.view_name!r})"
-            )
-    names = ks.view_names
-    if len(set(names)) != len(names):
-        raise DimensionMismatchError(f"duplicate view names in {names}")
+def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
+    """Per-view health of a kernel set: one report per view, in view order.
 
-
-def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
-    """Check a kernel set for cross-view consistency and per-view health.
-
-    Raises ``DimensionMismatchError`` when views disagree on the sample count
-    or reuse a view name. Small asymmetries were already repaired at ingest
-    (see ``KernelMatrix.ingest_asymmetry``); indefinite kernels are flagged
-    but accepted, since the solver's closed-form updates never need positive
+    The set is consistent by construction (see :class:`KernelSet`), and
+    small asymmetries were already repaired at ingest (see
+    ``KernelMatrix.ingest_asymmetry``). Indefinite kernels are flagged but
+    accepted, since the solver's closed-form updates never need positive
     semidefiniteness.
     """
-    _check_views(ks)
     reports = []
     for k in ks.kernels:
         min_eig = _estimate_min_eigenvalue(k.data)
@@ -359,4 +350,4 @@ def validate_kernel_set(ks: KernelSet) -> KernelSetReport:
                 indefinite=min_eig < -1e-10 * max(1.0, abs(float(np.trace(k.data)))),
             )
         )
-    return KernelSetReport(views=tuple(reports))
+    return tuple(reports)

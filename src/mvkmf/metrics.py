@@ -7,7 +7,7 @@ needs to use the same alphabet as the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,8 +23,7 @@ class MetricReport:
     ari: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"acc": self.acc, "nmi": self.nmi, "purity": self.purity,
-                "ari": self.ari}
+        return asdict(self)
 
 
 def contingency_table(labels_true, labels_pred) -> np.ndarray:

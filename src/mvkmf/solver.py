@@ -117,11 +117,11 @@ def _as_matrix(kernel) -> np.ndarray:
 
 def _kernel_list(ks) -> list[np.ndarray]:
     """The kernels of ``ks`` as arrays: at least one, all square with one
-    common sample count."""
+    common sample count. A ``KernelSet`` holds these by construction; any
+    other sequence is checked by shape."""
     if isinstance(ks, KernelSet):
-        kernels = [k.data for k in ks.kernels]
-    else:
-        kernels = [_as_matrix(k) for k in ks]
+        return [k.data for k in ks.kernels]
+    kernels = [_as_matrix(k) for k in ks]
     if not kernels:
         raise BadParamError("need at least one kernel")
     n = kernels[0].shape[0]

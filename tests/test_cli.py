@@ -140,6 +140,36 @@ def test_kernels_bad_manifest_exit_2(tmp_path):
     assert main(["kernels", "--manifest", str(missing), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels"],
+    ["fit", "--algorithm", "umklmf", "--alpha", "16"],
+    ["fit", "--algorithm", "kkm"],
+    ["fit", "--algorithm", "mkkm"],
+])
+def test_views_sharing_a_file_name_exit_2(tmp_path, monkeypatch, capsys,
+                                          argv):
+    import mvkmf.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the file names were checked")
+
+    # "a b" and "a/b" both map to the file name a_b
+    mpath = synth(tmp_path, per=5, clusters=2, views=3)
+    manifest = json.loads(mpath.read_text())
+    manifest["views"][0]["name"] = "a b"
+    manifest["views"][2]["name"] = "a/b"
+    mpath.write_text(json.dumps(manifest))
+    for name in ("validate_kernel_set", "fit", "fit_kkm", "fit_mkkm",
+                 "init_point"):
+        monkeypatch.setattr(cli, name, unreachable)
+    out = tmp_path / "out"
+    assert main(argv + ["--manifest", str(mpath), "--out", str(out),
+                        "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "'a b'" in err and "'a/b'" in err
+
+
 # ---------------------------------------------------------------------------
 # fit
 

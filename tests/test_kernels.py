@@ -190,30 +190,31 @@ def test_validate_clean_identity_kernels():
     ks = KernelSet(kernels=(KernelMatrix(np.eye(3), "a"),
                             KernelMatrix(np.eye(3), "b")))
     report = validate_kernel_set(ks)
-    for view in report.views:
+    assert [view.view_name for view in report] == ["a", "b"]
+    for view in report:
         assert not view.indefinite
         assert view.min_eig_estimate == pytest.approx(1.0, abs=1e-8)
 
 
 def test_validate_rejects_sample_count_mismatch():
-    ks = KernelSet(kernels=(KernelMatrix(np.eye(10), "a"),
-                            KernelMatrix(np.eye(12), "b")))
-    with pytest.raises(DimensionMismatchError):
-        validate_kernel_set(ks)
+    # the set itself rejects mixed sample counts, before any validation
+    with pytest.raises(DimensionMismatchError, match="sample count: 10 vs 12"):
+        KernelSet(kernels=(KernelMatrix(np.eye(10), "a"),
+                           KernelMatrix(np.eye(12), "b")))
 
 
 def test_validate_rejects_duplicate_view_names():
-    ks = KernelSet(kernels=(KernelMatrix(np.eye(3), "a"),
-                            KernelMatrix(np.eye(3), "a")))
-    with pytest.raises(DimensionMismatchError):
-        validate_kernel_set(ks)
+    with pytest.raises(DimensionMismatchError, match="duplicate view names"):
+        KernelSet(kernels=(KernelMatrix(np.eye(3), "a"),
+                           KernelMatrix(np.eye(3), "b"),
+                           KernelMatrix(np.eye(3), "a")))
 
 
 def test_indefinite_kernel_flagged_not_rejected():
     k = np.diag([2.0, 1.0, -0.5])
     report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
-    assert report.views[0].indefinite
-    assert report.views[0].min_eig_estimate == pytest.approx(-0.5, abs=1e-6)
+    assert report[0].indefinite
+    assert report[0].min_eig_estimate == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_min_eigenvalue_estimate_on_separated_spectra(rng):
@@ -225,7 +226,7 @@ def test_min_eigenvalue_estimate_on_separated_spectra(rng):
         k = (q * lam) @ q.T
         k = (k + k.T) / 2.0
         report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
-        assert report.views[0].min_eig_estimate == pytest.approx(-2.0, abs=1e-6)
+        assert report[0].min_eig_estimate == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_min_eigenvalue_estimate_never_undershoots(rng):
@@ -236,7 +237,7 @@ def test_min_eigenvalue_estimate_never_undershoots(rng):
         k = (a + a.T) / 2.0
         report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
         spectrum = np.linalg.eigvalsh(k)
-        est = report.views[0].min_eig_estimate
+        est = report[0].min_eig_estimate
         assert est >= spectrum[0] - 1e-10
         assert est <= spectrum[0] + 0.2 * (spectrum[-1] - spectrum[0])
 
@@ -322,7 +323,7 @@ def _assert_matches_reference(X, sigma):
     assert _same_bits(k.data, ref_k)
     assert k.ingest_asymmetry == _ref_asymmetry(ref_k) == 0.0
     report = validate_kernel_set(KernelSet(kernels=(k,)))
-    assert _same_bits(report.views[0].min_eig_estimate, _ref_min_eig(ref_k))
+    assert _same_bits(report[0].min_eig_estimate, _ref_min_eig(ref_k))
 
 
 def test_rbf_sigma_and_min_eig_match_frozen_reference():
@@ -383,7 +384,7 @@ def test_asymmetry_matches_frozen_reference_at_tile_boundaries(n):
     K = KernelMatrix(base, "v").data
     for data in (K, np.asfortranarray(K)):
         report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(data, "v"),)))
-        assert _same_bits(report.views[0].min_eig_estimate, _ref_min_eig(data))
+        assert _same_bits(report[0].min_eig_estimate, _ref_min_eig(data))
     bad = base.copy()
     bad[n - 1, 0] = np.nan
     with pytest.raises(NonFiniteError):

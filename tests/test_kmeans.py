@@ -313,6 +313,40 @@ def test_lockstep_matches_reference_empty_cluster():
             assert np.array_equal(seeded[r], expected), (k, r)
 
 
+def subnormal_case(rng):
+    """Points (dim x n) on 1 to k distinct spots near 1e-160, the spots
+    apart by a relative 1e-3, plus a config from the edges of its ranges.
+    Every squared coordinate difference (about 1e-326) underflows to 0, so
+    k-means++ reaches a zero D^2 total while the points still differ, and
+    the index drawn there reaches the output."""
+    n = int(rng.integers(4, 41))
+    d = int(rng.integers(1, 5))
+    k = int(rng.integers(2, min(n, 8) + 1))
+    spots = 1e-160 * (1.0 + 1e-3 * rng.standard_normal(
+        (int(rng.integers(1, k + 1)), d)))
+    X = spots[rng.integers(spots.shape[0], size=n)]
+    cfg = KMeansConfig(k=k, restarts=int(rng.integers(1, 21)),
+                       max_iters=int(rng.integers(1, 51)),
+                       seed=int(rng.integers(1000)))
+    return X.T, cfg
+
+
+def test_lockstep_matches_reference_zero_total_on_distinct_points():
+    # unlike test_lockstep_matches_reference_empty_cluster, the points at a
+    # zero total differ, so the repair does not overwrite the drawn centers:
+    # drawing random() there, or nothing, changes labels or centers here.
+    # Underflow is ignored by numpy's default errstate, so no RuntimeWarning
+    rng = np.random.default_rng(160)
+    distinct = 0
+    for case in range(200):
+        pts, cfg = subnormal_case(rng)
+        X = pts.T
+        assert not np.any((X[:, None] - X[None]) ** 2)
+        distinct += np.unique(X, axis=0).shape[0] > 1
+        assert_matches_reference(pts, cfg, f"case {case}: {cfg}")
+    assert distinct > 100
+
+
 @pytest.mark.parametrize("d", [8, 9, 16])
 def test_lockstep_matches_reference_wide_points(d):
     # numpy sums a row of 8 or more elements pairwise, so this checks that
