@@ -18,7 +18,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .solver import (
     fit_kkm,
     fit_mkkm,
     init_point,
-    init_state,
     iterate,
 )
 
@@ -249,12 +248,25 @@ def cmd_fit(args) -> int:
 # bench
 
 
+def _grid(flag: str, text: str, parse) -> tuple:
+    """The comma-separated values of grid flag ``flag``, each read by
+    ``parse``; a value it cannot read is a usage error naming both."""
+    values = []
+    for value in text.split(","):
+        try:
+            values.append(parse(value))
+        except ValueError:
+            raise BadParamError(f"{flag}: cannot read {value!r} in "
+                                f"{text!r}") from None
+    return tuple(values)
+
+
 def cmd_bench(args) -> int:
     plan = ExperimentPlan(
         manifests=tuple(Path(m) for m in args.manifest),
         algorithms=tuple(args.algorithms.split(",")),
-        alphas=tuple(float(a) for a in args.alphas.split(",")),
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        alphas=_grid("--alphas", args.alphas, float),
+        seeds=_grid("--seeds", args.seeds, int),
         restarts=args.restarts,
         out_dir=Path(args.out),
         select_metric=args.select_metric,
@@ -406,15 +418,16 @@ def cmd_evolve(args) -> int:
                           seed=args.seed)
     ks, truth = mio.load_dataset(manifest)
 
-    def row(iteration: int, state) -> list:
+    # the start (a fit of 0 iterations) and then each iteration's state,
+    # all from one init point
+    point = init_point(ks, cfg.k)
+    states = [fit(ks, replace(cfg, max_iters=0), point),
+              *iterate(ks, cfg, point)]
+    rows = []
+    for iteration, state in enumerate(states):
         report = mmetrics.evaluate(truth, kmeans(state.H, km_cfg).labels)
-        return [iteration, float(state.objective_trace[-1]), report.acc,
-                report.nmi, report.purity, report.ari]
-
-    state = init_state(ks, cfg)
-    rows = [row(0, state)]
-    for iteration, state in enumerate(iterate(ks, cfg, state), start=1):
-        rows.append(row(iteration, state))
+        rows.append([iteration, float(state.objective_trace[-1]), report.acc,
+                     report.nmi, report.purity, report.ari])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -326,43 +326,10 @@ class RunRecord:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunRecord":
-        try:
-            return cls(
-                dataset=obj["dataset"],
-                algorithm=obj["algorithm"],
-                alpha=obj["alpha"],
-                seed=int(obj["seed"]),
-                metrics=dict(obj["metrics"]),
-                iterations=int(obj["iterations"]),
-                objective_final=obj["objective_final"],
-                wall_time_seconds=float(obj["wall_time_seconds"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad run record: {exc}") from exc
-
 
 def append_record(path, record: RunRecord) -> None:
     with Path(path).open("a") as fh:
         fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-
-def read_records(path) -> list[RunRecord]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise MissingFileError(str(path)) from exc
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(RunRecord.from_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return records
 
 
 # ---------------------------------------------------------------------------

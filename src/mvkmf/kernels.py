@@ -125,8 +125,9 @@ def _max_asymmetry(a: np.ndarray) -> float:
 class KernelSet:
     """The per-view kernels of one dataset: at least one view, all with one
     sample count and distinct view names. An inconsistent set raises on
-    construction (``BadParamError`` when empty, ``DimensionMismatchError``
-    otherwise), so every ``KernelSet`` is consistent; per-view health is
+    construction (``BadParamError`` when empty or when a view is not a
+    ``KernelMatrix``, ``DimensionMismatchError`` otherwise), so every
+    ``KernelSet`` is consistent; per-view health is
     :func:`validate_kernel_set`'s job."""
 
     kernels: tuple[KernelMatrix, ...]
@@ -135,6 +136,10 @@ class KernelSet:
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.kernels) < 1:
             raise BadParamError("kernel set needs at least one view")
+        for i, k in enumerate(self.kernels):
+            if not isinstance(k, KernelMatrix):
+                raise BadParamError(f"view {i} is a {type(k).__name__}, "
+                                    "not a KernelMatrix")
         n = self.kernels[0].n
         for k in self.kernels[1:]:
             if k.n != n:

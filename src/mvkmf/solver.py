@@ -27,7 +27,9 @@ kernels themselves:
 
   so one iteration needs two n x k products per view: K_v P_v for the H step,
   and K_v H^T for the new H, which gives both the loss and the next G step.
-  That is O(n^2 k) per view; ||K_v||_F^2 is computed once per ``iterate``.
+  That is O(n^2 k) per view. ||K_v||_F^2 is computed once per fit, with
+  the start's P_v, which serves both the start objective and the first
+  sweep.
 - The start G and H (``init_point``) do not depend on alpha, so fits over an
   alpha grid can share one and pay the eigensolves once.
 
@@ -405,13 +407,15 @@ def init_point(ks, k: int) -> InitPoint:
     return InitPoint(G=G, H=H)
 
 
-def init_state(ks, cfg: SolverConfig,
-               init: InitPoint | None = None) -> SolverState:
-    """Seed all three blocks: G and H from ``init`` (computed by
-    ``init_point`` when None) and uniform weights. The objective at the seed
-    comes from the same expansion as in ``iterate``, at ``cfg.alpha``; it is
-    the only alpha-dependent part, O(n^2 k) per view."""
-    kernels = _kernel_list(ks)
+def _start(kernels, cfg: SolverConfig, init: InitPoint | None):
+    """The start of a fit on the kernel arrays ``kernels``: G and H from
+    ``init`` (computed by ``init_point`` when None) and uniform weights.
+
+    Returns (state, k_sq, P) with k_sq_v = ||K_v||_F^2 and P_v = K_v H^T,
+    which give the start objective at ``cfg.alpha`` through the same
+    expansion as the sweep and are the sweep's first inputs. They are the
+    only alpha-dependent part, O(n^2 k) per view.
+    """
     if init is None:
         init = init_point(kernels, cfg.k)
     G, H = init.G, init.H
@@ -421,19 +425,24 @@ def init_state(ks, cfg: SolverConfig,
             f"init point with {len(G)} views and H {H.shape} vs "
             f"{len(kernels)} kernels, k={cfg.k}, n={n}")
     omega = np.full(len(kernels), 1.0 / len(kernels))
-    d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
-                  for K, G_v in zip(kernels, G)])
+    k_sq = [_sq_norm(K) for K in kernels]
+    P = [K @ H.T for K in kernels]
+    d = np.array([_fused_view_loss(s, P_v, G_v, H, cfg.alpha)
+                  for s, P_v, G_v in zip(k_sq, P, G)])
     j0 = float(np.sum(omega * omega * d))
-    return SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
+    state = SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
+    return state, k_sq, P
 
 
 # ---------------------------------------------------------------------------
 # Fit loop
 # ---------------------------------------------------------------------------
 
-def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
-    """Yield the state after each alternating iteration, stopping on
-    relative objective change < cfg.rel_tol or after cfg.max_iters.
+def iterate(ks, cfg: SolverConfig, init: InitPoint | None = None):
+    """Yield the state after each alternating iteration from the start at
+    ``init`` (see ``fit``), stopping on relative objective change
+    < cfg.rel_tol or after cfg.max_iters. The start itself is not yielded,
+    but every yielded objective_trace begins with the start objective.
 
     Each iteration is one fused sweep (``_sweep``) and a weight update: the
     G, H and loss updates of ``update_g``, ``update_h`` and
@@ -443,17 +452,10 @@ def iterate(ks, cfg: SolverConfig, state: SolverState | None = None):
     Deterministic: identical inputs replay the identical sequence.
     """
     kernels = _kernel_list(ks)
-    if state is None:
-        state = init_state(kernels, cfg)
+    state, k_sq, P = _start(kernels, cfg, init)
     trace = list(state.objective_trace)
     j_prev = trace[-1]
     H, omega = state.H, state.omega
-    n = H.shape[1]
-    for K in kernels:
-        if K.shape != (n, n):
-            raise DimensionMismatchError(f"kernel {K.shape} vs embedding n={n}")
-    k_sq = [_sq_norm(K) for K in kernels]
-    P = [K @ H.T for K in kernels]
     for _ in range(cfg.max_iters):
         G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
         omega = update_weights(d)
@@ -477,11 +479,13 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
     When None it is computed here. Either way the result is the same, bit
     for bit. The returned state's objective_trace has the initial value
     followed by one entry per iteration; it is non-increasing throughout.
-    Follow with k-means on the columns of ``state.H`` to obtain cluster
-    labels.
+    With ``cfg.max_iters == 0`` the result is the start: G and H of the
+    init point, uniform weights and the start objective. Follow with
+    k-means on the columns of ``state.H`` to obtain cluster labels.
     """
-    state = init_state(ks, cfg, init)
-    for state in iterate(ks, cfg, state):
+    if cfg.max_iters == 0:
+        return _start(_kernel_list(ks), cfg, init)[0]
+    for state in iterate(ks, cfg, init):
         pass
     return state
 

@@ -121,6 +121,8 @@ def nemenyi_cd(n_algorithms: int, n_datasets: int, q_alpha: float = 1.96) -> flo
     distinguishable at the chosen level."""
     if n_algorithms < 2 or n_datasets < 1:
         raise BadParamError("need >= 2 algorithms and >= 1 dataset")
+    if not (math.isfinite(q_alpha) and q_alpha > 0):
+        raise BadParamError(f"q_alpha must be finite and > 0, got {q_alpha}")
     k = n_algorithms
     return q_alpha * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
 

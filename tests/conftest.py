@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mvkmf.io import RunRecord
 from mvkmf.kernels import FeatureMatrix, KernelMatrix, KernelSet, KernelSpec, build_kernel
 
 
@@ -27,6 +31,12 @@ def blob_kernels(seed, n_per=15, clusters=4, views=3, separation=6.0,
                                    separation=separation, noise=1.0, seed=seed)
     kernels = tuple(build_kernel(f, KernelSpec(kind=kind)) for f in feats)
     return KernelSet(kernels=kernels), labels
+
+
+def read_run_records(path):
+    """The ``RunRecord``s of a ``records.jsonl``, one per line."""
+    return [RunRecord(**json.loads(line))
+            for line in Path(path).read_text().splitlines()]
 
 
 @pytest.fixture

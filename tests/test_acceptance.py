@@ -22,7 +22,6 @@ from mvkmf.solver import (
     SolverConfig,
     fit_kkm,
     fit_mkkm,
-    init_state,
     iterate,
     per_view_loss,
     update_g,
@@ -64,8 +63,7 @@ def instance_runs():
         for alpha in (1.0, 2.0 ** 4, 2.0 ** 7):
             cfg = SolverConfig(k=4, alpha=alpha, max_iters=100)
             iterations = 0
-            state = init_state(ks, cfg)
-            for state in iterate(ks, cfg, state):
+            for state in iterate(ks, cfg):
                 iterations += 1
                 h_err = float(np.max(np.abs(state.H @ state.H.T - np.eye(4))))
                 s_err = abs(float(state.omega.sum()) - 1.0)
@@ -248,8 +246,7 @@ def test_criterion_07_end_to_end_recovery(announce):
                                   seed=0)
     ks = [build_kernel(f, KernelSpec(kind="rbf")) for f in feats]
     cfg = SolverConfig(k=4, alpha=2.0 ** 7)
-    state = init_state(ks, cfg)
-    for state in iterate(ks, cfg, state):
+    for state in iterate(ks, cfg):
         assert float(np.max(np.abs(state.H @ state.H.T - np.eye(4)))) < 1e-8
         assert abs(float(state.omega.sum()) - 1.0) < 1e-12
     labeling = kmeans(state.H, KMeansConfig(k=4, restarts=50, seed=0))

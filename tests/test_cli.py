@@ -10,8 +10,10 @@ import pytest
 import mvkmf
 from mvkmf.cli import ALGORITHMS, DEFAULT_ALPHAS, ExperimentPlan, main
 from mvkmf.errors import BadParamError
-from mvkmf.io import read_matrix, read_records
+from mvkmf.io import read_matrix
 from mvkmf.stats import read_results_table
+
+from conftest import read_run_records
 
 
 def synth(tmp_path, name="toy", per=10, clusters=3, views=2, kernel="rbf",
@@ -183,7 +185,7 @@ def test_fit_writes_artifacts_and_recovers(tmp_path):
     for name in ("H.mvk1", "labels.csv", "omega.csv", "objective_trace.csv",
                  "G_view0.mvk1", "G_view1.mvk1", "records.jsonl"):
         assert (out / name).exists(), name
-    [record] = read_records(out / "records.jsonl")
+    [record] = read_run_records(out / "records.jsonl")
     assert record.algorithm == "umklmf"
     assert record.alpha == 128.0
     assert record.metrics["acc"] == 1.0
@@ -231,7 +233,7 @@ def test_fit_kkm(tmp_path):
     out = tmp_path / "kkm"
     assert main(["fit", "--manifest", str(mpath), "--algorithm", "kkm",
                  "--out", str(out), "--quiet"]) == 0
-    [record] = read_records(out / "records.jsonl")
+    [record] = read_run_records(out / "records.jsonl")
     assert record.algorithm == "kkm"
     assert record.alpha is None
     assert record.iterations == 0
@@ -244,7 +246,7 @@ def test_fit_mkkm(tmp_path):
     out = tmp_path / "mkkm"
     assert main(["fit", "--manifest", str(mpath), "--algorithm", "mkkm",
                  "--out", str(out), "--quiet"]) == 0
-    [record] = read_records(out / "records.jsonl")
+    [record] = read_run_records(out / "records.jsonl")
     assert record.algorithm == "mkkm"
     gamma = read_matrix(out / "omega.csv")
     assert gamma.shape == (1, 2)
@@ -295,7 +297,7 @@ def test_evolve_row_count_matches_fit_iterations(tmp_path):
     fit_out, ev_out = tmp_path / "f", tmp_path / "e"
     assert main(["fit", "--manifest", str(mpath), "--alpha", "16",
                  "--out", str(fit_out), "--quiet"]) == 0
-    [record] = read_records(fit_out / "records.jsonl")
+    [record] = read_run_records(fit_out / "records.jsonl")
     assert main(["evolve", "--manifest", str(mpath), "--alpha", "16",
                  "--out", str(ev_out), "--quiet"]) == 0
     lines = (ev_out / "evolve.csv").read_text().splitlines()
@@ -317,8 +319,7 @@ def test_bad_config_exits_2_before_fitting(tmp_path, monkeypatch, argv):
         raise AssertionError("fit started before the config was validated")
 
     mpath = synth(tmp_path, per=5, clusters=2)
-    for name in ("fit", "fit_kkm", "fit_mkkm", "init_point", "init_state",
-                 "iterate"):
+    for name in ("fit", "fit_kkm", "fit_mkkm", "init_point", "iterate"):
         monkeypatch.setattr(cli, name, unreachable)
     out = tmp_path / "out"
     assert main(argv + ["--manifest", str(mpath), "--out", str(out),
@@ -422,6 +423,15 @@ def test_stats_too_few_rows_exit_2(tmp_path):
     assert main(["stats", "--table", str(table)]) == 2
 
 
+@pytest.mark.parametrize("q_alpha", ["0", "-1", "nan", "inf"])
+def test_stats_bad_q_alpha_exit_2(tmp_path, capsys, q_alpha):
+    table = tmp_path / "table.csv"
+    rigged_table(table)
+    assert main(["stats", "--table", str(table),
+                 f"--q-alpha={q_alpha}"]) == 2
+    assert "q_alpha" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -444,7 +454,7 @@ def test_bench_grid_and_best_alpha(tmp_path):
 
     # brute re-scan: per (dataset, algorithm), mean ACC per alpha over
     # seeds, best mean wins with ties to the smaller alpha
-    records = read_records(out / "records.jsonl")
+    records = read_run_records(out / "records.jsonl")
     assert len(records) == 12           # (2 alphas * 2 + 1 * 2) seeds * 2 sets
     for i, ds in enumerate(table.dataset_names):
         for j, alg in enumerate(table.algorithm_names):
@@ -517,6 +527,18 @@ def test_bench_bad_params_exit_2_before_any_cell(tmp_path, flag, value):
     assert not (out / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--alphas", "1,,2"),
+                                         ("--seeds", "0,x")])
+def test_bench_malformed_grid_value_exit_2(tmp_path, capsys, flag, value):
+    mpath = synth(tmp_path, per=5, clusters=2)
+    out = tmp_path / "b"
+    assert main(["bench", "--manifest", str(mpath), flag, value,
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and repr(value) in err
+    assert not out.exists()
+
+
 def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
     import threading
 
@@ -543,7 +565,7 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
                  "--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,8",
                  "--seeds", "0,1,2", "--restarts", "10",
                  "--out", str(out), "--quiet"]) == 0
-    assert len(read_records(out / "records.jsonl")) == 24
+    assert len(read_run_records(out / "records.jsonl")) == 24
     # once per dataset; fit_kkm counts only the kkm cells' call, not the
     # ones fit_mkkm makes inside the solver module
     assert calls == {"init_point": 2, "fit_kkm": 2, "fit_mkkm": 2,
@@ -559,7 +581,7 @@ def write_overflow_dataset(root):
 
 
 def _stripped_records(out):
-    records = [r.to_dict() for r in read_records(out / "records.jsonl")]
+    records = [r.to_dict() for r in read_run_records(out / "records.jsonl")]
     for r in records:
         del r["wall_time_seconds"]
     return records
@@ -646,7 +668,7 @@ def test_fit_record_equals_bench_record(tmp_path):
         return d
 
     bench = {r.algorithm: strip(r)
-             for r in read_records(bench_out / "records.jsonl")}
+             for r in read_run_records(bench_out / "records.jsonl")}
     assert sorted(bench) == ["kkm", "mkkm", "umklmf"]
     for alg, extra in (("umklmf", ["--alpha", "16"]),
                        ("kkm", ["--alpha", "16"]),
@@ -654,7 +676,7 @@ def test_fit_record_equals_bench_record(tmp_path):
         out = tmp_path / f"fit-{alg}"
         assert main(["fit", "--manifest", str(mpath), "--algorithm", alg,
                      "--seed", "1", "--out", str(out)] + extra + common) == 0
-        [record] = read_records(out / "records.jsonl")
+        [record] = read_run_records(out / "records.jsonl")
         assert strip(record) == bench[alg]
     assert bench["umklmf"]["alpha"] == 16.0
     assert bench["kkm"]["alpha"] is None

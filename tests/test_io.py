@@ -22,7 +22,6 @@ from mvkmf.io import (
     make_synthetic,
     read_labels,
     read_matrix,
-    read_records,
     save_manifest,
     save_synthetic_dataset,
     write_labels,
@@ -31,6 +30,8 @@ from mvkmf.io import (
     write_pgm,
 )
 from mvkmf.kernels import KernelSpec
+
+from conftest import read_run_records
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def test_records_append_and_read(tmp_path):
     path = tmp_path / "records.jsonl"
     append_record(path, make_record())
     append_record(path, make_record(wall=0.5))
-    records = read_records(path)
+    records = read_run_records(path)
     assert len(records) == 2
     assert records[0] == make_record()
 
@@ -356,21 +357,6 @@ def test_records_identical_except_wall_time(tmp_path):
     a.pop("wall_time_seconds")
     b.pop("wall_time_seconds")
     assert a == b
-
-
-def test_records_parse_error(tmp_path):
-    path = tmp_path / "records.jsonl"
-    path.write_text('{"dataset": "toy"}\n')
-    with pytest.raises(ParseError):
-        read_records(path)
-    path.write_text("not json\n")
-    with pytest.raises(ParseError):
-        read_records(path)
-
-
-def test_records_missing_file(tmp_path):
-    with pytest.raises(MissingFileError):
-        read_records(tmp_path / "records.jsonl")
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,13 @@ def test_validate_rejects_duplicate_view_names():
                            KernelMatrix(np.eye(3), "a")))
 
 
+def test_kernel_set_rejects_views_that_are_not_kernel_matrices():
+    for views in ((np.eye(3),),
+                  (KernelMatrix(np.eye(3), "a"), np.eye(3))):
+        with pytest.raises(BadParamError, match="not a KernelMatrix"):
+            KernelSet(kernels=views)
+
+
 def test_indefinite_kernel_flagged_not_rejected():
     k = np.diag([2.0, 1.0, -0.5])
     report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))

@@ -13,13 +13,13 @@ from mvkmf.kernels import KernelMatrix, KernelSet
 from mvkmf.solver import (
     InitPoint,
     SolverConfig,
+    SolverState,
     fit,
     fit_kkm,
     fit_mkkm,
     global_similarity_matrix,
     init_g,
     init_point,
-    init_state,
     iterate,
     objective,
     per_view_loss,
@@ -79,8 +79,6 @@ def test_config_validation():
 def test_objective_identity_kernels_projector_value(rng):
     n, k, V = 7, 3, 2
     H = random_orthonormal_rows(rng, k, n)
-    from mvkmf.solver import SolverState
-
     state = SolverState(H=H, G=(H.T.copy(), H.T.copy()),
                         omega=np.array([0.5, 0.5]),
                         objective_trace=np.empty(0))
@@ -348,8 +346,7 @@ def test_init_g_orthonormal_columns(rng):
 
 def test_init_state_single_view_row_space(rng):
     K = random_psd_kernel(rng, 8)
-    cfg = SolverConfig(k=3, alpha=1.0)
-    state = init_state([K], cfg)
+    state = fit([K], SolverConfig(k=3, alpha=1.0, max_iters=0))
     G = init_g(K, 3)
     assert np.max(np.abs(state.H @ state.H.T - np.eye(3))) < 1e-10
     assert np.allclose(state.H.T @ state.H, G @ G.T, atol=1e-10)
@@ -359,21 +356,21 @@ def test_init_state_single_view_row_space(rng):
 
 def test_init_state_identical_views_match_single_view(rng):
     K = random_psd_kernel(rng, 8)
-    cfg = SolverConfig(k=3, alpha=1.0)
-    one = init_state([K], cfg)
-    two = init_state([K, K], SolverConfig(k=3, alpha=1.0))
+    cfg = SolverConfig(k=3, alpha=1.0, max_iters=0)
+    one = fit([K], cfg)
+    two = fit([K, K], cfg)
     assert np.array_equal(one.H, two.H)
     assert np.allclose(two.omega, [0.5, 0.5], atol=1e-15)
 
 
 def test_init_state_rejects_k_above_n():
     with pytest.raises(BadParamError):
-        init_state([np.eye(3)], SolverConfig(k=4))
+        fit([np.eye(3)], SolverConfig(k=4, max_iters=0))
 
 
 def frozen_init_state(kernels, cfg):
-    """Reference for ``init_point`` + ``init_state``: the start and its
-    objective computed in one pass, with no shared point."""
+    """Reference for the start of a fit (``init_point`` and the start
+    objective) computed in one pass, with no shared point."""
     from mvkmf.solver import _fused_view_loss, _sq_norm
 
     G = tuple(init_g(K, cfg.k) for K in kernels)
@@ -385,6 +382,49 @@ def frozen_init_state(kernels, cfg):
                   for K, G_v in zip(kernels, G)])
     j0 = float(np.sum(omega * omega * d))
     return H, G, np.array([j0])
+
+
+def frozen_states(ks, cfg, init=None):
+    """Frozen copy of the former two-call fit path: a start state built with
+    its own ||K_v||^2 and K_v H^T, then a loop that resumes from that state
+    and forms both again. Returns the start and every state after it."""
+    from mvkmf.solver import (_fused_view_loss, _kernel_list, _sq_norm,
+                              _sweep)
+
+    kernels = _kernel_list(ks)
+    if init is None:
+        init = init_point(kernels, cfg.k)
+    G, H = init.G, init.H
+    omega = np.full(len(kernels), 1.0 / len(kernels))
+    d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
+                  for K, G_v in zip(kernels, G)])
+    j0 = float(np.sum(omega * omega * d))
+    state = SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
+    states = [state]
+    trace = list(state.objective_trace)
+    j_prev = trace[-1]
+    k_sq = [_sq_norm(K) for K in kernels]
+    P = [K @ H.T for K in kernels]
+    for _ in range(cfg.max_iters):
+        G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
+        omega = update_weights(d)
+        j = float(np.sum(omega * omega * d))
+        trace.append(j)
+        states.append(SolverState(H=H, G=G, omega=omega,
+                                  objective_trace=np.array(trace)))
+        if abs(j_prev - j) / max(abs(j_prev), 1e-12) < cfg.rel_tol:
+            break
+        j_prev = j
+    return states
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.H, b.H)
+    assert len(a.G) == len(b.G)
+    assert all(np.array_equal(x, y) for x, y in zip(a.G, b.G))
+    assert np.array_equal(a.omega, b.omega)
+    assert np.array_equal(a.objective_trace, b.objective_trace)
+    assert a.objective_trace.dtype == b.objective_trace.dtype
 
 
 def init_point_cases():
@@ -407,15 +447,29 @@ def test_init_state_with_and_without_point_matches_frozen_reference():
     for kernels, k in init_point_cases():
         point = init_point(kernels, k)
         for alpha in LADDER:
-            cfg = SolverConfig(k=k, alpha=alpha)
+            cfg = SolverConfig(k=k, alpha=alpha, max_iters=0)
             H, G, trace = frozen_init_state(kernels, cfg)
-            for state in (init_state(kernels, cfg),
-                          init_state(kernels, cfg, point)):
+            for state in (fit(kernels, cfg), fit(kernels, cfg, point)):
                 assert np.array_equal(state.H, H)
                 assert all(np.array_equal(a, b) for a, b in zip(state.G, G))
                 assert np.array_equal(state.objective_trace, trace)
                 assert np.array_equal(state.omega,
                                       np.full(len(kernels), 1 / len(kernels)))
+
+
+def test_iterate_and_fit_match_frozen_two_call_path():
+    for kernels, k in init_point_cases():
+        point = init_point(kernels, k)
+        for alpha in LADDER:
+            for max_iters in (0, 100):
+                cfg = SolverConfig(k=k, alpha=alpha, max_iters=max_iters)
+                ref = frozen_states(kernels, cfg, point)
+                for init in (None, point):
+                    states = list(iterate(kernels, cfg, init))
+                    assert len(states) == len(ref) - 1
+                    for a, b in zip(states, ref[1:]):
+                        assert_same_state(a, b)
+                    assert_same_state(fit(kernels, cfg, init), ref[-1])
 
 
 def test_fit_from_shared_init_point_is_bitwise_equal():
@@ -452,12 +506,12 @@ def test_init_state_rejects_mismatched_point(rng):
     kernels = [random_psd_kernel(rng, 8).data for _ in range(2)]
     point = init_point(kernels, 3)
     with pytest.raises(DimensionMismatchError):
-        init_state(kernels[:1], SolverConfig(k=3), point)
+        fit(kernels[:1], SolverConfig(k=3, max_iters=0), point)
     with pytest.raises(DimensionMismatchError):
-        init_state(kernels, SolverConfig(k=2), point)
+        fit(kernels, SolverConfig(k=2, max_iters=0), point)
     with pytest.raises(DimensionMismatchError):
-        init_state([random_psd_kernel(rng, 9).data] * 2, SolverConfig(k=3),
-                   point)
+        fit([random_psd_kernel(rng, 9).data] * 2,
+            SolverConfig(k=3, max_iters=0), point)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +539,11 @@ def test_fit_zero_iterations_returns_initialization(rng):
     K = random_psd_kernel(rng, 7)
     cfg = SolverConfig(k=2, alpha=1.0, max_iters=0)
     state = fit([K], cfg)
-    init = init_state([K], SolverConfig(k=2, alpha=1.0))
-    assert np.array_equal(state.H, init.H)
-    assert np.array_equal(state.objective_trace, init.objective_trace)
+    point = init_point([K], 2)
+    assert np.array_equal(state.H, point.H)
+    assert all(np.array_equal(a, b) for a, b in zip(state.G, point.G))
+    assert state.objective_trace.shape == (1,)
+    assert list(iterate([K], cfg)) == []
 
 
 def test_fit_deterministic_bitwise():

@@ -66,6 +66,9 @@ def test_cd_bad_params():
         nemenyi_cd(1, 10)
     with pytest.raises(BadParamError):
         nemenyi_cd(3, 0)
+    for q_alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(BadParamError, match="q_alpha"):
+            nemenyi_cd(3, 10, q_alpha)
 
 
 # ---------------------------------------------------------------------------

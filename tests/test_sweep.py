@@ -21,6 +21,7 @@ from mvkmf.solver import (
     SolverState,
     fit,
     global_similarity_matrix,
+    init_point,
     iterate,
     objective,
     per_view_loss,
@@ -85,11 +86,11 @@ def test_fused_loss_matches_per_view_loss(instance):
         assert fused == pytest.approx(per_view_loss(K, G, H, alpha), rel=1e-12)
 
 
-def test_iterate_rejects_state_of_other_size(instance):
-    state = fit(instance, SolverConfig(k=4, max_iters=0))
+def test_iterate_rejects_init_point_of_other_size(instance):
+    point = init_point(instance, 4)
     smaller = [K[:-1, :-1] for K in instance]
     with pytest.raises(DimensionMismatchError):
-        next(iterate(smaller, SolverConfig(k=4), state))
+        next(iterate(smaller, SolverConfig(k=4), point))
 
 
 @pytest.mark.parametrize("n", [50, 300, 1000])
