@@ -9,7 +9,7 @@ and prints the Nemenyi critical-difference analysis.
 
 import numpy as np
 
-from mvkmf import ResultsTable, friedman, nemenyi_cd, pairwise_significance
+from mvkmf import ResultsTable, friedman, pairwise_significance
 
 rng = np.random.default_rng(42)
 n_datasets, algorithms = 8, ("strong", "mid-a", "mid-b", "weak")
@@ -35,8 +35,8 @@ print(f"chi2 = {summary.chi2:.4f}")
 print(f"F    = {summary.f_stat:.4f}  (df1={summary.df1}, df2={summary.df2})")
 print(f"p    = {summary.p_value:.3e}")
 
-cd = nemenyi_cd(len(algorithms), n_datasets, q_alpha=1.96)
-print(f"critical difference = {cd:.4f}")
+# alpha = 0.05 for four algorithms: q = 2.569 (Demsar 2006, Table 5)
+print(f"critical difference = {summary.critical_difference:.4f}")
 
 sig = pairwise_significance(summary)
 print("pairs with a significant rank gap:")

@@ -192,12 +192,10 @@ def cmd_kernels(args) -> int:
         summary.append({
             "view": view.view_name,
             "n": view.n,
-            "min_eigenvalue_estimate": kr.min_eig_estimate,
             "indefinite": kr.indefinite,
         })
-        flag = " (indefinite)" if kr.indefinite else ""
-        _say(args, f"view {view.view_name}: n={view.n} "
-                   f"min_eig~{_g(kr.min_eig_estimate)}{flag}")
+        verdict = "(indefinite)" if kr.indefinite else "psd"
+        _say(args, f"view {view.view_name}: n={view.n} {verdict}")
     (out / "report.json").write_text(json.dumps(
         {"dataset": manifest.name, "views": summary}, indent=2) + "\n")
     _say(args, f"wrote {len(ks.kernels)} kernel file(s) to {out}")
@@ -343,8 +341,11 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     table = mstats.read_results_table(args.table)
+    q_alpha = args.q_alpha
+    if q_alpha is None:
+        q_alpha = mstats.nemenyi_q(len(table.algorithm_names))
     summary = mstats.friedman(table, higher_is_better=not args.lower_is_better,
-                              q_alpha=args.q_alpha)
+                              q_alpha=q_alpha)
     print(f"datasets used: {summary.n_used} (dropped {summary.n_dropped} "
           f"incomplete)")
     print("mean ranks:")
@@ -356,7 +357,7 @@ def cmd_stats(args) -> int:
     if summary.degenerate:
         print("ranks are fully degenerate; reporting p = 0")
     print(f"p: {_g(summary.p_value)}")
-    print(f"CD (q_alpha={_g(args.q_alpha)}): {_g(summary.critical_difference)}")
+    print(f"CD (q_alpha={_g(q_alpha)}): {_g(summary.critical_difference)}")
     sig = mstats.pairwise_significance(summary)
     print("significant pairs (mean-rank gap >= CD):")
     any_pair = False
@@ -521,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="Friedman/Nemenyi analysis of a table")
     p.add_argument("--table", required=True, help="results CSV")
-    p.add_argument("--q-alpha", type=float, default=1.96)
+    p.add_argument("--q-alpha", type=float, default=None,
+                   help="Nemenyi q (default: the alpha = 0.05 value for the "
+                        "table's number of algorithms)")
     p.add_argument("--lower-is-better", action="store_true",
                    help="rank smaller scores as better")
     p.set_defaults(func=cmd_stats)

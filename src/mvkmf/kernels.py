@@ -12,9 +12,9 @@ the condensed vector before ``squareform`` expands it, so the build holds
 about 1.5 n^2 floats at its peak. The sqrt of the selected squared distance
 is exactly the median of the Euclidean distances: sqrt is monotone, so it
 maps order statistics onto order statistics, and ``pdist``'s euclidean
-element is the sqrt of its sqeuclidean element. The symmetry check and the
-eigenvalue bound of :func:`validate_kernel_set` work in tiles of rows, so
-neither forms an n x n temporary.
+element is the sqrt of its sqeuclidean element. The symmetry check works in
+tiles of rows, and :func:`validate_kernel_set` factors each kernel in place,
+so neither forms an n x n temporary.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
@@ -36,13 +37,9 @@ from .errors import (
 # repaired by (K + K^T)/2; anything larger is rejected.
 SYMMETRY_TOL = 1e-8
 
-# Rows per tile in the blockwise passes over a kernel (the symmetry check and
-# the row sums of |K|); a tile of n rows is the largest temporary they form.
+# Rows per tile in the blockwise symmetry check; a tile of n rows is the
+# largest temporary it forms.
 _TILE = 256
-
-# Power-iteration steps of the smallest-eigenvalue estimate; its value is
-# part of every kernel report.
-_POWER_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -300,40 +297,33 @@ class KernelReport:
     """Per-view health summary produced by :func:`validate_kernel_set`."""
 
     view_name: str
-    min_eig_estimate: float
     indefinite: bool
 
 
-def _estimate_min_eigenvalue(K: np.ndarray) -> float:
-    """Power-iteration estimate of the smallest eigenvalue.
+def _cholesky_succeeds(K: np.ndarray) -> bool:
+    """Whether K + tau*I has a Cholesky factor, tau = 1e-10 * max(1, |tr K|).
 
-    Power iteration alone converges to the eigenvalue of largest magnitude,
-    so the matrix is shifted first: with mu >= lambda_max (infinity-norm
-    bound), all eigenvalues of mu*I - K are nonnegative and its dominant one
-    is mu - lambda_min.
+    LAPACK's dpotrf factors the Fortran-ordered view F of K in place and
+    reads and writes only F's lower triangle (``clean=0`` leaves the other
+    one alone). The untouched triangle holds the same numbers, so the
+    factored one is copied back from it and the saved diagonal is put back:
+    K comes back bit for bit. F is copied once when it is read-only (f2py
+    would write through it) or not Fortran-contiguous (f2py would copy it
+    in silence).
     """
-    n = K.shape[0]
-    if n == 1:
-        return float(K[0, 0])
-    # the row sums of |K|, a tile of rows at a time
-    mu = max(float(np.max(np.sum(np.abs(K[i:i + _TILE]), axis=1)))
-             for i in range(0, n, _TILE))
-    if mu == 0.0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    # K @ v stays numpy's gemv although K is symmetric: a one-triangle dsymv
-    # sums in another order, and the estimate is part of every kernel report,
-    # pinned bit for bit by frozen references in the tests
-    for _ in range(_POWER_ITERS):
-        w = mu * v - K @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # mu*I - K annihilates v: v is an eigenvector with eigenvalue mu
-            return float(v @ (K @ v))
-        v = w / norm
-    return float(mu - v @ (mu * v - K @ v))
+    F = K if K.flags.f_contiguous else K.T
+    if not (F.flags.f_contiguous and F.flags.writeable):
+        F = np.array(F, order="F")
+    A = F.T  # C-ordered: dpotrf writes A's upper triangle
+    diag = A.diagonal().copy()
+    np.fill_diagonal(A, diag + 1e-10 * max(1.0, abs(float(diag.sum()))))
+    try:
+        info = dpotrf(F, lower=1, clean=0, overwrite_a=1)[1]
+    finally:
+        for i in range(A.shape[0] - 1):
+            A[i, i + 1:] = A[i + 1:, i]
+        np.fill_diagonal(A, diag)
+    return info == 0
 
 
 def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
@@ -341,18 +331,16 @@ def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
 
     The set is consistent by construction (see :class:`KernelSet`), and
     small asymmetries were already repaired at ingest (see
-    ``KernelMatrix.ingest_asymmetry``). Indefinite kernels are flagged but
-    accepted, since the solver's closed-form updates never need positive
-    semidefiniteness.
+    ``KernelMatrix.ingest_asymmetry``). A view is ``indefinite`` exactly
+    when K + tau*I, tau = 1e-10 * max(1, |tr K|), has no Cholesky factor,
+    i.e. when K has an eigenvalue below -tau up to the factorization's
+    rounding. Indefinite kernels are flagged but accepted, since the
+    solver's closed-form updates never need positive semidefiniteness.
+
+    Each kernel is factored in its own storage and restored bit for bit
+    before the next one, so no other thread may read the kernels while this
+    runs; a read-only or non-contiguous kernel is copied once instead.
     """
-    reports = []
-    for k in ks.kernels:
-        min_eig = _estimate_min_eigenvalue(k.data)
-        reports.append(
-            KernelReport(
-                view_name=k.view_name,
-                min_eig_estimate=min_eig,
-                indefinite=min_eig < -1e-10 * max(1.0, abs(float(np.trace(k.data)))),
-            )
-        )
-    return tuple(reports)
+    return tuple(KernelReport(view_name=k.view_name,
+                              indefinite=not _cholesky_succeeds(k.data))
+                 for k in ks.kernels)

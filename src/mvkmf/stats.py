@@ -1,7 +1,8 @@
 """Rank-based comparison of algorithms across datasets.
 
 Implements the Friedman test with the Iman-Davenport F correction and the
-Nemenyi critical difference for pairwise post-hoc comparison. Scores arrive
+Nemenyi critical difference for pairwise post-hoc comparison, by default at
+alpha = 0.05 for the table's number of algorithms. Scores arrive
 as a datasets x algorithms table; rows with missing cells are dropped before
 ranking and the drop count is reported.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
+from scipy.stats import rankdata, studentized_range
 
 from .errors import BadParamError, ParseError
 
@@ -116,11 +117,26 @@ def f_survival(x: float, df1: int, df2: int) -> float:
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
 
 
-def nemenyi_cd(n_algorithms: int, n_datasets: int, q_alpha: float = 1.96) -> float:
+def nemenyi_q(n_algorithms: int) -> float:
+    """The Nemenyi test's q_alpha at alpha = 0.05 for ``n_algorithms``: the
+    studentized range quantile with infinite degrees of freedom over sqrt(2),
+    which is Demsar's (JMLR 2006) Table 5 (1.960 for 2 algorithms, 2.343
+    for 3, ..., 3.164 for 10)."""
+    if n_algorithms < 2:
+        raise BadParamError("need >= 2 algorithms")
+    return float(studentized_range.ppf(0.95, n_algorithms, math.inf)
+                 / math.sqrt(2.0))
+
+
+def nemenyi_cd(n_algorithms: int, n_datasets: int,
+               q_alpha: float | None = None) -> float:
     """Critical difference in mean rank below which two algorithms are not
-    distinguishable at the chosen level."""
+    distinguishable at the chosen level; ``q_alpha=None`` takes
+    :func:`nemenyi_q` of ``n_algorithms``."""
     if n_algorithms < 2 or n_datasets < 1:
         raise BadParamError("need >= 2 algorithms and >= 1 dataset")
+    if q_alpha is None:
+        q_alpha = nemenyi_q(n_algorithms)
     if not (math.isfinite(q_alpha) and q_alpha > 0):
         raise BadParamError(f"q_alpha must be finite and > 0, got {q_alpha}")
     k = n_algorithms
@@ -128,11 +144,12 @@ def nemenyi_cd(n_algorithms: int, n_datasets: int, q_alpha: float = 1.96) -> flo
 
 
 def friedman(table: ResultsTable, higher_is_better: bool = True,
-             q_alpha: float = 1.96) -> RankSummary:
+             q_alpha: float | None = None) -> RankSummary:
     """Friedman test with Iman-Davenport correction over the complete rows
     of ``table``.
 
     Per-row ranks use average ranking for ties (best score gets rank 1).
+    The critical difference is :func:`nemenyi_cd`'s for ``q_alpha``.
     When the ranks are fully degenerate the F statistic is infinite and the
     p-value is exactly 0.0; the summary flags this instead of raising.
     """

@@ -119,22 +119,23 @@ def test_kernels_idempotent(tmp_path):
 def test_kernels_estimates_each_view_once(tmp_path, monkeypatch):
     import mvkmf.kernels
 
-    estimates = []
-    original = mvkmf.kernels._estimate_min_eigenvalue
+    factored = []
+    original = mvkmf.kernels._cholesky_succeeds
 
-    def counted(K, *args, **kwargs):
-        estimates.append(original(K, *args, **kwargs))
-        return estimates[-1]
+    def counted(K):
+        factored.append(original(K))
+        return factored[-1]
 
-    monkeypatch.setattr(mvkmf.kernels, "_estimate_min_eigenvalue", counted)
+    monkeypatch.setattr(mvkmf.kernels, "_cholesky_succeeds", counted)
     mpath = synth(tmp_path, views=3)
     out = tmp_path / "kout"
     assert main(["kernels", "--manifest", str(mpath), "--out", str(out),
                  "--quiet"]) == 0
     # once per view: load_dataset leaves the health report to the command
-    assert len(estimates) == 3
+    assert len(factored) == 3
     report = json.loads((out / "report.json").read_text())
-    assert [v["min_eigenvalue_estimate"] for v in report["views"]] == estimates
+    assert [v["indefinite"] for v in report["views"]] == [not f for f in factored]
+    assert all(set(v) == {"view", "n", "indefinite"} for v in report["views"])
 
 
 def test_kernels_bad_manifest_exit_2(tmp_path):
@@ -392,12 +393,31 @@ def rigged_table(path, n=10, k=9):
 def test_stats_prints_summary(tmp_path, capsys):
     table = tmp_path / "table.csv"
     rigged_table(table)
-    assert main(["stats", "--table", str(table)]) == 0
+    assert main(["stats", "--table", str(table), "--q-alpha", "1.96"]) == 0
     text = capsys.readouterr().out
     assert "df1=8" in text and "df2=72" in text
-    assert "2.4004" in text                 # CD for 9 algorithms, 10 datasets
+    assert "CD (q_alpha=1.96): 2.4004" in text  # 9 algorithms, 10 datasets
     assert "mean ranks:" in text
     assert "chi2:" in text and "p:" in text
+    # by default q is the alpha = 0.05 value for 9 algorithms, 3.102
+    assert main(["stats", "--table", str(table)]) == 0
+    cd_line = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("CD (q_alpha=3.10"))
+    assert float(cd_line.rsplit(":", 1)[1]) == pytest.approx(3.799, abs=1e-3)
+
+
+def test_stats_default_cd_on_three_datasets(tmp_path, capsys):
+    # ranks (1,2,3), (1,2,3), (1,3,2): mean ranks 1, 7/3, 8/3. At k=3 the
+    # CD is 2.343 * sqrt(12/18) = 1.91, above the largest gap 5/3, which
+    # k=2's q of 1.96 (CD 1.60) would have called significant
+    table = tmp_path / "table.csv"
+    table.write_text("dataset,umklmf,kkm,mkkm\n"
+                     "d0,0.9,0.8,0.7\nd1,0.9,0.8,0.7\nd2,0.9,0.7,0.8\n")
+    assert main(["stats", "--table", str(table)]) == 0
+    text = capsys.readouterr().out
+    cd_line = next(line for line in text.splitlines() if line.startswith("CD "))
+    assert float(cd_line.rsplit(":", 1)[1]) == pytest.approx(1.91, abs=5e-3)
+    assert text.rstrip().endswith("significant pairs (mean-rank gap >= CD):\n  none")
 
 
 def test_stats_constant_table(tmp_path, capsys):

@@ -193,7 +193,6 @@ def test_validate_clean_identity_kernels():
     assert [view.view_name for view in report] == ["a", "b"]
     for view in report:
         assert not view.indefinite
-        assert view.min_eig_estimate == pytest.approx(1.0, abs=1e-8)
 
 
 def test_validate_rejects_sample_count_mismatch():
@@ -217,36 +216,105 @@ def test_kernel_set_rejects_views_that_are_not_kernel_matrices():
             KernelSet(kernels=views)
 
 
+def _eigvalsh_says_indefinite(K):
+    """The verdict from the spectrum: an eigenvalue below -tau."""
+    tau = 1e-10 * max(1.0, abs(float(np.trace(K))))
+    return bool(np.linalg.eigvalsh(K)[0] < -tau)
+
+
+def _verdict(K):
+    """validate_kernel_set's verdict on K alone; K must come back bit for bit
+    and agree with the spectrum."""
+    before = K.copy(order="K")
+    report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(K, "v"),)))
+    assert _same_bits(K, before)
+    assert report[0].indefinite == _eigvalsh_says_indefinite(before)
+    return report[0].indefinite
+
+
 def test_indefinite_kernel_flagged_not_rejected():
     k = np.diag([2.0, 1.0, -0.5])
     report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
     assert report[0].indefinite
-    assert report[0].min_eig_estimate == pytest.approx(-0.5, abs=1e-6)
+    assert _eigvalsh_says_indefinite(k)
 
 
-def test_min_eigenvalue_estimate_on_separated_spectra(rng):
-    # iterative estimate resolves the bottom eigenvalue when it is well
-    # separated from the rest of the spectrum
+def test_verdict_matches_eigvalsh_on_separated_spectra(rng):
     for _ in range(5):
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         lam = np.concatenate([[-2.0], rng.uniform(0.5, 3.0, size=7)])
         k = (q * lam) @ q.T
         k = (k + k.T) / 2.0
-        report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
-        assert report[0].min_eig_estimate == pytest.approx(-2.0, abs=1e-6)
+        assert _verdict(k)
 
 
-def test_min_eigenvalue_estimate_never_undershoots(rng):
-    # the estimate is a Rayleigh quotient, so it can approach the true
-    # minimum from above but never pass below it
-    for _ in range(5):
-        a = rng.standard_normal((8, 8))
-        k = (a + a.T) / 2.0
-        report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
-        spectrum = np.linalg.eigvalsh(k)
-        est = report[0].min_eig_estimate
-        assert est >= spectrum[0] - 1e-10
-        assert est <= spectrum[0] + 0.2 * (spectrum[-1] - spectrum[0])
+def test_verdict_matches_eigvalsh_on_random_kernels(rng):
+    # random symmetric matrices, PSD ones of full and of low rank, and PSD
+    # ones minus a small rank-one term, at sizes from 1 up
+    for n in (1, 2, 3, 5, 8, 40, 120, 300):
+        a = rng.standard_normal((n, n))
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        for k in ((a + a.T) / 2.0,
+                  random_psd_kernel(rng, n).data,
+                  random_psd_kernel(rng, n, rank=max(1, n // 3)).data,
+                  random_psd_kernel(rng, n).data - 0.5 * np.outer(u, u)):
+            _verdict(k)
+            _verdict(np.asfortranarray(k))
+
+
+def _rbf_view(n):
+    feats, _ = make_synthetic(n // 4, 4, 3, separation=2.5, seed=101)
+    return build_kernel(feats[0], KernelSpec(kind="rbf")).data
+
+
+@pytest.mark.parametrize("s", [0.5, 5.0])
+def test_rbf_minus_rank_one_is_indefinite(s):
+    # an rbf spectrum crowds at 0, where a shifted power iteration never
+    # resolves the bottom eigenvalue; the factorization fails outright
+    n = 500
+    u = np.random.default_rng(3).standard_normal(n)
+    u /= np.linalg.norm(u)
+    K = _rbf_view(n) - s * np.outer(u, u)
+    assert np.linalg.eigvalsh(K)[0] < -0.4
+    assert _verdict(K)
+
+
+def test_rank_deficient_kernels_are_not_flagged(rng):
+    # X^T X with d < n has n - d zero eigenvalues; rounding puts some just
+    # below 0, far above -tau
+    for d, scale in ((1, 1.0), (3, 1.0), (3, 1e6), (20, 1.0)):
+        fm = FeatureMatrix(scale * rng.standard_normal((d, 200)), "v")
+        for spec in (KernelSpec(kind="linear"),
+                     KernelSpec(kind="polynomial", c=1.0, degree=2)):
+            assert not _verdict(build_kernel(fm, spec).data)
+
+
+def test_verdict_on_one_sample_and_zero_kernels():
+    assert not _verdict(np.array([[0.0]]))
+    assert not _verdict(np.array([[3.0]]))
+    assert _verdict(np.array([[-1.0]]))
+    assert not _verdict(np.zeros((7, 7)))
+
+
+def test_read_only_kernel_is_left_untouched():
+    for K in (np.diag([2.0, 1.0, -0.5]), _rbf_view(100)):
+        K.flags.writeable = False
+        km = KernelMatrix(K, "v")
+        assert np.shares_memory(km.data, K) and not km.data.flags.writeable
+        _verdict(K)
+
+
+def test_strided_kernel_is_judged():
+    for K in (np.diag([2.0, 1.0, -0.5]), _rbf_view(100)):
+        n = K.shape[0]
+        big = np.zeros((2 * n, 2 * n))
+        big[::2, ::2] = K
+        view = big[::2, ::2]
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        before = big.copy()
+        _verdict(view)
+        assert _same_bits(big, before)
 
 
 def test_kernel_set_properties():
@@ -282,25 +350,6 @@ def _ref_asymmetry(A):
     return float(np.max(np.abs(A - A.T))) if A.size else 0.0
 
 
-def _ref_min_eig(K, iters=60):
-    n = K.shape[0]
-    if n == 1:
-        return float(K[0, 0])
-    mu = float(np.max(np.sum(np.abs(K), axis=1)))
-    if mu == 0.0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = mu * v - K @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return float(v @ (K @ v))
-        v = w / norm
-    return float(mu - v @ (mu * v - K @ v))
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -329,11 +378,10 @@ def _assert_matches_reference(X, sigma):
     ref_k = _ref_rbf(X, ref_sigma if sigma is None else sigma)
     assert _same_bits(k.data, ref_k)
     assert k.ingest_asymmetry == _ref_asymmetry(ref_k) == 0.0
-    report = validate_kernel_set(KernelSet(kernels=(k,)))
-    assert _same_bits(report[0].min_eig_estimate, _ref_min_eig(ref_k))
+    assert not _verdict(k.data)
 
 
-def test_rbf_sigma_and_min_eig_match_frozen_reference():
+def test_rbf_sigma_and_verdict_match_reference():
     rng = np.random.default_rng(2024)
     parities = set()
     for _ in range(240):
@@ -390,8 +438,7 @@ def test_asymmetry_matches_frozen_reference_at_tile_boundaries(n):
                     assert _same_bits(km.data, repaired)
     K = KernelMatrix(base, "v").data
     for data in (K, np.asfortranarray(K)):
-        report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(data, "v"),)))
-        assert _same_bits(report[0].min_eig_estimate, _ref_min_eig(data))
+        _verdict(data)
     bad = base.copy()
     bad[n - 1, 0] = np.nan
     with pytest.raises(NonFiniteError):
@@ -428,7 +475,7 @@ def test_rbf_build_and_validation_peak_memory():
     matrix = n * n * 8
     k, build_peak = _traced_peak(lambda: build_kernel(feats[0], KernelSpec(kind="rbf")))
     # the kernel itself plus the condensed squared distances it is expanded
-    # from (1.5 n^2 floats); validation allocates one tile of rows at a time
+    # from (1.5 n^2 floats); validation factors the kernel in place
     assert build_peak <= 1.75 * matrix
     ks = KernelSet(kernels=(k,))
     _, validate_peak = _traced_peak(lambda: validate_kernel_set(ks))

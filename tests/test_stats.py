@@ -10,6 +10,7 @@ from mvkmf.stats import (
     f_survival,
     friedman,
     nemenyi_cd,
+    nemenyi_q,
     pairwise_significance,
     read_results_table,
     write_results_table,
@@ -53,6 +54,27 @@ def test_cd_two_algorithms_unit_q():
 
 def test_cd_nine_algorithms_ten_datasets():
     assert nemenyi_cd(9, 10, 1.96) == pytest.approx(2.4004, abs=1e-4)
+
+
+def test_nemenyi_q_matches_demsar_table_5():
+    # Demsar (JMLR 2006), Table 5, alpha = 0.05, k = 2..10
+    table = (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164)
+    for k, q in enumerate(table, start=2):
+        assert nemenyi_q(k) == pytest.approx(q, abs=1e-3)
+        assert nemenyi_cd(k, 10) == nemenyi_cd(k, 10, nemenyi_q(k))
+    with pytest.raises(BadParamError):
+        nemenyi_q(1)
+
+
+def test_friedman_default_cd_follows_algorithm_count():
+    ranks = np.array([[1, 2, 3], [1, 2, 3], [1, 3, 2]], dtype=np.float64)
+    summary = friedman(table_from(-ranks))
+    assert summary.critical_difference == pytest.approx(1.91, abs=5e-3)
+    assert not pairwise_significance(summary).any()
+    # k=2's q marks the first and last algorithms apart
+    explicit = friedman(table_from(-ranks), q_alpha=1.96)
+    assert explicit.critical_difference == pytest.approx(1.60, abs=5e-3)
+    assert pairwise_significance(explicit)[0, 2]
 
 
 def test_cd_doubling_datasets():
