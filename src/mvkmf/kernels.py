@@ -12,9 +12,14 @@ the condensed vector before ``squareform`` expands it, so the build holds
 about 1.5 n^2 floats at its peak. The sqrt of the selected squared distance
 is exactly the median of the Euclidean distances: sqrt is monotone, so it
 maps order statistics onto order statistics, and ``pdist``'s euclidean
-element is the sqrt of its sqeuclidean element. The symmetry check works in
-tiles of rows, and :func:`validate_kernel_set` factors each kernel in place,
-so neither forms an n x n temporary.
+element is the sqrt of its sqeuclidean element.
+
+A ``KernelMatrix`` made from an array from outside (a kernel file, or an
+array a caller passes) gets the asymmetry scan, which works in tiles of
+rows. The kernels built and normalized here are exactly symmetric by
+construction and skip it; they keep the shape and finiteness checks.
+:func:`validate_kernel_set` factors each kernel in place, so neither the
+scan nor the validation forms an n x n temporary.
 """
 
 from __future__ import annotations
@@ -73,7 +78,9 @@ class KernelMatrix:
     """One view's n x n kernel. Symmetrized on ingest within SYMMETRY_TOL.
 
     ``ingest_asymmetry`` records max |K_ij - K_ji| seen before the repair so
-    validation reports can surface how dirty the source file was.
+    validation reports can surface how dirty the source file was. Kernels
+    that ``build_kernel`` and ``normalize_kernel`` make are exactly
+    symmetric, so they record 0.0 without the scan.
     """
 
     data: np.ndarray
@@ -81,13 +88,7 @@ class KernelMatrix:
     ingest_asymmetry: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise DimensionMismatchError(
-                f"view {self.view_name!r}: kernel must be square, got {data.shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteError(f"view {self.view_name!r}: kernel contains NaN/Inf")
+        data = _square_finite(self.data, self.view_name)
         asym = _max_asymmetry(data)
         if asym > SYMMETRY_TOL:
             raise AsymmetricKernelError(
@@ -101,6 +102,30 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+
+def _square_finite(data, view_name: str) -> np.ndarray:
+    """``data`` as a float64 array, checked to be square and finite."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise DimensionMismatchError(
+            f"view {view_name!r}: kernel must be square, got {data.shape}"
+        )
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteError(f"view {view_name!r}: kernel contains NaN/Inf")
+    return data
+
+
+def _symmetric_kernel(data, view_name: str) -> KernelMatrix:
+    """A ``KernelMatrix`` of ``data`` that is exactly symmetric by
+    construction (built or normalized here). It gets the shape and
+    finiteness checks, since a build can overflow, but not the asymmetry
+    scan, whose answer is known: ``ingest_asymmetry`` is 0.0."""
+    kernel = object.__new__(KernelMatrix)
+    object.__setattr__(kernel, "data", _square_finite(data, view_name))
+    object.__setattr__(kernel, "view_name", view_name)
+    object.__setattr__(kernel, "ingest_asymmetry", 0.0)
+    return kernel
 
 
 def _max_asymmetry(a: np.ndarray) -> float:
@@ -238,29 +263,33 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
     polynomial: K_ij = (x_i^T x_j + c)^degree
 
     The result is exactly symmetric (rbf by construction, the inner-product
-    kernels are symmetrized against rounding).
+    kernels are symmetrized against rounding), so it skips the ingest
+    asymmetry scan. Features whose distances or inner products overflow
+    give ``NonFiniteError``, with no ``RuntimeWarning`` before it.
     """
     X = features.data
-    if spec.kind == "linear":
-        K = X.T @ X
-        K = (K + K.T) / 2.0
-    elif spec.kind == "rbf":
-        c = pdist(X.T, "sqeuclidean")
-        sigma = spec.sigma if spec.sigma is not None else _median_sigma(c)
-        if not sigma > 0:
-            raise BadParamError(f"rbf sigma must be > 0, got {sigma}")
-        # in place, the same elementwise steps in the same order as
-        # exp(-sq / (2 sigma^2)), so the bits match the n x n expression
-        np.negative(c, out=c)
-        np.divide(c, 2.0 * sigma * sigma, out=c)
-        np.exp(c, out=c)
-        K = squareform(c)
-        del c  # freed before KernelMatrix's checks allocate
-        np.fill_diagonal(K, 1.0)
-    else:  # polynomial
-        K = (X.T @ X + spec.c) ** spec.degree
-        K = (K + K.T) / 2.0
-    return KernelMatrix(K, features.view_name)
+    # an overflow or the NaN it leads to is caught by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.kind == "linear":
+            K = X.T @ X
+            K = (K + K.T) / 2.0
+        elif spec.kind == "rbf":
+            c = pdist(X.T, "sqeuclidean")
+            sigma = spec.sigma if spec.sigma is not None else _median_sigma(c)
+            if not sigma > 0:
+                raise BadParamError(f"rbf sigma must be > 0, got {sigma}")
+            # in place, the same elementwise steps in the same order as
+            # exp(-sq / (2 sigma^2)), so the bits match the n x n expression
+            np.negative(c, out=c)
+            np.divide(c, 2.0 * sigma * sigma, out=c)
+            np.exp(c, out=c)
+            K = squareform(c)
+            del c  # freed before the finiteness check allocates
+            np.fill_diagonal(K, 1.0)
+        else:  # polynomial
+            K = (X.T @ X + spec.c) ** spec.degree
+            K = (K + K.T) / 2.0
+    return _symmetric_kernel(K, features.view_name)
 
 
 def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
@@ -268,7 +297,8 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
 
     cosine: K_ij <- K_ij / sqrt(K_ii K_jj); requires a strictly positive
     diagonal. center: double-centering, K <- K - 1K/n - K1/n + 1K1/n^2, which
-    zeroes every row and column sum.
+    zeroes every row and column sum. Both results are exactly symmetric by
+    construction and skip the ingest asymmetry scan.
     """
     K = kernel.data
     if mode == "none":
@@ -282,13 +312,13 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
         inv = 1.0 / np.sqrt(diag)
         out = K * np.outer(inv, inv)
         np.fill_diagonal(out, 1.0)
-        return KernelMatrix(out, kernel.view_name)
+        return _symmetric_kernel(out, kernel.view_name)
     if mode == "center":
         row_mean = K.mean(axis=1, keepdims=True)
         col_mean = K.mean(axis=0, keepdims=True)
         out = K - row_mean - col_mean + K.mean()
         out = (out + out.T) / 2.0
-        return KernelMatrix(out, kernel.view_name)
+        return _symmetric_kernel(out, kernel.view_name)
     raise BadParamError(f"unknown normalization mode {mode!r}")
 
 

@@ -25,11 +25,16 @@ kernels themselves:
 
       ||K_v - G_v H||_F^2 = ||K_v||_F^2 - ||P_v||_F^2 + ||P_v - G_v||_F^2,
 
-  so one iteration needs two n x k products per view: K_v P_v for the H step,
-  and K_v H^T for the new H, which gives both the loss and the next G step.
-  That is O(n^2 k) per view. ||K_v||_F^2 is computed once per fit, with
-  the start's P_v, which serves both the start objective and the first
-  sweep.
+  so one iteration needs two n x k products per view: K_v H^T for the new
+  H, which gives both the loss and the next G step, and K_v P_v for the
+  next H step. That is O(n^2 k) per view. At this size the sweep is bound
+  by reading the kernels, not by flops, so both products come from one
+  pass over K_v in row blocks of at most 1 MiB: each block gives its rows
+  of P_v = K_v H^T and then, still in cache, its share of K_v P_v
+  (``_kernel_products``). A kernel of at most 1 MiB (n <= 362) is one
+  block and takes the two plain products. ||K_v||_F^2 is computed once per
+  fit, with the start's P_v and K_v P_v, which serve both the start
+  objective and the first sweep.
 - The start G and H (``init_point``) do not depend on alpha, so fits over an
   alpha grid can share one and pay the eigensolves once.
 
@@ -63,6 +68,9 @@ WEIGHT_CLAMP = 1e-12
 # seeds the Lanczos start vector and any restart vector ARPACK draws, so
 # eigensolves repeat bit for bit
 LANCZOS_SEED = 0
+# largest row block of a kernel that ``_kernel_products`` multiplies twice
+# while it stays in cache
+_BLOCK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,12 @@ def _kernel_list(ks) -> list[np.ndarray]:
             raise DimensionMismatchError(
                 f"kernels disagree on sample count: {n} vs {K.shape[0]}")
     return kernels
+
+
+def _row_major(K: np.ndarray) -> np.ndarray:
+    """Symmetric K as a C-contiguous array: a Fortran-ordered K as K^T, the
+    same matrix in the same memory, and any other layout copied once."""
+    return np.ascontiguousarray(K.T if K.flags.f_contiguous else K)
 
 
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
@@ -273,12 +287,38 @@ def _fused_view_loss(k_sq: float, P_v: np.ndarray, g_v: np.ndarray,
     return max(recon, 0.0) + alpha * _sq_norm(g_v - H.T)
 
 
-def _sweep(kernels, k_sq, P, H: np.ndarray, omega: np.ndarray, alpha: float):
-    """One G / H / loss iteration with two n x k kernel products per view.
+def _kernel_products(K: np.ndarray, Ht: np.ndarray):
+    """(K H^T, K K H^T) for symmetric, C-contiguous K in one pass over K.
 
-    Takes P_v = K_v H^T for the current H and returns (G, H, P, d): the
-    ``update_g`` coefficients, the ``update_h`` embedding, P_v for the new H,
-    and the ``per_view_loss`` values at (G, new H). With G_v = (P_v + alpha
+    Row block J of K (at most ``_BLOCK_BYTES``) gives P[J] = K[J, :] H^T,
+    then adds K[J, :]^T P[J] to K P while the block is still in cache. For
+    symmetric K that sum is K P exactly in real arithmetic; in floating
+    point it differs from the two-pass product at roundoff only. A kernel
+    that fits one block takes the two plain products ``K @ H^T`` and
+    ``K @ P``, so small fits keep their bits.
+    """
+    n = K.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    if rows >= n:
+        P = K @ Ht
+        return P, K @ P
+    P = np.empty((n, Ht.shape[1]))
+    KP = np.zeros_like(P)
+    for i in range(0, n, rows):
+        B = K[i:i + rows]
+        np.matmul(B, Ht, out=P[i:i + rows])
+        KP += B.T @ P[i:i + rows]
+    return P, KP
+
+
+def _sweep(kernels, k_sq, P, KP, H: np.ndarray, omega: np.ndarray,
+           alpha: float):
+    """One G / H / loss iteration with one pass over each kernel.
+
+    Takes P_v = K_v H^T and KP_v = K_v P_v for the current H and returns
+    (G, H, P, KP, d): the ``update_g`` coefficients, the ``update_h``
+    embedding, P_v and KP_v for the new H (from ``_kernel_products``), and
+    the ``per_view_loss`` values at (G, new H). With G_v = (P_v + alpha
     H^T) / (1 + alpha) and K_v symmetric, the H-step matrix is
 
         G_v^T K_v + alpha G_v^T
@@ -287,13 +327,13 @@ def _sweep(kernels, k_sq, P, H: np.ndarray, omega: np.ndarray, alpha: float):
     Ht = H.T
     G = tuple((P_v + alpha * Ht) / (alpha + 1.0) for P_v in P)
     A = np.zeros_like(H)
-    for K, P_v, w in zip(kernels, P, omega):
-        A += (w * w) * ((K @ P_v).T + 2.0 * alpha * P_v.T + alpha * alpha * H)
+    for P_v, KP_v, w in zip(P, KP, omega):
+        A += (w * w) * (KP_v.T + 2.0 * alpha * P_v.T + alpha * alpha * H)
     H = _polar(A / (alpha + 1.0))
-    P = [K @ H.T for K in kernels]
+    P, KP = zip(*(_kernel_products(K, H.T) for K in kernels))
     d = np.array([_fused_view_loss(s, P_v, G_v, H, alpha)
                   for s, P_v, G_v in zip(k_sq, P, G)])
-    return G, H, P, d
+    return G, H, P, KP, d
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +388,7 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
     vectors keep numpy's ``K @ X``.
     """
     n = K.shape[0]
-    K = np.ascontiguousarray(K.T if K.flags.f_contiguous else K)
+    K = _row_major(K)
     with np.errstate(over="ignore"):
         A = K.sum(axis=1)
     if not np.isfinite(A).all():
@@ -411,10 +451,11 @@ def _start(kernels, cfg: SolverConfig, init: InitPoint | None):
     """The start of a fit on the kernel arrays ``kernels``: G and H from
     ``init`` (computed by ``init_point`` when None) and uniform weights.
 
-    Returns (state, k_sq, P) with k_sq_v = ||K_v||_F^2 and P_v = K_v H^T,
-    which give the start objective at ``cfg.alpha`` through the same
-    expansion as the sweep and are the sweep's first inputs. They are the
-    only alpha-dependent part, O(n^2 k) per view.
+    Returns (state, k_sq, P, KP) with k_sq_v = ||K_v||_F^2, P_v = K_v H^T
+    and KP_v = K_v P_v. k_sq and P give the start objective at
+    ``cfg.alpha`` through the same expansion as the sweep, and all three
+    are the sweep's first inputs. They are the only alpha-dependent part,
+    O(n^2 k) per view. The kernels must be C-contiguous (``_row_major``).
     """
     if init is None:
         init = init_point(kernels, cfg.k)
@@ -426,12 +467,12 @@ def _start(kernels, cfg: SolverConfig, init: InitPoint | None):
             f"{len(kernels)} kernels, k={cfg.k}, n={n}")
     omega = np.full(len(kernels), 1.0 / len(kernels))
     k_sq = [_sq_norm(K) for K in kernels]
-    P = [K @ H.T for K in kernels]
+    P, KP = zip(*(_kernel_products(K, H.T) for K in kernels))
     d = np.array([_fused_view_loss(s, P_v, G_v, H, cfg.alpha)
                   for s, P_v, G_v in zip(k_sq, P, G)])
     j0 = float(np.sum(omega * omega * d))
     state = SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
-    return state, k_sq, P
+    return state, k_sq, P, KP
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +487,20 @@ def iterate(ks, cfg: SolverConfig, init: InitPoint | None = None):
 
     Each iteration is one fused sweep (``_sweep``) and a weight update: the
     G, H and loss updates of ``update_g``, ``update_h`` and
-    ``per_view_loss`` from two n x k kernel products per view, O(n^2 k), with
-    no n x n temporary.
+    ``per_view_loss`` from one pass over each kernel, O(n^2 k), with no
+    n x n temporary. A Fortran-ordered kernel is read as its transpose (the
+    same symmetric matrix) and a non-contiguous one is copied once, so every
+    layout gives the same bits.
 
     Deterministic: identical inputs replay the identical sequence.
     """
-    kernels = _kernel_list(ks)
-    state, k_sq, P = _start(kernels, cfg, init)
+    kernels = [_row_major(K) for K in _kernel_list(ks)]
+    state, k_sq, P, KP = _start(kernels, cfg, init)
     trace = list(state.objective_trace)
     j_prev = trace[-1]
     H, omega = state.H, state.omega
     for _ in range(cfg.max_iters):
-        G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
+        G, H, P, KP, d = _sweep(kernels, k_sq, P, KP, H, omega, cfg.alpha)
         omega = update_weights(d)
         j = float(np.sum(omega * omega * d))
         if not np.isfinite(j):
@@ -484,7 +527,8 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
     k-means on the columns of ``state.H`` to obtain cluster labels.
     """
     if cfg.max_iters == 0:
-        return _start(_kernel_list(ks), cfg, init)[0]
+        return _start([_row_major(K) for K in _kernel_list(ks)], cfg,
+                      init)[0]
     for state in iterate(ks, cfg, init):
         pass
     return state

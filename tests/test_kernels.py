@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,14 @@ from mvkmf.errors import (
     NonFiniteError,
     ZeroDiagonalError,
 )
-from mvkmf.io import make_synthetic
+from mvkmf import kernels as kernels_module
+from mvkmf.io import (
+    load_dataset,
+    load_manifest,
+    make_synthetic,
+    write_labels,
+    write_matrix,
+)
 from mvkmf.kernels import (
     SYMMETRY_TOL,
     _TILE,
@@ -116,12 +125,97 @@ def test_polynomial_kernel_matches_naive_loop(rng):
     assert np.allclose(k.data, naive, atol=1e-9)
 
 
-def test_built_kernels_exactly_symmetric(rng):
-    x = FeatureMatrix(rng.standard_normal((5, 9)), "v")
-    for spec in (KernelSpec(kind="linear"), KernelSpec(kind="rbf"),
-                 KernelSpec(kind="polynomial", degree=2)):
-        k = build_kernel(x, spec)
-        assert np.array_equal(k.data, k.data.T)
+def test_built_kernels_exactly_symmetric(rng, monkeypatch):
+    # built and normalized kernels skip the asymmetry scan, so each must be
+    # exactly symmetric, on which the scan would record 0.0 and repair
+    # nothing; duplicated and coincident samples included (see
+    # _random_features)
+    def scan(a):
+        raise AssertionError("asymmetry scan on a kernel built here")
+    monkeypatch.setattr(kernels_module, "_max_asymmetry", scan)
+    features = [rng.standard_normal((5, 9))]
+    features += [_random_features(rng) for _ in range(120)]
+    for X in features:
+        fm = FeatureMatrix(X, "v")
+        for spec in (KernelSpec(kind="linear"), KernelSpec(kind="rbf"),
+                     KernelSpec(kind="rbf", sigma=0.3),
+                     KernelSpec(kind="polynomial", degree=2),
+                     KernelSpec(kind="polynomial", c=0.5, degree=3)):
+            k = build_kernel(fm, spec)
+            assert np.array_equal(k.data, k.data.T)
+            assert k.ingest_asymmetry == 0.0
+            for mode in ("cosine", "center"):
+                if mode == "cosine" and np.any(np.diag(k.data) <= 0):
+                    continue
+                out = normalize_kernel(k, mode)
+                assert np.array_equal(out.data, out.data.T)
+                assert out.ingest_asymmetry == 0.0
+
+
+OVERFLOWING = [0.0, 1e200, -1e200, 3e200]  # distances and X^T X overflow
+LARGE = [1e100, 2e100, -1e100, 0.0]        # finite X^T X; its cube overflows
+
+
+@pytest.mark.parametrize("x, spec, overflows", [
+    (OVERFLOWING, KernelSpec(kind="rbf"), True),
+    (OVERFLOWING, KernelSpec(kind="linear"), True),
+    (OVERFLOWING, KernelSpec(kind="polynomial", degree=3), True),
+    (LARGE, KernelSpec(kind="rbf"), False),
+    (LARGE, KernelSpec(kind="linear"), False),
+    (LARGE, KernelSpec(kind="polynomial", degree=3), True),
+], ids=["rbf", "linear", "polynomial", "rbf-large", "linear-large",
+        "polynomial-large"])
+def test_overflowing_features_raise_typed_error_without_warning(x, spec,
+                                                                 overflows):
+    fm = FeatureMatrix(np.array([x]), "v")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if overflows:
+            with pytest.raises(NonFiniteError):
+                build_kernel(fm, spec)
+        else:
+            assert np.isfinite(build_kernel(fm, spec).data).all()
+
+
+def test_rbf_with_vanishing_sigma_warns_nothing():
+    # 2 sigma^2 underflows to 0: distinct samples get 0, and the duplicated
+    # pair 0/0 = NaN, which is the typed error
+    fm = FeatureMatrix(np.array([[0.0, 1.0, 3.0]]), "v")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = build_kernel(fm, KernelSpec(kind="rbf", sigma=1e-200))
+        assert np.array_equal(k.data, np.eye(3))
+        with pytest.raises(NonFiniteError):
+            build_kernel(FeatureMatrix(np.array([[0.0, 0.0, 3.0]]), "v"),
+                         KernelSpec(kind="rbf", sigma=1e-200))
+
+
+def test_asymmetric_raw_array_and_kernel_file_still_rejected(tmp_path):
+    k = np.eye(4)
+    k[0, 1], k[1, 0] = 0.5, 0.5 + 10 * SYMMETRY_TOL
+    with pytest.raises(AsymmetricKernelError):
+        KernelMatrix(k, "v")
+    write_matrix(tmp_path / "k.mvk1", k)
+    write_labels(tmp_path / "labels.csv", [0, 1] * 2)
+
+    def load(normalization):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "name": "toy", "n": 4, "clusters": 2, "labels": "labels.csv",
+            "views": [{"name": "a", "kernel": "k.mvk1",
+                       "normalization": normalization}]}))
+        return load_dataset(load_manifest(manifest))[0].kernels[0]
+
+    for normalization in ("none", "cosine", "center"):
+        with pytest.raises(AsymmetricKernelError):
+            load(normalization)
+    # within the tolerance the file is repaired and its asymmetry recorded
+    k[1, 0] = 0.5 + SYMMETRY_TOL / 2
+    write_matrix(tmp_path / "k.mvk1", k)
+    repaired = load("none")
+    assert np.array_equal(repaired.data, repaired.data.T)
+    assert repaired.ingest_asymmetry == pytest.approx(SYMMETRY_TOL / 2,
+                                                      rel=1e-6)
 
 
 def test_kernel_spec_validation():

@@ -9,7 +9,16 @@ from mvkmf.errors import (
     NonFiniteError,
     RankDeficientWarning,
 )
-from mvkmf.kernels import KernelMatrix, KernelSet
+from mvkmf import solver
+from mvkmf.io import make_synthetic
+from mvkmf.kernels import (
+    FeatureMatrix,
+    KernelMatrix,
+    KernelSet,
+    KernelSpec,
+    build_kernel,
+)
+from mvkmf.kmeans import KMeansConfig, kmeans
 from mvkmf.solver import (
     InitPoint,
     SolverConfig,
@@ -384,12 +393,29 @@ def frozen_init_state(kernels, cfg):
     return H, G, np.array([j0])
 
 
+def frozen_sweep(kernels, k_sq, P, H, omega, alpha):
+    """Frozen copy of the former two-product sweep: K_v P_v for the H step,
+    then K_v H^T for the new H, each a full pass over K_v."""
+    from mvkmf.solver import _fused_view_loss, _polar
+
+    Ht = H.T
+    G = tuple((P_v + alpha * Ht) / (alpha + 1.0) for P_v in P)
+    A = np.zeros_like(H)
+    for K, P_v, w in zip(kernels, P, omega):
+        A += (w * w) * ((K @ P_v).T + 2.0 * alpha * P_v.T + alpha * alpha * H)
+    H = _polar(A / (alpha + 1.0))
+    P = [K @ H.T for K in kernels]
+    d = np.array([_fused_view_loss(s, P_v, G_v, H, alpha)
+                  for s, P_v, G_v in zip(k_sq, P, G)])
+    return G, H, P, d
+
+
 def frozen_states(ks, cfg, init=None):
     """Frozen copy of the former two-call fit path: a start state built with
     its own ||K_v||^2 and K_v H^T, then a loop that resumes from that state
-    and forms both again. Returns the start and every state after it."""
-    from mvkmf.solver import (_fused_view_loss, _kernel_list, _sq_norm,
-                              _sweep)
+    and forms both again, with two passes over each kernel per sweep.
+    Returns the start and every state after it."""
+    from mvkmf.solver import _fused_view_loss, _kernel_list, _sq_norm
 
     kernels = _kernel_list(ks)
     if init is None:
@@ -406,7 +432,7 @@ def frozen_states(ks, cfg, init=None):
     k_sq = [_sq_norm(K) for K in kernels]
     P = [K @ H.T for K in kernels]
     for _ in range(cfg.max_iters):
-        G, H, P, d = _sweep(kernels, k_sq, P, H, omega, cfg.alpha)
+        G, H, P, d = frozen_sweep(kernels, k_sq, P, H, omega, cfg.alpha)
         omega = update_weights(d)
         j = float(np.sum(omega * omega * d))
         trace.append(j)
@@ -470,6 +496,87 @@ def test_iterate_and_fit_match_frozen_two_call_path():
                     for a, b in zip(states, ref[1:]):
                         assert_same_state(a, b)
                     assert_same_state(fit(kernels, cfg, init), ref[-1])
+
+
+def rbf_views(n, seed, clusters=4, views=3):
+    """rbf kernels of the first n samples of a synthetic set."""
+    feats, _ = make_synthetic(-(-n // clusters), clusters, views,
+                              separation=2.5, seed=seed)
+    return [build_kernel(FeatureMatrix(f.data[:, :n], f.view_name),
+                         KernelSpec(kind="rbf")).data for f in feats]
+
+
+def assert_close_to_frozen(state, ref, k):
+    """Above one block: the same iterations and labels, and the trace
+    within 1e-12 relative."""
+    assert state.objective_trace.shape == ref.objective_trace.shape
+    gap = (np.abs(state.objective_trace - ref.objective_trace)
+           / np.abs(ref.objective_trace))
+    assert gap.max() <= 1e-12
+    km = KMeansConfig(k=k, restarts=20, seed=0)
+    assert np.array_equal(kmeans(state.H, km).labels,
+                          kmeans(ref.H, km).labels)
+
+
+@pytest.mark.parametrize("n", [362, 363, 700])
+def test_one_pass_products_against_two_products(n):
+    # 362 is the largest kernel of one 1 MiB block; 363 splits into 361 + 2
+    # rows and 700 into 3 x 187 + 139, both with a ragged last block
+    rows = max(1, solver._BLOCK_BYTES // (8 * n))
+    assert (rows >= n) == (n <= 362)
+    assert n <= 362 or n % rows
+    rng = np.random.default_rng(n)
+    kernels = rbf_views(n, seed=n)
+    Ht = random_orthonormal_rows(rng, 4, n).T
+    for K in kernels:
+        P, KP = solver._kernel_products(K, Ht)
+        P_ref = K @ Ht
+        KP_ref = K @ P_ref
+        if n <= 362:
+            assert np.array_equal(P, P_ref) and np.array_equal(KP, KP_ref)
+        else:
+            for got, ref in ((P, P_ref), (KP, KP_ref)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    point = init_point(kernels, 4)
+    for alpha in (1.0, 128.0, 512.0):
+        cfg = SolverConfig(k=4, alpha=alpha)
+        ref = frozen_states(kernels, cfg, point)
+        state = fit(kernels, cfg, point)
+        if n <= 362:
+            assert_same_state(state, ref[-1])
+        else:
+            assert_close_to_frozen(state, ref[-1], 4)
+
+
+def test_one_pass_sweep_on_the_n2000_synthetic():
+    # the data of the fit_n2000 benchmark workload
+    feats, _ = make_synthetic(500, 4, 3, separation=2.5, seed=101)
+    kernels = [build_kernel(f, KernelSpec(kind="rbf")).data for f in feats]
+    cfg = SolverConfig(k=4, alpha=128.0)
+    point = init_point(kernels, 4)
+    ref = frozen_states(kernels, cfg, point)[-1]
+    assert_close_to_frozen(fit(kernels, cfg, point), ref, 4)
+
+
+def layouts(K):
+    """K as C-ordered, Fortran-ordered and non-contiguous arrays."""
+    wide = np.zeros((K.shape[0], 2 * K.shape[1]))
+    wide[:, ::2] = K
+    strided = wide[:, ::2]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    return np.ascontiguousarray(K), np.asfortranarray(K), strided
+
+
+@pytest.mark.parametrize("n", [60, 363])
+def test_kernel_layout_does_not_change_the_bits(n):
+    kernels = rbf_views(n, seed=5)
+    c_order, f_order, strided = zip(*(layouts(K) for K in kernels))
+    mixed = (f_order[0], strided[1], c_order[2])
+    for max_iters in (0, 100):
+        cfg = SolverConfig(k=4, alpha=16.0, max_iters=max_iters)
+        ref = fit(list(c_order), cfg)
+        for ks in (f_order, strided, mixed):
+            assert_same_state(fit(list(ks), cfg), ref)
 
 
 def test_fit_from_shared_init_point_is_bitwise_equal():
