@@ -17,14 +17,17 @@ element is the sqrt of its sqeuclidean element.
 A ``KernelMatrix`` made from an array from outside (a kernel file, or an
 array a caller passes) gets the asymmetry scan, which works in tiles of
 rows. The kernels built and normalized here are exactly symmetric by
-construction and skip it; they keep the shape and finiteness checks.
+construction and skip it; they keep the shape and finiteness checks. Where a
+kernel is symmetrized (a repaired file, the inner-product kernels, the
+centered one), it is K/2 + K^T/2, which no finite K can overflow, formed in
+place a tile at a time, so it allocates no n x n temporary.
 :func:`validate_kernel_set` factors each kernel in place, so neither the
 scan nor the validation forms an n x n temporary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -39,11 +42,11 @@ from .errors import (
 )
 
 # Asymmetry up to this magnitude is treated as file rounding noise and
-# repaired by (K + K^T)/2; anything larger is rejected.
+# repaired by K/2 + K^T/2; anything larger is rejected.
 SYMMETRY_TOL = 1e-8
 
-# Rows per tile in the blockwise symmetry check; a tile of n rows is the
-# largest temporary it forms.
+# Rows per tile in the blockwise symmetry check and symmetrization; a tile of
+# n rows is the largest temporary either forms.
 _TILE = 256
 
 
@@ -77,15 +80,12 @@ class FeatureMatrix:
 class KernelMatrix:
     """One view's n x n kernel. Symmetrized on ingest within SYMMETRY_TOL.
 
-    ``ingest_asymmetry`` records max |K_ij - K_ji| seen before the repair so
-    validation reports can surface how dirty the source file was. Kernels
-    that ``build_kernel`` and ``normalize_kernel`` make are exactly
-    symmetric, so they record 0.0 without the scan.
+    Kernels that ``build_kernel`` and ``normalize_kernel`` make are exactly
+    symmetric, so they skip the asymmetry scan.
     """
 
     data: np.ndarray
     view_name: str
-    ingest_asymmetry: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         data = _square_finite(self.data, self.view_name)
@@ -95,9 +95,8 @@ class KernelMatrix:
                 f"view {self.view_name!r}: asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
             )
         if asym > 0.0:
-            data = (data + data.T) / 2.0
+            data = _symmetrize(data.copy())  # data may be the caller's
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ingest_asymmetry", asym)
 
     @property
     def n(self) -> int:
@@ -120,11 +119,10 @@ def _symmetric_kernel(data, view_name: str) -> KernelMatrix:
     """A ``KernelMatrix`` of ``data`` that is exactly symmetric by
     construction (built or normalized here). It gets the shape and
     finiteness checks, since a build can overflow, but not the asymmetry
-    scan, whose answer is known: ``ingest_asymmetry`` is 0.0."""
+    scan, whose answer is known: 0.0."""
     kernel = object.__new__(KernelMatrix)
     object.__setattr__(kernel, "data", _square_finite(data, view_name))
     object.__setattr__(kernel, "view_name", view_name)
-    object.__setattr__(kernel, "ingest_asymmetry", 0.0)
     return kernel
 
 
@@ -141,6 +139,26 @@ def _max_asymmetry(a: np.ndarray) -> float:
             d = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
             asym = max(asym, float(np.max(np.abs(d, out=d))))
     return asym
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Overwrite ``a`` with A/2 + A^T/2, over the tile pairs (I, J) with
+    I <= J, and return it.
+
+    Halving first means no finite A overflows, and halving is exact in the
+    normal range, so there it has the bits of (A + A^T) / 2. Each entry is
+    one sum of the two halves, the same either way round, so the result is
+    exactly symmetric. Tile pair (I, J) reads only tiles IJ and JI, which it
+    then overwrites, so a tile is the only temporary.
+    """
+    a *= 0.5
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            t = a[i:i + _TILE, j:j + _TILE] + a[j:j + _TILE, i:i + _TILE].T
+            a[i:i + _TILE, j:j + _TILE] = t
+            a[j:j + _TILE, i:i + _TILE] = t.T
+    return a
 
 
 @dataclass(frozen=True)
@@ -271,8 +289,7 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
     # an overflow or the NaN it leads to is caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == "linear":
-            K = X.T @ X
-            K = (K + K.T) / 2.0
+            K = _symmetrize(X.T @ X)
         elif spec.kind == "rbf":
             c = pdist(X.T, "sqeuclidean")
             sigma = spec.sigma if spec.sigma is not None else _median_sigma(c)
@@ -287,8 +304,7 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
             del c  # freed before the finiteness check allocates
             np.fill_diagonal(K, 1.0)
         else:  # polynomial
-            K = (X.T @ X + spec.c) ** spec.degree
-            K = (K + K.T) / 2.0
+            K = _symmetrize((X.T @ X + spec.c) ** spec.degree)
     return _symmetric_kernel(K, features.view_name)
 
 
@@ -316,8 +332,7 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
     if mode == "center":
         row_mean = K.mean(axis=1, keepdims=True)
         col_mean = K.mean(axis=0, keepdims=True)
-        out = K - row_mean - col_mean + K.mean()
-        out = (out + out.T) / 2.0
+        out = _symmetrize(K - row_mean - col_mean + K.mean())
         return _symmetric_kernel(out, kernel.view_name)
     raise BadParamError(f"unknown normalization mode {mode!r}")
 
@@ -361,10 +376,9 @@ def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
 
     The set is consistent by construction (see :class:`KernelSet`), and
     small asymmetries were already repaired at ingest (see
-    ``KernelMatrix.ingest_asymmetry``). A view is ``indefinite`` exactly
-    when K + tau*I, tau = 1e-10 * max(1, |tr K|), has no Cholesky factor,
-    i.e. when K has an eigenvalue below -tau up to the factorization's
-    rounding. Indefinite kernels are flagged but accepted, since the
+    :class:`KernelMatrix`). A view is ``indefinite`` exactly when
+    K + tau*I, tau = 1e-10 * max(1, |tr K|), has no Cholesky factor, i.e.
+    when K has an eigenvalue below -tau up to the factorization's rounding. Indefinite kernels are flagged but accepted, since the
     solver's closed-form updates never need positive semidefiniteness.
 
     Each kernel is factored in its own storage and restored bit for bit

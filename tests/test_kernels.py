@@ -63,7 +63,8 @@ def test_kernel_matrix_symmetrizes_within_tolerance():
     k[1, 0] = 1.0 + 1e-10
     km = KernelMatrix(k, "v")
     assert np.array_equal(km.data, km.data.T)
-    assert km.ingest_asymmetry == pytest.approx(1e-10, rel=1e-3)
+    assert km.data[0, 1] == (1.0 + (1.0 + 1e-10)) / 2.0
+    assert k[1, 0] == 1.0 + 1e-10  # the caller's array is not repaired
 
 
 def test_kernel_matrix_rejects_large_asymmetry():
@@ -127,7 +128,7 @@ def test_polynomial_kernel_matches_naive_loop(rng):
 
 def test_built_kernels_exactly_symmetric(rng, monkeypatch):
     # built and normalized kernels skip the asymmetry scan, so each must be
-    # exactly symmetric, on which the scan would record 0.0 and repair
+    # exactly symmetric, on which the scan would find 0.0 and repair
     # nothing; duplicated and coincident samples included (see
     # _random_features)
     def scan(a):
@@ -143,17 +144,16 @@ def test_built_kernels_exactly_symmetric(rng, monkeypatch):
                      KernelSpec(kind="polynomial", c=0.5, degree=3)):
             k = build_kernel(fm, spec)
             assert np.array_equal(k.data, k.data.T)
-            assert k.ingest_asymmetry == 0.0
             for mode in ("cosine", "center"):
                 if mode == "cosine" and np.any(np.diag(k.data) <= 0):
                     continue
                 out = normalize_kernel(k, mode)
                 assert np.array_equal(out.data, out.data.T)
-                assert out.ingest_asymmetry == 0.0
 
 
 OVERFLOWING = [0.0, 1e200, -1e200, 3e200]  # distances and X^T X overflow
 LARGE = [1e100, 2e100, -1e100, 0.0]        # finite X^T X; its cube overflows
+HUGE = [1.2e154, 1.2e154]                   # X^T X finite, K + K^T not
 
 
 @pytest.mark.parametrize("x, spec, overflows", [
@@ -163,8 +163,10 @@ LARGE = [1e100, 2e100, -1e100, 0.0]        # finite X^T X; its cube overflows
     (LARGE, KernelSpec(kind="rbf"), False),
     (LARGE, KernelSpec(kind="linear"), False),
     (LARGE, KernelSpec(kind="polynomial", degree=3), True),
+    (HUGE, KernelSpec(kind="linear"), False),
+    (HUGE, KernelSpec(kind="polynomial", c=0.0, degree=1), False),
 ], ids=["rbf", "linear", "polynomial", "rbf-large", "linear-large",
-        "polynomial-large"])
+        "polynomial-large", "linear-huge", "polynomial-huge"])
 def test_overflowing_features_raise_typed_error_without_warning(x, spec,
                                                                  overflows):
     fm = FeatureMatrix(np.array([x]), "v")
@@ -209,13 +211,52 @@ def test_asymmetric_raw_array_and_kernel_file_still_rejected(tmp_path):
     for normalization in ("none", "cosine", "center"):
         with pytest.raises(AsymmetricKernelError):
             load(normalization)
-    # within the tolerance the file is repaired and its asymmetry recorded
+    # within the tolerance the file is repaired
     k[1, 0] = 0.5 + SYMMETRY_TOL / 2
     write_matrix(tmp_path / "k.mvk1", k)
     repaired = load("none")
     assert np.array_equal(repaired.data, repaired.data.T)
-    assert repaired.ingest_asymmetry == pytest.approx(SYMMETRY_TOL / 2,
-                                                      rel=1e-6)
+    assert _same_bits(repaired.data, (k + k.T) / 2.0)
+
+
+def test_repair_of_huge_finite_kernel_stays_finite():
+    # a kernel file's entries may be finite up to the float64 maximum;
+    # (K + K^T) / 2 would overflow there, with only a RuntimeWarning
+    k = np.array([[1e308, 1.0, 0.0], [1.0, 1.0, 1.0 + 1e-9], [0.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        km = KernelMatrix(k, "v")
+        out = normalize_kernel(km, "center")
+    assert km.data[0, 0] == 1e308
+    assert km.data[1, 2] == km.data[2, 1] == (1.0 + (1.0 + 1e-9)) / 2.0
+    assert np.isfinite(out.data).all()
+    assert np.array_equal(out.data, out.data.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _TILE - 1, _TILE, _TILE + 1,
+                               2 * _TILE + 3])
+def test_symmetrize_matches_old_expression_in_normal_range(n):
+    # halving is exact in the normal range, so K/2 + K^T/2 has the bits of
+    # (K + K^T) / 2, through each path that symmetrizes (the ingest repair
+    # is checked at these sizes in the tile-boundary test below)
+    rng = np.random.default_rng(n)
+    for scale in (1e-300, 1.0, 1e300):
+        A = rng.standard_normal((n, n)) * scale
+        for data in (A, np.asfortranarray(A)):
+            assert _same_bits(kernels_module._symmetrize(data.copy()),
+                              (A + A.T) / 2.0)
+    X = rng.standard_normal((3, max(n, 2)))  # features need 2 samples
+    G = X.T @ X
+    lin = build_kernel(FeatureMatrix(X, "v"), KernelSpec(kind="linear"))
+    assert _same_bits(lin.data, (G + G.T) / 2.0)
+    P = (G + 0.5) ** 3
+    poly = build_kernel(FeatureMatrix(X, "v"),
+                        KernelSpec(kind="polynomial", c=0.5, degree=3))
+    assert _same_bits(poly.data, (P + P.T) / 2.0)
+    K = lin.data
+    C = K - K.mean(axis=1, keepdims=True) - K.mean(axis=0, keepdims=True) \
+        + K.mean()
+    assert _same_bits(normalize_kernel(lin, "center").data, (C + C.T) / 2.0)
 
 
 def test_kernel_spec_validation():
@@ -471,7 +512,7 @@ def _assert_matches_reference(X, sigma):
     k = build_kernel(fm, KernelSpec(kind="rbf", sigma=sigma))
     ref_k = _ref_rbf(X, ref_sigma if sigma is None else sigma)
     assert _same_bits(k.data, ref_k)
-    assert k.ingest_asymmetry == _ref_asymmetry(ref_k) == 0.0
+    assert _ref_asymmetry(ref_k) == 0.0
     assert not _verdict(k.data)
 
 
@@ -526,8 +567,8 @@ def test_asymmetry_matches_frozen_reference_at_tile_boundaries(n):
                         with pytest.raises(AsymmetricKernelError):
                             KernelMatrix(data, "v")
                         continue
+                    assert _same_bits(kernels_module._max_asymmetry(data), ref)
                     km = KernelMatrix(data, "v")
-                    assert _same_bits(km.ingest_asymmetry, ref)
                     repaired = (A + A.T) / 2.0 if ref > 0.0 else A
                     assert _same_bits(km.data, repaired)
     K = KernelMatrix(base, "v").data
@@ -574,3 +615,14 @@ def test_rbf_build_and_validation_peak_memory():
     ks = KernelSet(kernels=(k,))
     _, validate_peak = _traced_peak(lambda: validate_kernel_set(ks))
     assert validate_peak <= 0.5 * matrix
+
+
+def test_inner_product_build_symmetrizes_in_place():
+    # the linear kernel is halved and symmetrized in its own storage, a tile
+    # at a time, so the build holds the kernel and one tile pair, not the
+    # second n x n array that (K + K^T) / 2 forms
+    n = 1000
+    X = np.random.default_rng(3).standard_normal((5, n))
+    _, peak = _traced_peak(lambda: build_kernel(FeatureMatrix(X, "v"),
+                                                KernelSpec(kind="linear")))
+    assert peak <= 1.25 * n * n * 8
