@@ -18,7 +18,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .solver import (
 
 ALGORITHMS = ("umklmf", "kkm", "mkkm")
 DEFAULT_ALPHAS = tuple(float(2 ** i) for i in range(10))
+METRICS = tuple(f.name for f in fields(mmetrics.MetricReport))
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,7 @@ class ExperimentPlan:
     algorithms: tuple[str, ...]
     alphas: tuple[float, ...]
     seeds: tuple[int, ...]
-    restarts: int
     out_dir: Path
-    select_metric: str = "acc"
-    max_iters: int = 100
-    rel_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.manifests:
@@ -71,8 +68,6 @@ class ExperimentPlan:
                              ("alphas", self.alphas), ("seeds", self.seeds)):
             if len(set(values)) != len(values):
                 raise BadParamError(f"duplicate {what} in {values}")
-        if self.select_metric not in ("acc", "nmi", "purity", "ari"):
-            raise BadParamError(f"unknown metric {self.select_metric!r}")
 
 
 def _say(args, text: str) -> None:
@@ -104,8 +99,23 @@ def _mean_kernel(ks: KernelSet) -> np.ndarray:
     return sum(stack) / len(stack)
 
 
-def _shared_part(ks: KernelSet, clusters: int, algorithm: str,
-                 max_iters: int, rel_tol: float):
+def _configs(args, algorithm: str, clusters: int, alpha: float | None,
+             seed: int) -> tuple[SolverConfig, KMeansConfig]:
+    """The validated (solver, k-means) configs of one run, from ``args``'
+    ``--max-iters``, ``--rel-tol`` and ``--restarts``: the one place the
+    CLI builds either config, so ``fit``, ``evolve`` and every ``bench``
+    cell run under the same checks, mkkm's iterations included. Only
+    umklmf takes alpha; a baseline ignores the one it is given."""
+    if algorithm != "umklmf":
+        alpha = SolverConfig.alpha
+    elif alpha is None:
+        raise BadParamError("umklmf needs --alpha")
+    return (SolverConfig(k=clusters, alpha=alpha, max_iters=args.max_iters,
+                         rel_tol=args.rel_tol),
+            KMeansConfig(k=clusters, restarts=args.restarts, seed=seed))
+
+
+def _shared_part(ks: KernelSet, algorithm: str, cfg: SolverConfig):
     """The part of a run that depends on neither alpha nor the k-means seed,
     so ``bench`` computes it once per (dataset, algorithm): the umklmf
     ``InitPoint``, or a baseline's pair (H, weights), which for kkm is
@@ -115,46 +125,35 @@ def _shared_part(ks: KernelSet, clusters: int, algorithm: str,
     """
     t0 = time.perf_counter()
     if algorithm == "umklmf":
-        part = init_point(ks, clusters)
+        part = init_point(ks, cfg.k)
     elif algorithm == "kkm":
-        part = fit_kkm(_mean_kernel(ks), clusters), None
+        part = fit_kkm(_mean_kernel(ks), cfg.k), None
     else:
-        part = fit_mkkm(ks, clusters, max_iters=max_iters, rel_tol=rel_tol)
+        part = fit_mkkm(ks, cfg.k, max_iters=cfg.max_iters,
+                        rel_tol=cfg.rel_tol)
     return part, time.perf_counter() - t0
 
 
-def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
-             alpha: float | None, seed: int, restarts: int, max_iters: int,
-             rel_tol: float, shared=None):
+def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
+             shared):
     """Fit one algorithm, cluster its embedding with k-means and score the
     labels: the run behind both ``fit`` and each ``bench`` cell.
 
-    ``shared`` is the (part, seconds) pair of ``_shared_part`` for this
-    dataset and algorithm; when None it is computed here, after the solver
-    and k-means configs are validated. The umklmf fit starts from the shared
-    init point; a baseline's (H, weights) is the shared part itself.
+    ``configs`` is the run's pair from ``_configs`` and ``shared`` the
+    (part, seconds) pair of ``_shared_part`` for this dataset and
+    algorithm. The umklmf fit starts from the shared init point; a
+    baseline's (H, weights) is the shared part itself.
 
     Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
     are None where the algorithm has none. alpha is recorded as None for the
     baselines, which take none. The wall time is what the run costs alone:
     the shared part's seconds plus the fit and k-means.
     """
-    clusters = manifest.clusters
-    km_cfg = KMeansConfig(k=clusters, restarts=restarts, seed=seed)
-    cfg = None
-    if algorithm == "umklmf":
-        if alpha is None:
-            raise BadParamError("umklmf needs --alpha")
-        cfg = SolverConfig(k=clusters, alpha=alpha, max_iters=max_iters,
-                           rel_tol=rel_tol)
-    else:
-        alpha = None
-    if shared is None:
-        shared = _shared_part(ks, clusters, algorithm, max_iters, rel_tol)
+    cfg, km_cfg = configs
     part, shared_seconds = shared
     trace = g_list = None
     t0 = time.perf_counter()
-    if cfg is not None:
+    if algorithm == "umklmf":
         state = fit(ks, cfg, part)
         h, weights = state.H, state.omega
         trace, g_list = state.objective_trace, state.G
@@ -165,8 +164,8 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str,
     record = mio.RunRecord(
         dataset=manifest.name,
         algorithm=algorithm,
-        alpha=alpha,
-        seed=seed,
+        alpha=cfg.alpha if algorithm == "umklmf" else None,
+        seed=km_cfg.seed,
         metrics=mmetrics.evaluate(truth, labels).as_dict(),
         iterations=0 if trace is None else len(trace) - 1,
         objective_final=None if trace is None else float(trace[-1]),
@@ -223,11 +222,13 @@ def _write_fit_artifacts(out: Path, artifacts, g_files) -> None:
 
 def cmd_fit(args) -> int:
     manifest = mio.load_manifest(args.manifest)
+    configs = _configs(args, args.algorithm, manifest.clusters, args.alpha,
+                       args.seed)
     ks, truth = mio.load_dataset(manifest)
     g_files = _view_files("G", ks.view_names)
     record, artifacts = _run_fit(
-        manifest, ks, truth, args.algorithm, args.alpha, args.seed,
-        args.restarts, args.max_iters, args.rel_tol)
+        manifest, ks, truth, args.algorithm, configs,
+        _shared_part(ks, args.algorithm, configs[0]))
 
     out = Path(args.out)
     _write_fit_artifacts(out, artifacts, g_files)
@@ -265,11 +266,7 @@ def cmd_bench(args) -> int:
         algorithms=tuple(args.algorithms.split(",")),
         alphas=_grid("--alphas", args.alphas, float),
         seeds=_grid("--seeds", args.seeds, int),
-        restarts=args.restarts,
         out_dir=Path(args.out),
-        select_metric=args.select_metric,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
     )
     datasets = []
     for mp in plan.manifests:
@@ -278,49 +275,45 @@ def cmd_bench(args) -> int:
     dataset_names = [manifest.name for manifest, _, _ in datasets]
     if len(set(dataset_names)) != len(dataset_names):
         raise BadParamError("duplicate dataset names across manifests")
-    # the config validators reject bad restarts, iteration caps and
-    # tolerances here, before any cell runs
-    for manifest, _, _ in datasets:
-        KMeansConfig(k=manifest.clusters, restarts=plan.restarts)
-        SolverConfig(k=manifest.clusters, alpha=plan.alphas[0],
-                     max_iters=plan.max_iters, rel_tol=plan.rel_tol)
+    # every cell's configs, before any cell runs, in (dataset, algorithm,
+    # alpha, seed) order
+    cells = [(i, j, alpha, seed,
+              _configs(args, alg, manifest.clusters, alpha, seed))
+             for i, (manifest, _, _) in enumerate(datasets)
+             for j, alg in enumerate(plan.algorithms)
+             for alpha in (plan.alphas if alg == "umklmf" else (None,))
+             for seed in plan.seeds]
 
-    # cells run in (dataset, algorithm, alpha, seed) order; a table entry is
-    # the mean select-metric across seeds at the best alpha (by that mean)
+    # a table entry is the mean select-metric across seeds at the best alpha
+    # (by that mean)
     records = []
-    n_cells = 0
-    table = np.full((len(plan.manifests), len(plan.algorithms)), np.nan)
-    for i, (manifest, ks, truth) in enumerate(datasets):
-        for j, alg in enumerate(plan.algorithms):
-            # the seed- and alpha-free part, once; one that fails fails
-            # every cell that uses it, with the same error
+    scores: dict[tuple, list[float]] = {}
+    key = shared = None
+    for i, j, alpha, seed, configs in cells:
+        (manifest, ks, truth), alg = datasets[i], plan.algorithms[j]
+        # the seed- and alpha-free part, once per (dataset, algorithm); one
+        # that fails fails every cell that uses it, with the same error
+        if key != (i, j):
+            key = (i, j)
             try:
-                shared = _shared_part(ks, manifest.clusters, alg,
-                                      plan.max_iters, plan.rel_tol)
+                shared = _shared_part(ks, alg, configs[0])
             except MvkmfError as exc:
                 shared = exc
-            means = []
-            for alpha in plan.alphas if alg == "umklmf" else (None,):
-                vals = []
-                for seed in plan.seeds:
-                    n_cells += 1
-                    try:
-                        if isinstance(shared, MvkmfError):
-                            raise shared
-                        record, _ = _run_fit(
-                            manifest, ks, truth, alg, alpha, seed,
-                            plan.restarts, plan.max_iters, plan.rel_tol,
-                            shared)
-                    except MvkmfError as exc:
-                        _say(args, f"cell failed: {manifest.name} {alg} "
-                                   f"alpha={alpha} seed={seed}: {exc}")
-                        continue
-                    records.append(record)
-                    vals.append(record.metrics[plan.select_metric])
-                if vals:
-                    means.append(float(np.mean(vals)))
-            if means:
-                table[i, j] = max(means)
+        try:
+            if isinstance(shared, MvkmfError):
+                raise shared
+            record, _ = _run_fit(manifest, ks, truth, alg, configs, shared)
+        except MvkmfError as exc:
+            # on stderr, so that --quiet does not hide it
+            print(f"cell failed: {manifest.name} {alg} alpha={alpha} "
+                  f"seed={seed}: {exc}", file=sys.stderr)
+            continue
+        records.append(record)
+        scores.setdefault((i, j, alpha), []).append(
+            record.metrics[args.select_metric])
+    table = np.full((len(plan.manifests), len(plan.algorithms)), np.nan)
+    for (i, j, _), vals in scores.items():
+        table[i, j] = np.fmax(table[i, j], np.mean(vals))
 
     plan.out_dir.mkdir(parents=True, exist_ok=True)
     records_path = plan.out_dir / "records.jsonl"
@@ -330,7 +323,7 @@ def cmd_bench(args) -> int:
                              dataset_names=tuple(dataset_names),
                              algorithm_names=plan.algorithms)
     mstats.write_results_table(plan.out_dir / "table.csv", rt)
-    _say(args, f"{len(records)}/{n_cells} cells succeeded; wrote "
+    _say(args, f"{len(records)}/{len(cells)} cells succeeded; wrote "
                f"{plan.out_dir / 'table.csv'}")
     return 0 if records else 3
 
@@ -355,7 +348,7 @@ def cmd_stats(args) -> int:
     f_text = "inf" if summary.f_stat == float("inf") else _g(summary.f_stat)
     print(f"F: {f_text} (df1={summary.df1}, df2={summary.df2})")
     if summary.degenerate:
-        print("ranks are fully degenerate; reporting p = 0")
+        print("every dataset ranks the algorithms the same way; p is exact")
     print(f"p: {_g(summary.p_value)}")
     print(f"CD (q_alpha={_g(q_alpha)}): {_g(summary.critical_difference)}")
     sig = mstats.pairwise_significance(summary)
@@ -410,13 +403,9 @@ def cmd_heatmap(args) -> int:
 
 def cmd_evolve(args) -> int:
     manifest = mio.load_manifest(args.manifest)
-    if args.alpha is None:
-        raise BadParamError("umklmf needs --alpha")
     # both configs are validated before the data is read and the fit starts
-    cfg = SolverConfig(k=manifest.clusters, alpha=args.alpha,
-                       max_iters=args.max_iters, rel_tol=args.rel_tol)
-    km_cfg = KMeansConfig(k=manifest.clusters, restarts=args.restarts,
-                          seed=args.seed)
+    cfg, km_cfg = _configs(args, "umklmf", manifest.clusters, args.alpha,
+                           args.seed)
     ks, truth = mio.load_dataset(manifest)
 
     # the start (a fit of 0 iterations) and then each iteration's state,
@@ -427,14 +416,14 @@ def cmd_evolve(args) -> int:
     rows = []
     for iteration, state in enumerate(states):
         report = mmetrics.evaluate(truth, kmeans(state.H, km_cfg).labels)
-        rows.append([iteration, float(state.objective_trace[-1]), report.acc,
-                     report.nmi, report.purity, report.ari])
+        rows.append([iteration, float(state.objective_trace[-1]),
+                     *report.as_dict().values()])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "evolve.csv"
     with path.open("w") as fh:
-        fh.write("iteration,objective,acc,nmi,purity,ari\n")
+        fh.write(",".join(("iteration", "objective", *METRICS)) + "\n")
         for r in rows:
             fh.write(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]])
                      + "\n")
@@ -469,14 +458,22 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="suppress informational output")
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``_configs`` reads, shared by fit, evolve and bench, with
+    the configs' own defaults."""
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                   help="solver iteration cap (umklmf and mkkm)")
+    p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
+                   help="relative objective change that stops the solver")
+    p.add_argument("--restarts", type=int, default=KMeansConfig.restarts,
+                   help="k-means restarts")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None,
-                   help="regularization weight (iterative algorithms)")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=50,
-                   help="k-means restarts")
+                   help="regularization weight (umklmf only)")
     p.add_argument("--seed", type=int, default=0, help="k-means seed")
+    _add_run_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,12 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(str(a) for a in DEFAULT_ALPHAS),
                    help="comma-separated alpha grid")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--select-metric", default="acc",
-                   choices=("acc", "nmi", "purity", "ari"),
+    p.add_argument("--select-metric", default="acc", choices=METRICS,
                    help="metric used to pick the best alpha per cell")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=50)
+    _add_run_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_bench)
 

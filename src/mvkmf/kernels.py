@@ -378,8 +378,9 @@ def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
     small asymmetries were already repaired at ingest (see
     :class:`KernelMatrix`). A view is ``indefinite`` exactly when
     K + tau*I, tau = 1e-10 * max(1, |tr K|), has no Cholesky factor, i.e.
-    when K has an eigenvalue below -tau up to the factorization's rounding. Indefinite kernels are flagged but accepted, since the
-    solver's closed-form updates never need positive semidefiniteness.
+    when K has an eigenvalue below -tau up to the factorization's rounding.
+    Indefinite kernels are flagged but accepted, since the solver's
+    closed-form updates never need positive semidefiniteness.
 
     Each kernel is factored in its own storage and restored bit for bit
     before the next one, so no other thread may read the kernels while this

@@ -92,10 +92,16 @@ class SolverConfig:
             raise BadParamError(f"cluster count must be >= 2, got {self.k}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise BadParamError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.max_iters < 0:
-            raise BadParamError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.rel_tol > 0:
-            raise BadParamError(f"rel_tol must be > 0, got {self.rel_tol}")
+        _check_limits(self.max_iters, self.rel_tol)
+
+
+def _check_limits(max_iters: int, rel_tol: float) -> None:
+    """The stopping rule's checks, shared by ``SolverConfig`` and
+    ``fit_mkkm``: an iteration cap >= 0 and a tolerance > 0 (not NaN)."""
+    if max_iters < 0:
+        raise BadParamError(f"max_iters must be >= 0, got {max_iters}")
+    if not rel_tol > 0:
+        raise BadParamError(f"rel_tol must be > 0, got {rel_tol}")
 
 
 @dataclass
@@ -547,17 +553,20 @@ def fit_kkm(kernel, clusters: int) -> np.ndarray:
     return _top_eigenvectors(K, clusters).T
 
 
-def fit_mkkm(ks, clusters: int, max_iters: int = 100,
-             rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
+             rel_tol: float = SolverConfig.rel_tol
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Multiple-kernel k-means baseline.
 
     Alternates (a) H = leading eigenvectors of the combined kernel
     K_gamma = sum_v gamma_v^2 K_v and (b) the simplex-optimal gamma with
     per-view cost c_v = tr(K_v (I - H^T H)), until the relative change of
-    tr(K_gamma - H K_gamma H^T) falls below rel_tol.
+    tr(K_gamma - H K_gamma H^T) falls below rel_tol. The limits are checked
+    as ``SolverConfig`` checks them (``BadParamError``).
 
     Returns (H, gamma).
     """
+    _check_limits(max_iters, rel_tol)
     kernels = _kernel_list(ks)
     V = len(kernels)
     traces = np.array([float(np.trace(K)) for K in kernels])

@@ -1,6 +1,7 @@
 """Rank-based comparison of algorithms across datasets.
 
-Implements the Friedman test with the Iman-Davenport F correction and the
+Implements the Friedman test with the Iman-Davenport F correction (the p is
+exact instead when every row ranks the algorithms the same way) and the
 Nemenyi critical difference for pairwise post-hoc comparison, by default at
 alpha = 0.05 for the table's number of algorithms. Scores arrive
 as a datasets x algorithms table; rows with missing cells are dropped before
@@ -157,8 +158,10 @@ def friedman(table: ResultsTable, higher_is_better: bool = True,
 
     Per-row ranks use average ranking for ties (best score gets rank 1).
     The critical difference is :func:`nemenyi_cd`'s for ``q_alpha``.
-    When the ranks are fully degenerate the F statistic is infinite and the
-    p-value is exactly 0.0; the summary flags this instead of raising.
+    When every row ranks the algorithms the same way (``degenerate``), the
+    F statistic is infinite and the p-value is exact: chi2 is then at its
+    maximum, which under the null only the k! tables of n identical rows
+    reach, so p = k!^(1 - n). Otherwise p comes from the F approximation.
     """
     scores = table.scores
     complete = ~np.isnan(scores).any(axis=1)
@@ -181,7 +184,7 @@ def friedman(table: ResultsTable, higher_is_better: bool = True,
     degenerate = denom <= 0.0
     if degenerate:
         f_stat = math.inf
-        p_value = 0.0
+        p_value = 1 / math.factorial(k) ** (n - 1)
     else:
         f_stat = (n - 1) * chi2 / denom
         p_value = f_survival(f_stat, df1, df2)

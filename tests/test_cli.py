@@ -53,7 +53,7 @@ def write_hostile_dataset(root):
 
 def test_plan_validation(tmp_path):
     kwargs = dict(manifests=(tmp_path,), algorithms=("umklmf",),
-                  alphas=(1.0,), seeds=(0,), restarts=5, out_dir=tmp_path)
+                  alphas=(1.0,), seeds=(0,), out_dir=tmp_path)
     ExperimentPlan(**kwargs)
     with pytest.raises(BadParamError):
         ExperimentPlan(**{**kwargs, "algorithms": ()})
@@ -254,6 +254,15 @@ def test_fit_mkkm(tmp_path):
     assert gamma.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fit_mkkm_iterates_under_max_iters(tmp_path):
+    # --max-iters 0 leaves mkkm at its start: uniform gamma
+    mpath = synth(tmp_path)
+    out = tmp_path / "mkkm"
+    assert main(["fit", "--manifest", str(mpath), "--algorithm", "mkkm",
+                 "--max-iters", "0", "--out", str(out), "--quiet"]) == 0
+    assert read_matrix(out / "omega.csv").tolist() == [[0.5, 0.5]]
+
+
 def test_fit_numerical_failure_exit_3(tmp_path):
     mpath = write_hostile_dataset(tmp_path / "hostile")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -312,6 +321,9 @@ def test_evolve_row_count_matches_fit_iterations(tmp_path):
     ["fit", "--algorithm", "umklmf", "--alpha", "16", "--max-iters", "-1"],
     ["evolve", "--alpha", "16", "--restarts", "0"],
     ["evolve", "--alpha", "16", "--rel-tol", "0"],
+    ["fit", "--algorithm", "mkkm", "--max-iters", "-1"],
+    ["fit", "--algorithm", "mkkm", "--rel-tol", "0"],
+    ["fit", "--algorithm", "mkkm", "--rel-tol", "nan"],
 ])
 def test_bad_config_exits_2_before_fitting(tmp_path, monkeypatch, argv):
     import mvkmf.cli as cli
@@ -516,6 +528,39 @@ def test_bench_all_cells_fail_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_bench_select_metric_nmi(tmp_path):
+    # overlapping clusters, so that on set1 the best alpha by mean NMI (64)
+    # is not the best by mean ACC (4)
+    manifests = []
+    for seed in (1, 2):
+        out = tmp_path / f"set{seed}"
+        assert main(["synth", "--name", f"set{seed}", "--per-cluster", "8",
+                     "--clusters", "3", "--separation", "1", "--seed",
+                     str(seed), "--out", str(out), "--quiet"]) == 0
+        manifests += ["--manifest", str(out / "manifest.json")]
+    out = tmp_path / "bench"
+    assert main(["bench", *manifests, "--algorithms", "umklmf,mkkm",
+                 "--alphas", "1,4,64", "--seeds", "0,1", "--restarts", "10",
+                 "--select-metric", "nmi", "--out", str(out), "--quiet"]) == 0
+    table = read_results_table(out / "table.csv")
+    records = read_run_records(out / "records.jsonl")
+    for i, ds in enumerate(table.dataset_names):
+        for j, alg in enumerate(table.algorithm_names):
+            means = {}
+            for metric in ("acc", "nmi"):
+                by_alpha: dict = {}
+                for r in records:
+                    if r.dataset == ds and r.algorithm == alg:
+                        by_alpha.setdefault(r.alpha, []).append(
+                            r.metrics[metric])
+                means[metric] = {a: float(np.mean(v))
+                                 for a, v in by_alpha.items()}
+            assert table.scores[i, j] == max(means["nmi"].values())
+            if (ds, alg) == ("set1", "umklmf"):
+                best_acc = max(means["acc"], key=means["acc"].get)
+                assert table.scores[i, j] > means["nmi"][best_acc]
+
+
 def test_bench_table_feeds_stats(tmp_path, capsys):
     m1 = synth(tmp_path, name="one", per=6, clusters=2, seed=3)
     m2 = synth(tmp_path, name="two", per=6, clusters=2, seed=4)
@@ -607,22 +652,28 @@ def _stripped_records(out):
     return records
 
 
-def check_bench_beside_good_set(tmp_path, capsys, bad, umklmf_error):
+def check_bench_beside_good_set(tmp_path, capsys, bad, umklmf_error,
+                                flags=()):
     """Bench a good set next to the one-view set ``bad`` and the good set
     alone: only the umklmf and mkkm cells of ``bad`` fail, with their shared
-    part's error, and the good set's records do not change."""
+    part's error on stderr, and the good set's records do not change.
+    ``flags`` are extra flags for the first bench; with ``--quiet`` it
+    prints nothing on stdout."""
     good = synth(tmp_path, name="fine", per=6, clusters=2)
     grid = ["--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,2",
             "--seeds", "0,1", "--restarts", "5"]
     capsys.readouterr()
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["bench", "--manifest", str(good), "--manifest", str(bad),
-                   "--out", str(tmp_path / "both")] + grid)
+                   "--out", str(tmp_path / "both"), *flags] + grid)
+        captured = capsys.readouterr()
         assert main(["bench", "--manifest", str(good),
                      "--out", str(tmp_path / "alone"), "--quiet"] + grid) == 0
     assert rc == 0
-    failed = [line for line in capsys.readouterr().out.splitlines()
+    failed = [line for line in captured.err.splitlines()
               if line.startswith("cell failed:")]
+    if "--quiet" in flags:
+        assert captured.out == ""
     name = json.loads(bad.read_text())["name"]
     mkkm = "combined-kernel objective became NaN/Inf"
     # every cell of a failed shared part reports that part's error, in cell
@@ -649,6 +700,14 @@ def test_bench_failed_shared_part_fails_its_cells(tmp_path, capsys):
     check_bench_beside_good_set(
         tmp_path, capsys, write_overflow_dataset(tmp_path / "overflow"),
         "objective became NaN/Inf; check the kernels")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bench_quiet_still_reports_failed_cells(tmp_path, capsys):
+    check_bench_beside_good_set(
+        tmp_path, capsys, write_overflow_dataset(tmp_path / "overflow"),
+        "objective became NaN/Inf; check the kernels", flags=["--quiet"])
 
 
 def write_full_dataset(root, n):

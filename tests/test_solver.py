@@ -797,6 +797,18 @@ def test_fit_mkkm_single_view_reduces_to_kkm(rng):
     assert np.array_equal(gamma, [1.0])
 
 
+@pytest.mark.parametrize("limits", [{"max_iters": -1}, {"rel_tol": 0.0},
+                                    {"rel_tol": float("nan")}])
+def test_fit_mkkm_rejects_bad_limits(rng, limits):
+    # the checks SolverConfig makes, with its messages, before any solve
+    K = random_psd_kernel(rng, 8)
+    with pytest.raises(BadParamError) as mkkm_err:
+        fit_mkkm([K, K], 3, **limits)
+    with pytest.raises(BadParamError) as config_err:
+        SolverConfig(k=3, **limits)
+    assert str(mkkm_err.value) == str(config_err.value)
+
+
 def test_fit_mkkm_identical_views_uniform_gamma(rng):
     K = random_psd_kernel(rng, 8)
     _, gamma = fit_mkkm([K, K], 3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -189,13 +190,36 @@ def test_friedman_drops_incomplete_rows():
 
 def test_friedman_degenerate_unanimous_ranking():
     # every dataset orders the algorithms the same way; the Iman-Davenport
-    # denominator hits zero
+    # denominator hits zero, and the exact p is that of the 3! unanimous
+    # tables among the (3!)^5 equally likely ones
     scores = np.array([[0.9, 0.6, 0.3]] * 5) + np.arange(5)[:, None]
     summary = friedman(table_from(scores))
     assert summary.degenerate
     assert math.isinf(summary.f_stat)
-    assert summary.p_value == 0.0
+    assert summary.p_value == 6.0 ** -4
     assert summary.chi2 == pytest.approx(5 * (3 - 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3)])
+def test_friedman_unanimous_p_matches_enumeration(n, k):
+    # under the null every row is an equally likely permutation of the ranks
+    # 1..k; the exact p is the share of the (k!)^n rank tables whose chi2
+    # (a function of the column rank sums) reaches the observed maximum
+    from fractions import Fraction
+
+    perms = list(itertools.permutations(range(1, k + 1)))
+    observed = friedman(table_from([perms[0]] * n), higher_is_better=False)
+    hits = 0
+    for rows in itertools.product(perms, repeat=n):
+        sums = np.sum(rows, axis=0)
+        chi2 = 12.0 / (n * k * (k + 1)) * float(np.sum(sums ** 2)) \
+            - 3.0 * n * (k + 1)
+        hits += chi2 >= observed.chi2 - 1e-9
+    exact = Fraction(hits, len(perms) ** n)
+    assert exact == Fraction(1, math.factorial(k) ** (n - 1))
+    assert observed.p_value == float(exact)
+    if (n, k) == (2, 3):
+        assert observed.p_value == 1 / 6
 
 
 def test_friedman_needs_enough_data():
