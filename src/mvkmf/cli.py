@@ -351,6 +351,14 @@ def cmd_stats(args) -> int:
         print("every dataset ranks the algorithms the same way; p is exact")
     print(f"p: {_g(summary.p_value)}")
     print(f"CD (q_alpha={_g(q_alpha)}): {_g(summary.critical_difference)}")
+    n, k = summary.n_used, len(summary.algorithm_names)
+    floor = mstats.smallest_p(n, k)
+    if floor > 0.05:
+        print(f"too few datasets: the smallest p that {n} datasets and {k} "
+              f"algorithms can reach is {_g(floor)} > 0.05")
+    if k - 1 < summary.critical_difference:
+        print(f"too few datasets: the largest possible mean-rank gap, {k - 1}, "
+              "is below the CD")
     sig = mstats.pairwise_significance(summary)
     print("significant pairs (mean-rank gap >= CD):")
     any_pair = False

@@ -5,14 +5,17 @@ enters the solver as a symmetric n x n kernel matrix; this module builds
 those matrices from raw features (columns = samples), normalizes them, and
 sanity-checks a whole multi-view collection before fitting.
 
-An rbf kernel costs one squared-distance pass: ``pdist(..., "sqeuclidean")``
-gives the condensed vector of the n(n-1)/2 pairwise squared distances, the
-median heuristic reads sigma from it by one selection, and ``exp`` runs on
-the condensed vector before ``squareform`` expands it, so the build holds
-about 1.5 n^2 floats at its peak. The sqrt of the selected squared distance
-is exactly the median of the Euclidean distances: sqrt is monotone, so it
-maps order statistics onto order statistics, and ``pdist``'s euclidean
-element is the sqrt of its sqeuclidean element.
+An rbf kernel costs one squared-distance pass, and the build runs inside
+the kernel's own n x n buffer. ``pdist(..., "sqeuclidean")`` writes the
+condensed vector of the n(n-1)/2 pairwise squared distances into the tail of
+that buffer; the median heuristic copies it to the free head and reads sigma
+there by one selection; ``exp`` runs in place on the tail; each row then
+moves to its place in the upper triangle, which is mirrored onto the lower
+one. So the build holds the kernel and a count of the zero distances (n^2/2
+bytes), about 1.06 n^2 floats at its peak. The sqrt of the selected squared
+distance is exactly the median of the Euclidean distances: sqrt is
+monotone, so it maps order statistics onto order statistics, and
+``pdist``'s euclidean element is the sqrt of its sqeuclidean element.
 
 A ``KernelMatrix`` made from an array from outside (a kernel file, or an
 array a caller passes) gets the asymmetry scan, which works in tiles of
@@ -20,7 +23,8 @@ rows. The kernels built and normalized here are exactly symmetric by
 construction and skip it; they keep the shape and finiteness checks. Where a
 kernel is symmetrized (a repaired file, the inner-product kernels, the
 centered one), it is K/2 + K^T/2, which no finite K can overflow, formed in
-place a tile at a time, so it allocates no n x n temporary.
+place a tile at a time, so it allocates no n x n temporary. The finiteness
+check and the cosine normalization work a tile of rows at a time too.
 :func:`validate_kernel_set` factors each kernel in place, so neither the
 scan nor the validation forms an n x n temporary.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from .errors import (
     AsymmetricKernelError,
@@ -45,8 +49,8 @@ from .errors import (
 # repaired by K/2 + K^T/2; anything larger is rejected.
 SYMMETRY_TOL = 1e-8
 
-# Rows per tile in the blockwise symmetry check and symmetrization; a tile of
-# n rows is the largest temporary either forms.
+# Rows per tile in the blockwise checks, symmetrization and mirroring; a
+# tile of n rows is the largest temporary any of them forms.
 _TILE = 256
 
 
@@ -110,8 +114,9 @@ def _square_finite(data, view_name: str) -> np.ndarray:
         raise DimensionMismatchError(
             f"view {view_name!r}: kernel must be square, got {data.shape}"
         )
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"view {view_name!r}: kernel contains NaN/Inf")
+    for i in range(0, data.shape[0], _TILE):
+        if not np.isfinite(data[i:i + _TILE]).all():
+            raise NonFiniteError(f"view {view_name!r}: kernel contains NaN/Inf")
     return data
 
 
@@ -134,9 +139,12 @@ def _max_asymmetry(a: np.ndarray) -> float:
     """
     n = a.shape[0]
     asym = 0.0
+    buf = np.empty((min(n, _TILE), min(n, _TILE)))  # the one tile temporary
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
-            d = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
+            upper = a[i:i + _TILE, j:j + _TILE]
+            d = buf[:upper.shape[0], :upper.shape[1]]
+            np.subtract(upper, a[j:j + _TILE, i:i + _TILE].T, out=d)
             asym = max(asym, float(np.max(np.abs(d, out=d))))
     return asym
 
@@ -159,6 +167,20 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
             a[i:i + _TILE, j:j + _TILE] = t
             a[j:j + _TILE, i:i + _TILE] = t.T
     return a
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of square ``a`` onto its strict lower
+    one, a[j, i] = a[i, j] for i < j, a tile pair at a time, so a tile is
+    the only temporary. Pass ``a.T`` to copy the lower triangle onto the
+    upper one."""
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        d = a[i:i + _TILE, i:i + _TILE]
+        lower = np.tri(d.shape[0], k=-1, dtype=bool)
+        d[lower] = d.T[lower]
+        for j in range(i + _TILE, n, _TILE):
+            a[j:j + _TILE, i:i + _TILE] = a[i:i + _TILE, j:j + _TILE].T
 
 
 @dataclass(frozen=True)
@@ -254,7 +276,8 @@ def median_heuristic_sigma(features: FeatureMatrix) -> float:
 
 
 def _median_sigma(sq: np.ndarray) -> float:
-    """Median heuristic from condensed squared distances ``sq``.
+    """Median heuristic from condensed squared distances ``sq``, which it
+    reorders in place.
 
     One selection places the upper middle of the nonzero entries at index
     ``hi``; for an even count the lower middle is the largest entry below
@@ -266,11 +289,11 @@ def _median_sigma(sq: np.ndarray) -> float:
     if m == 0:
         return 1.0
     hi = zeros + m // 2
-    part = np.partition(sq, hi)
-    upper = np.sqrt(part[hi])
+    sq.partition(hi)
+    upper = np.sqrt(sq[hi])
     if m % 2:
         return float(upper)
-    return float((np.sqrt(part[:hi].max()) + upper) / 2.0)
+    return float((np.sqrt(sq[:hi].max()) + upper) / 2.0)
 
 
 def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
@@ -291,21 +314,48 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
         if spec.kind == "linear":
             K = _symmetrize(X.T @ X)
         elif spec.kind == "rbf":
-            c = pdist(X.T, "sqeuclidean")
-            sigma = spec.sigma if spec.sigma is not None else _median_sigma(c)
-            if not sigma > 0:
-                raise BadParamError(f"rbf sigma must be > 0, got {sigma}")
-            # in place, the same elementwise steps in the same order as
-            # exp(-sq / (2 sigma^2)), so the bits match the n x n expression
-            np.negative(c, out=c)
-            np.divide(c, 2.0 * sigma * sigma, out=c)
-            np.exp(c, out=c)
-            K = squareform(c)
-            del c  # freed before the finiteness check allocates
-            np.fill_diagonal(K, 1.0)
+            K = _rbf(X, spec.sigma)
         else:  # polynomial
             K = _symmetrize((X.T @ X + spec.c) ** spec.degree)
     return _symmetric_kernel(K, features.view_name)
+
+
+def _rbf(X: np.ndarray, sigma: float | None) -> np.ndarray:
+    """The rbf kernel of the columns of ``X``, formed inside its own n x n
+    buffer (see the module docstring).
+
+    The n(n-1)/2 condensed squared distances fill the tail of the flat
+    buffer; the median heuristic selects on a copy in the head, which the
+    tail does not reach since n(n-1) <= n^2. The elementwise steps are
+    those of exp(-sq / (2 sigma^2)) in the same order, so the bits match
+    the n x n expression. Row i of the condensed vector starts at least as
+    far into the buffer as its destination K[i, i+1:], and destinations
+    end before the next row's source, so moving the rows in increasing i
+    never overwrites a source not yet read (numpy's assignment copies
+    through a temporary where a row overlaps its own destination).
+    """
+    n = X.shape[1]
+    m = n * (n - 1) // 2
+    K = np.empty((n, n))
+    flat = K.reshape(-1)
+    start = n * n - m
+    c = flat[start:]
+    pdist(X.T, "sqeuclidean", out=c)
+    if sigma is None:
+        head = flat[:m]
+        head[...] = c
+        sigma = _median_sigma(head)
+    if not sigma > 0:
+        raise BadParamError(f"rbf sigma must be > 0, got {sigma}")
+    np.negative(c, out=c)
+    np.divide(c, 2.0 * sigma * sigma, out=c)
+    np.exp(c, out=c)
+    for i in range(n - 1):
+        K[i, i + 1:] = flat[start:start + n - 1 - i]
+        start += n - 1 - i
+    _mirror_upper(K)
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
@@ -326,7 +376,13 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
                 f"view {kernel.view_name!r}: cosine normalization needs K_ii > 0"
             )
         inv = 1.0 / np.sqrt(diag)
-        out = K * np.outer(inv, inv)
+        # K * outer(inv, inv) a tile of rows at a time, with the factors
+        # formed in the output (a product has the same bits either way round)
+        out = np.empty(K.shape)
+        for i in range(0, K.shape[0], _TILE):
+            rows = slice(i, i + _TILE)
+            np.multiply(inv[rows, None], inv[None, :], out=out[rows])
+            out[rows] *= K[rows]
         np.fill_diagonal(out, 1.0)
         return _symmetric_kernel(out, kernel.view_name)
     if mode == "center":
@@ -365,8 +421,7 @@ def _cholesky_succeeds(K: np.ndarray) -> bool:
     try:
         info = dpotrf(F, lower=1, clean=0, overwrite_a=1)[1]
     finally:
-        for i in range(A.shape[0] - 1):
-            A[i, i + 1:] = A[i + 1:, i]
+        _mirror_upper(F)  # A's lower triangle onto its upper one
         np.fill_diagonal(A, diag)
     return info == 0
 

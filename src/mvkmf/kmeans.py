@@ -33,6 +33,13 @@ does. A restart leaves the active set when its labels stop changing or its
 centers move by at most ``tol``; one that leaves a cluster empty is repaired
 on its own. The inertia of every restart comes from one reduction over its
 n x d squared residuals, summed in the order a per-restart sum uses.
+
+A call holds about one array of n x R*k floats at a time. The distance
+expansion, each seeding step's differences and the final residuals are each
+formed in one buffer by in-place steps, which are the operations of the
+plain expressions in their order, so they give the same bits; and each
+restart's labels are held once, by the running set or by the list of
+restarts that have stopped.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParamError, NonFiniteError, TooFewPointsError
+
+# Samples per block where labels are read off the distances; a block's
+# (rows, restarts) indices are the only temporary that step forms.
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -74,13 +85,19 @@ class Labeling:
 
 
 def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, never negative."""
-    d = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * X @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    return np.maximum(d, 0.0)
+    """(n, k) squared Euclidean distances, never negative: the expansion
+    |x|^2 - 2 x.c + |c|^2, left to right, formed in the product's buffer."""
+    d = 2.0 * X @ centers.T
+    np.subtract(np.sum(X * X, axis=1)[:, None], d, out=d)
+    np.add(d, np.sum(centers * centers, axis=1)[None, :], out=d)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _sq_dists_to(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(R, n) squared distances of the points to one center per restart,
+    ``c`` (R, d): sum((X - c)**2) over coordinates, squared in place."""
+    diff = X - c[:, None]
+    return np.sum(np.square(diff, out=diff), axis=2)
 
 
 def _seed_centers(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
@@ -90,27 +107,30 @@ def _seed_centers(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     centers = np.empty((restarts, k, X.shape[1]))
     centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
-    # overflow is reported below as an infinite total; a zero total makes
-    # its row NaN, and that row takes its drawn integer instead
+    # overflow is reported as an infinite total; a zero total makes its row
+    # NaN, and that row takes its drawn integer instead
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = np.sum((X - centers[:, :1]) ** 2, axis=2)
+        d2 = _sq_dists_to(X, centers[:, 0])
         for j in range(1, k):
-            total = d2.sum(axis=1)
-            if np.isinf(total).any():
-                raise NonFiniteError(
-                    "squared distances between points overflow; rescale "
-                    "the points")
-            positive = total > 0
-            draw = np.array([rng.random() if p else rng.integers(n)
-                             for rng, p in zip(rngs, positive)])
-            cdf = np.cumsum(d2 / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
-            idx = np.where(positive,
-                           np.count_nonzero(cdf <= draw[:, None], axis=1),
-                           draw.astype(np.intp))
-            centers[:, j] = X[idx]
-            d2 = np.minimum(d2, np.sum((X - centers[:, j, None]) ** 2, axis=2))
+            centers[:, j] = X[_draw_next(d2, rngs)]
+            np.minimum(d2, _sq_dists_to(X, centers[:, j]), out=d2)
     return centers
+
+
+def _draw_next(d2: np.ndarray, rngs: list) -> np.ndarray:
+    """(R,) indices of each restart's next center, drawn with probability
+    proportional to its row of D^2 (R, n) as ``choice`` draws it."""
+    total = d2.sum(axis=1)
+    if np.isinf(total).any():
+        raise NonFiniteError(
+            "squared distances between points overflow; rescale the points")
+    positive = total > 0
+    draw = np.array([rng.random() if p else rng.integers(d2.shape[1])
+                     for rng, p in zip(rngs, positive)])
+    cdf = np.cumsum(d2 / total[:, None], axis=1)
+    cdf /= cdf[:, -1:].copy()  # a view would make numpy copy all of cdf
+    return np.where(positive, np.count_nonzero(cdf <= draw[:, None], axis=1),
+                    draw.astype(np.intp))
 
 
 def _assign_with_repair(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -137,8 +157,12 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     to the lowest index. A restart that leaves a cluster empty is reassigned
     by :func:`_assign_with_repair`, which moves its centers in place."""
     R, k, d = centers.shape
-    dist = _sq_dists(X, centers.reshape(R * k, d)).reshape(-1, R, k)
-    labels = np.ascontiguousarray(np.argmin(dist, axis=2).T)
+    n = X.shape[0]
+    dist = _sq_dists(X, centers.reshape(R * k, d)).reshape(n, R, k)
+    labels = np.empty((R, n), dtype=np.intp)
+    for i in range(0, n, _ROWS):  # argmin's (rows, R) result a block at a time
+        labels[:, i:i + _ROWS] = np.argmin(dist[i:i + _ROWS], axis=2).T
+    del dist
     counts = np.bincount((labels + k * np.arange(R)[:, None]).ravel(),
                          minlength=R * k).reshape(R, k)
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
@@ -179,8 +203,8 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     k = cfg.k
     centers = _seed_centers(X, k, cfg.seed, cfg.restarts)
     labels = _assign(X, centers)
-    final = np.empty_like(labels)
     active = np.arange(cfg.restarts)
+    stopped = []  # (restart indices, their labels), as restarts stop
     for _ in range(cfg.max_iters):
         new_centers = _cluster_means(X, labels, k)
         shift = np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=2),
@@ -188,15 +212,23 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
         centers = new_centers
         new_labels = _assign(X, centers)
         done = np.all(new_labels == labels, axis=1) | (shift <= cfg.tol)
-        final[active[done]] = new_labels[done]
+        stopped.append((active[done], new_labels[done]))
         active, centers, labels = (active[~done], centers[~done],
                                    new_labels[~done])
+        del new_labels  # so each restart's labels are held once
         if active.size == 0:
             break
-    final[active] = labels
+    stopped.append((active, labels))
+    final = np.empty((cfg.restarts, n), dtype=np.intp)
+    for idx, rows in stopped:
+        final[idx] = rows
+    del stopped, labels  # final holds every restart's labels now
     means = _cluster_means(X, final, k)
-    residuals = X - means[np.arange(cfg.restarts)[:, None], final]
-    inertia = np.sum((residuals ** 2).reshape(cfg.restarts, -1), axis=1)
+    # the (R, n, d) squared residuals, formed in the gathered means' buffer
+    residuals = means[np.arange(cfg.restarts)[:, None], final]
+    np.subtract(X, residuals, out=residuals)
+    np.square(residuals, out=residuals)
+    inertia = np.sum(residuals.reshape(cfg.restarts, -1), axis=1)
     best = int(np.argmin(inertia))
     return Labeling(labels=final[best].copy(), inertia=float(inertia[best]),
                     centers=means[best].copy())

@@ -151,6 +151,13 @@ def nemenyi_cd(n_algorithms: int, n_datasets: int,
     return q_alpha * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
 
 
+def smallest_p(n_datasets: int, n_algorithms: int) -> float:
+    """The smallest exact Friedman p any table of this size can reach,
+    k!^(1 - n): that of n rows that all rank the k algorithms the same
+    way, which under the null only the k! tables of n identical rows do."""
+    return 1 / math.factorial(n_algorithms) ** (n_datasets - 1)
+
+
 def friedman(table: ResultsTable, higher_is_better: bool = True,
              q_alpha: float | None = None) -> RankSummary:
     """Friedman test with Iman-Davenport correction over the complete rows
@@ -160,8 +167,8 @@ def friedman(table: ResultsTable, higher_is_better: bool = True,
     The critical difference is :func:`nemenyi_cd`'s for ``q_alpha``.
     When every row ranks the algorithms the same way (``degenerate``), the
     F statistic is infinite and the p-value is exact: chi2 is then at its
-    maximum, which under the null only the k! tables of n identical rows
-    reach, so p = k!^(1 - n). Otherwise p comes from the F approximation.
+    maximum, so p is :func:`smallest_p`. Otherwise p comes from the F
+    approximation.
     """
     scores = table.scores
     complete = ~np.isnan(scores).any(axis=1)
@@ -184,7 +191,7 @@ def friedman(table: ResultsTable, higher_is_better: bool = True,
     degenerate = denom <= 0.0
     if degenerate:
         f_stat = math.inf
-        p_value = 1 / math.factorial(k) ** (n - 1)
+        p_value = smallest_p(n, k)
     else:
         f_stat = (n - 1) * chi2 / denom
         p_value = f_survival(f_stat, df1, df2)

@@ -432,6 +432,30 @@ def test_stats_default_cd_on_three_datasets(tmp_path, capsys):
     assert text.rstrip().endswith("significant pairs (mean-rank gap >= CD):\n  none")
 
 
+def test_stats_says_when_no_result_can_be_significant(tmp_path, capsys):
+    # the best-alpha table that bench_grid_n300 makes at seed 101: two
+    # datasets, both ranking umklmf 1, kkm 2, mkkm 3. No 2 x 3 table can
+    # reach p <= 0.05 (the smallest exact p is 1/3! = 1/6), and its largest
+    # possible mean-rank gap, 2, is below the CD, 2.34
+    table = tmp_path / "table.csv"
+    table.write_text("dataset,umklmf,kkm,mkkm\n"
+                     "synth0,0.9733333333333333,0.96,0.84\n"
+                     "synth1,0.9566666666666667,0.9466666666666667,0.87\n")
+    assert main(["stats", "--table", str(table)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "mean ranks:" in lines
+    assert ("too few datasets: the smallest p that 2 datasets and 3 "
+            "algorithms can reach is 0.1666666667 > 0.05") in lines
+    assert ("too few datasets: the largest possible mean-rank gap, 2, is "
+            "below the CD") in lines
+    # a third dataset brings the smallest p to 1/36 and the CD to 1.91, so
+    # neither line is printed
+    table.write_text("dataset,umklmf,kkm,mkkm\n"
+                     "d0,0.9,0.8,0.7\nd1,0.9,0.8,0.7\nd2,0.9,0.7,0.8\n")
+    assert main(["stats", "--table", str(table)]) == 0
+    assert "too few datasets" not in capsys.readouterr().out
+
+
 def test_stats_constant_table(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("dataset,a,b,c\n"

@@ -580,6 +580,35 @@ def test_asymmetry_matches_frozen_reference_at_tile_boundaries(n):
         KernelMatrix(bad, "v")
 
 
+def test_rbf_matches_frozen_reference_at_n2000_with_sigma_given():
+    # the fit_n2000 view: 2000 samples, so the row moves inside the buffer
+    # overlap their sources and the mirror spans eight tiles
+    feats, _ = make_synthetic(500, 4, 3, separation=2.5, seed=101)
+    X = feats[0].data
+    for sigma in (1.5, _ref_median_sigma(X)):
+        k = build_kernel(feats[0], KernelSpec(kind="rbf", sigma=sigma))
+        assert _same_bits(k.data, _ref_rbf(X, sigma))
+
+
+def test_overflowing_rbf_build_raises_past_the_first_tile():
+    # every distance overflows to inf, so the median sigma is inf and each
+    # off-diagonal -inf / inf is NaN, as in the reference; the finiteness
+    # check sees it in the first row tile. With sigma 1e-200, 2 sigma^2 is 0
+    # and only the duplicated pair at the end, in the last row tile, is 0/0
+    n = 2 * _TILE + 3
+    big = np.arange(n, dtype=float)[None, :] * 1e200
+    close = np.arange(n, dtype=float)[None, :]
+    close[0, -1] = close[0, -2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_ref_rbf(big, _ref_median_sigma(big))[0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, sigma in ((big, None), (close, 1e-200)):
+            with pytest.raises(NonFiniteError, match="kernel contains NaN/Inf"):
+                build_kernel(FeatureMatrix(X, "v"),
+                             KernelSpec(kind="rbf", sigma=sigma))
+
+
 def test_rbf_permuting_samples_permutes_kernel():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -609,12 +638,86 @@ def test_rbf_build_and_validation_peak_memory():
     feats, _ = make_synthetic(n // 4, 4, 1, separation=2.5, seed=1)
     matrix = n * n * 8
     k, build_peak = _traced_peak(lambda: build_kernel(feats[0], KernelSpec(kind="rbf")))
-    # the kernel itself plus the condensed squared distances it is expanded
-    # from (1.5 n^2 floats); validation factors the kernel in place
-    assert build_peak <= 1.75 * matrix
+    # the build runs inside the kernel's own buffer, so it holds the kernel
+    # and the median's count of zero distances (n^2/2 bytes); validation
+    # factors the kernel in place
+    assert build_peak <= 1.15 * matrix
     ks = KernelSet(kernels=(k,))
     _, validate_peak = _traced_peak(lambda: validate_kernel_set(ks))
     assert validate_peak <= 0.5 * matrix
+
+
+@pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1,
+                               2 * _TILE + 3])
+def test_mirror_and_cholesky_restore_at_tile_boundaries(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    for data in (A, np.asfortranarray(A)):
+        upper = data.copy(order="K")
+        kernels_module._mirror_upper(upper)
+        assert _same_bits(upper, np.triu(A) + np.triu(A, 1).T)
+        lower = data.copy(order="K")
+        kernels_module._mirror_upper(lower.T)
+        assert _same_bits(lower, np.tril(A) + np.tril(A, -1).T)
+    # the factored triangle is restored bit for bit, whether dpotrf runs to
+    # the end (PSD) or stops at the first bad pivot (indefinite)
+    S = (A + A.T) / 2.0
+    for K in (S @ S + np.eye(n), S - (np.abs(S).sum() + 1.0) * np.eye(n),
+              np.diag(np.r_[np.ones(n - 1), -1.0])):
+        for data in (K, np.asfortranarray(K)):
+            _verdict(data)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (_TILE - 1, 3), (_TILE, _TILE + 1),
+                                  (2 * _TILE + 2, 0), (2 * _TILE + 2,
+                                                       2 * _TILE + 2)])
+def test_finiteness_checked_in_every_row_tile(i, j):
+    n = 2 * _TILE + 3
+    for bad in (np.nan, np.inf, -np.inf):
+        K = np.eye(n)
+        K[i, j] = K[j, i] = bad
+        for data in (K, np.asfortranarray(K)):
+            with pytest.raises(NonFiniteError,
+                               match="view 'v': kernel contains NaN/Inf"):
+                KernelMatrix(data, "v")
+
+
+def test_kernel_ingest_peak_memory():
+    # a kernel file's array is checked a tile of rows at a time: one bool
+    # row tile for finiteness and one float tile for the asymmetry scan,
+    # no n x n bool array
+    n = 1000
+    K = random_psd_kernel(np.random.default_rng(4), n).data
+    _, peak = _traced_peak(lambda: KernelMatrix(K, "v"))
+    assert peak <= 0.12 * n * n * 8
+
+
+def _ref_cosine(K):
+    """The cosine normalization before it worked by row tiles."""
+    inv = 1.0 / np.sqrt(np.diag(K))
+    out = K * np.outer(inv, inv)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1,
+                               2 * _TILE + 3])
+def test_cosine_matches_frozen_reference(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((5, max(n, 2)))[:, :n] * rng.uniform(0.1, 10.0, n)
+    K = KernelMatrix(X.T @ X + np.eye(n), "v").data
+    for data in (K, np.asfortranarray(K)):
+        out = normalize_kernel(KernelMatrix(data, "v"), "cosine")
+        assert _same_bits(out.data, _ref_cosine(K))
+
+
+def test_cosine_normalization_peak_memory():
+    # the output is the only n x n array: each row tile's factors
+    # inv_i * inv_j are formed in the output and scaled in place
+    n = 1000
+    k = random_psd_kernel(np.random.default_rng(5), n)
+    _, peak = _traced_peak(lambda: normalize_kernel(k, "cosine"))
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_inner_product_build_symmetrizes_in_place():

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,23 @@ def test_lockstep_matches_reference_on_fits(n, algorithm, alpha):
     H = fitted_embedding(n, algorithm, alpha)
     for seed in (0, 1):
         assert_matches_reference(H, KMeansConfig(k=4, seed=seed), f"seed {seed}")
+
+
+def test_fifty_restarts_at_n2000_hold_one_distance_array():
+    # the distance expansion, the seeding's differences and the final
+    # residuals are each formed in one n x (R*k) buffer, and each restart's
+    # labels are held once, so a call peaks near one such array
+    H = fitted_embedding(2000, "umklmf", 16.0)
+    cfg = KMeansConfig(k=4, restarts=50, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kmeans(H, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2000 * 50 * 4 * 8
 
 
 class CountingGenerator:

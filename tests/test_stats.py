@@ -14,6 +14,7 @@ from mvkmf.stats import (
     nemenyi_q,
     pairwise_significance,
     read_results_table,
+    smallest_p,
     write_results_table,
 )
 
@@ -217,7 +218,7 @@ def test_friedman_unanimous_p_matches_enumeration(n, k):
         hits += chi2 >= observed.chi2 - 1e-9
     exact = Fraction(hits, len(perms) ** n)
     assert exact == Fraction(1, math.factorial(k) ** (n - 1))
-    assert observed.p_value == float(exact)
+    assert observed.p_value == float(exact) == smallest_p(n, k)
     if (n, k) == (2, 3):
         assert observed.p_value == 1 / 6
 
