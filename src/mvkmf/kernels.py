@@ -25,12 +25,22 @@ kernel is symmetrized (a repaired file, the inner-product kernels, the
 centered one), it is K/2 + K^T/2, which no finite K can overflow, formed in
 place a tile at a time, so it allocates no n x n temporary. The finiteness
 check and the cosine normalization work a tile of rows at a time too.
-:func:`validate_kernel_set` factors each kernel in place, so neither the
-scan nor the validation forms an n x n temporary.
+
+Every kernel ``build_kernel`` makes is also positive semidefinite by
+construction: rbf kernels are Gaussian, linear ones are Gram matrices, and
+polynomial ones are sums of elementwise products of Gram matrices, since
+``KernelSpec`` admits only c >= 0 and an integer degree. Cosine (D K D) and
+centering (P K P) keep a kernel PSD, so ``normalize_kernel`` passes that on.
+Such a kernel carries a private mark and a read-only array, so no in-place
+edit can make the mark stale, and :func:`validate_kernel_set` answers from
+the mark. Kernel files, arrays from callers, and normalized versions of
+either pay the exact O(n^3) Cholesky check, which factors each kernel in
+place, so neither the scan nor the validation forms an n x n temporary.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +95,23 @@ class KernelMatrix:
     """One view's n x n kernel. Symmetrized on ingest within SYMMETRY_TOL.
 
     Kernels that ``build_kernel`` and ``normalize_kernel`` make are exactly
-    symmetric, so they skip the asymmetry scan.
+    symmetric, so they skip the asymmetry scan. Those that are also PSD by
+    construction (see the module docstring) hold a read-only array and a
+    mark that only this module sets.
     """
 
     data: np.ndarray
     view_name: str
+
+    # not a field: no caller can claim definiteness for an array from outside
+    _psd_by_construction = False
+
+    def __setstate__(self, state):
+        # a deep copy or an unpickled kernel gets a new, writable array; a
+        # marked one is made read-only again, so the mark cannot go stale
+        if state.get("_psd_by_construction"):
+            state["data"].flags.writeable = False
+        self.__dict__.update(state)
 
     def __post_init__(self):
         data = _square_finite(self.data, self.view_name)
@@ -120,13 +142,18 @@ def _square_finite(data, view_name: str) -> np.ndarray:
     return data
 
 
-def _symmetric_kernel(data, view_name: str) -> KernelMatrix:
+def _symmetric_kernel(data, view_name: str, psd: bool) -> KernelMatrix:
     """A ``KernelMatrix`` of ``data`` that is exactly symmetric by
     construction (built or normalized here). It gets the shape and
     finiteness checks, since a build can overflow, but not the asymmetry
-    scan, whose answer is known: 0.0."""
+    scan, whose answer is known: 0.0. With ``psd`` the kernel is also PSD by
+    construction: it is marked so, and its array is made read-only."""
     kernel = object.__new__(KernelMatrix)
-    object.__setattr__(kernel, "data", _square_finite(data, view_name))
+    data = _square_finite(data, view_name)
+    if psd:
+        data.flags.writeable = False
+        object.__setattr__(kernel, "_psd_by_construction", True)
+    object.__setattr__(kernel, "data", data)
     object.__setattr__(kernel, "view_name", view_name)
     return kernel
 
@@ -232,6 +259,11 @@ class KernelSpec:
     ``sigma=None`` selects the median heuristic: the median of the nonzero
     pairwise Euclidean distances, read exactly as the sqrt of the middle
     squared distances (sqrt is monotone).
+
+    Only specs whose kernels are PSD for every input are accepted: c < 0
+    (or NaN) and a degree that is not an integer >= 1 raise
+    ``BadParamError``, since (x^T y + c)^degree is indefinite for some
+    inputs with either. An integral float degree is stored as an int.
     """
 
     kind: str = "rbf"
@@ -244,6 +276,13 @@ class KernelSpec:
             raise BadParamError(f"unknown kernel kind {self.kind!r}")
         if self.sigma is not None and not self.sigma > 0:
             raise BadParamError(f"rbf sigma must be > 0, got {self.sigma}")
+        if not self.c >= 0:
+            raise BadParamError(f"polynomial c must be >= 0, got {self.c}")
+        if not (isinstance(self.degree, numbers.Real)
+                and float(self.degree).is_integer()):
+            raise BadParamError(
+                f"polynomial degree must be an integer, got {self.degree!r}")
+        object.__setattr__(self, "degree", int(self.degree))
         if self.degree < 1:
             raise BadParamError(f"polynomial degree must be >= 1, got {self.degree}")
 
@@ -253,7 +292,7 @@ class KernelSpec:
             kind=d.get("kind", "rbf"),
             sigma=d.get("sigma"),
             c=float(d.get("c", 1.0)),
-            degree=int(d.get("degree", 2)),
+            degree=d.get("degree", 2),
         )
 
     def to_dict(self) -> dict:
@@ -305,8 +344,9 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
 
     The result is exactly symmetric (rbf by construction, the inner-product
     kernels are symmetrized against rounding), so it skips the ingest
-    asymmetry scan. Features whose distances or inner products overflow
-    give ``NonFiniteError``, with no ``RuntimeWarning`` before it.
+    asymmetry scan. It is PSD by construction, so it is marked as such and
+    its array is read-only. Features whose distances or inner products
+    overflow give ``NonFiniteError``, with no ``RuntimeWarning`` before it.
     """
     X = features.data
     # an overflow or the NaN it leads to is caught by the finiteness check
@@ -317,7 +357,7 @@ def build_kernel(features: FeatureMatrix, spec: KernelSpec) -> KernelMatrix:
             K = _rbf(X, spec.sigma)
         else:  # polynomial
             K = _symmetrize((X.T @ X + spec.c) ** spec.degree)
-    return _symmetric_kernel(K, features.view_name)
+    return _symmetric_kernel(K, features.view_name, psd=True)
 
 
 def _rbf(X: np.ndarray, sigma: float | None) -> np.ndarray:
@@ -364,7 +404,8 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
     cosine: K_ij <- K_ij / sqrt(K_ii K_jj); requires a strictly positive
     diagonal. center: double-centering, K <- K - 1K/n - K1/n + 1K1/n^2, which
     zeroes every row and column sum. Both results are exactly symmetric by
-    construction and skip the ingest asymmetry scan.
+    construction and skip the ingest asymmetry scan. Both keep a PSD kernel
+    PSD, so they carry the input's mark of definiteness by construction.
     """
     K = kernel.data
     if mode == "none":
@@ -384,12 +425,14 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
             np.multiply(inv[rows, None], inv[None, :], out=out[rows])
             out[rows] *= K[rows]
         np.fill_diagonal(out, 1.0)
-        return _symmetric_kernel(out, kernel.view_name)
+        return _symmetric_kernel(out, kernel.view_name,
+                                 kernel._psd_by_construction)
     if mode == "center":
         row_mean = K.mean(axis=1, keepdims=True)
         col_mean = K.mean(axis=0, keepdims=True)
         out = _symmetrize(K - row_mean - col_mean + K.mean())
-        return _symmetric_kernel(out, kernel.view_name)
+        return _symmetric_kernel(out, kernel.view_name,
+                                 kernel._psd_by_construction)
     raise BadParamError(f"unknown normalization mode {mode!r}")
 
 
@@ -437,10 +480,14 @@ def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
     Indefinite kernels are flagged but accepted, since the solver's
     closed-form updates never need positive semidefiniteness.
 
-    Each kernel is factored in its own storage and restored bit for bit
-    before the next one, so no other thread may read the kernels while this
-    runs; a read-only or non-contiguous kernel is copied once instead.
+    Kernels that ``build_kernel`` made, normalized or not, are PSD by
+    construction (see the module docstring) and are reported definite with
+    no factorization. Every other kernel is factored in its own storage and
+    restored bit for bit before the next one, so no other thread may read
+    the kernels while this runs; a read-only or non-contiguous kernel is
+    copied once instead.
     """
     return tuple(KernelReport(view_name=k.view_name,
-                              indefinite=not _cholesky_succeeds(k.data))
+                              indefinite=not (k._psd_by_construction
+                                              or _cholesky_succeeds(k.data)))
                  for k in ks.kernels)

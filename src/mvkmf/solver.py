@@ -553,6 +553,28 @@ def fit_kkm(kernel, clusters: int) -> np.ndarray:
     return _top_eigenvectors(K, clusters).T
 
 
+def _combined_kernel(kernels, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Overwrite ``out`` with K_gamma = sum_v gamma_v^2 K_v and return it.
+
+    Each row block (at most ``_BLOCK_BYTES``) starts from 0 and adds the
+    views' terms in view order, the additions of
+    ``sum((g * g) * K for g, K in zip(gamma, kernels))``, so the bits match
+    that expression (0 + g^2 K_0 included, which turns -0.0 into 0.0)
+    while one block of terms is the only temporary.
+    """
+    n = out.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    term = np.empty((min(rows, n), n))
+    for i in range(0, n, rows):
+        block = out[i:i + rows]
+        t = term[:block.shape[0]]
+        block.fill(0.0)
+        for g, K in zip(gamma, kernels):
+            np.multiply(g * g, K[i:i + rows], out=t)
+            block += t
+    return out
+
+
 def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
              rel_tol: float = SolverConfig.rel_tol
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -564,6 +586,8 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
     tr(K_gamma - H K_gamma H^T) falls below rel_tol. The limits are checked
     as ``SolverConfig`` checks them (``BadParamError``).
 
+    K_gamma is rebuilt in place in one n x n buffer (``_combined_kernel``).
+
     Returns (H, gamma).
     """
     _check_limits(max_iters, rel_tol)
@@ -571,7 +595,8 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
     V = len(kernels)
     traces = np.array([float(np.trace(K)) for K in kernels])
     gamma = np.full(V, 1.0 / V)
-    H = fit_kkm(sum((g * g) * K for g, K in zip(gamma, kernels)), clusters)
+    combined = np.empty_like(kernels[0])  # sum(...)'s layout for one layout
+    H = fit_kkm(_combined_kernel(kernels, gamma, combined), clusters)
     j_prev = None
     for _ in range(max_iters):
         c = np.array([traces[v] - float(np.sum((H @ kernels[v]) * H))
@@ -583,5 +608,5 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
         if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
             break
         j_prev = j
-        H = fit_kkm(sum((g * g) * K for g, K in zip(gamma, kernels)), clusters)
+        H = fit_kkm(_combined_kernel(kernels, gamma, combined), clusters)
     return H, gamma

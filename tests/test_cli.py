@@ -131,11 +131,47 @@ def test_kernels_estimates_each_view_once(tmp_path, monkeypatch):
     out = tmp_path / "kout"
     assert main(["kernels", "--manifest", str(mpath), "--out", str(out),
                  "--quiet"]) == 0
-    # once per view: load_dataset leaves the health report to the command
-    assert len(factored) == 3
+    # kernels built from features are PSD by construction: no factorization
+    assert factored == []
     report = json.loads((out / "report.json").read_text())
-    assert [v["indefinite"] for v in report["views"]] == [not f for f in factored]
     assert all(set(v) == {"view", "n", "indefinite"} for v in report["views"])
+
+    # the kernel files just written, read back as precomputed kernels, are
+    # factored once per view (load_dataset leaves the health report to the
+    # command) and get the same verdicts
+    manifest = json.loads(mpath.read_text())
+    for view in manifest["views"]:
+        view.pop("kernel_spec", None)
+        view.pop("features")
+        view["kernel"] = f"K_{view['name']}.mvk1"
+    manifest["labels"] = str(mpath.parent / manifest["labels"])
+    kpath = out / "manifest.json"
+    kpath.write_text(json.dumps(manifest))
+    kout = tmp_path / "kout2"
+    assert main(["kernels", "--manifest", str(kpath), "--out", str(kout),
+                 "--quiet"]) == 0
+    assert len(factored) == 3
+    again = json.loads((kout / "report.json").read_text())
+    assert again == report
+    assert [v["indefinite"] for v in again["views"]] == [not f for f in factored]
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "polynomial", "c": -5, "degree": 2}, "c must be >= 0, got -5.0"),
+    ({"kind": "polynomial", "c": 0, "degree": 2.5},
+     "degree must be an integer, got 2.5"),
+])
+def test_kernels_indefinite_polynomial_spec_exit_2(tmp_path, capsys, spec,
+                                                   named):
+    mpath = synth(tmp_path, per=5, clusters=2)
+    manifest = json.loads(mpath.read_text())
+    manifest["views"][0]["kernel_spec"] = spec
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "kout"
+    assert main(["kernels", "--manifest", str(mpath), "--out", str(out),
+                 "--quiet"]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
 
 
 def test_kernels_bad_manifest_exit_2(tmp_path):

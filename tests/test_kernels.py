@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tracemalloc
 import warnings
 
@@ -268,9 +270,44 @@ def test_kernel_spec_validation():
         KernelSpec(kind="polynomial", degree=0)
 
 
+@pytest.mark.parametrize("c", [-5.0, -1e-300, float("nan")])
+def test_kernel_spec_rejects_negative_c(c):
+    # (x^T y + c)^p with c < 0 is indefinite for some inputs, and a built
+    # kernel is marked PSD by construction
+    with pytest.raises(BadParamError, match=f"c must be >= 0, got {c}"):
+        KernelSpec(kind="polynomial", c=c, degree=2)
+    with pytest.raises(BadParamError, match=f"got {c}"):
+        KernelSpec.from_dict({"kind": "polynomial", "c": c})
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.5, float("inf"), "2", None])
+def test_kernel_spec_rejects_non_integer_degree(degree):
+    with pytest.raises(BadParamError,
+                       match=f"degree must be an integer, got {degree!r}"):
+        KernelSpec(kind="polynomial", degree=degree)
+    # a manifest's 2.5 is not truncated to 2
+    with pytest.raises(BadParamError, match=f"got {degree!r}"):
+        KernelSpec.from_dict({"kind": "polynomial", "degree": degree})
+
+
+def test_non_integer_degree_gives_indefinite_kernel():
+    # why the degree must be an integer: x^T y >= 0 here, c = 0, and yet
+    # the elementwise power 1.5 leaves the PSD cone
+    X = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, 40))
+    K = (X.T @ X) ** 1.5
+    assert np.linalg.eigvalsh(K)[0] < -1e-3
+    assert not kernels_module._cholesky_succeeds(K)
+
+
 def test_kernel_spec_dict_round_trip():
     spec = KernelSpec(kind="polynomial", c=2.0, degree=4)
     assert KernelSpec.from_dict(spec.to_dict()) == spec
+    spec = KernelSpec(kind="polynomial", c=0.0, degree=1)
+    assert KernelSpec.from_dict(spec.to_dict()) == spec
+    # an integral float degree is stored as an int
+    spec = KernelSpec.from_dict({"kind": "polynomial", "degree": 3.0})
+    assert type(spec.degree) is int
+    assert spec == KernelSpec(kind="polynomial", degree=3)
     spec = KernelSpec(kind="rbf", sigma=None)
     assert KernelSpec.from_dict(spec.to_dict()) == spec
 
@@ -450,6 +487,111 @@ def test_strided_kernel_is_judged():
         before = big.copy()
         _verdict(view)
         assert _same_bits(big, before)
+
+
+PSD_SPECS = (KernelSpec(kind="linear"), KernelSpec(kind="rbf"),
+             KernelSpec(kind="rbf", sigma=1e-3),
+             KernelSpec(kind="rbf", sigma=1e6),
+             KernelSpec(kind="polynomial", c=1.0, degree=2),
+             KernelSpec(kind="polynomial", c=0.0, degree=3))
+
+
+def _hostile_features(n, rng):
+    """Gaussian samples, each repeated 4 times, at scales 1e-150 and 1e100,
+    with a single feature, and with three times as many features as
+    samples."""
+    base = rng.standard_normal((5, max(1, n // 4)))
+    return {"gaussian": rng.standard_normal((5, n)),
+            "duplicated": base[:, np.arange(n) % base.shape[1]],
+            "scale-1e-150": 1e-150 * rng.standard_normal((5, n)),
+            "scale-1e100": 1e100 * rng.standard_normal((5, n)),
+            "d=1": rng.standard_normal((1, n)),
+            "d=3n": rng.standard_normal((3 * n, n))}
+
+
+@pytest.mark.parametrize("n", [5, 40, 300, 1000])
+def test_mark_agrees_with_cholesky_on_hostile_features(n):
+    # the premise of the shortcut: every kernel built and normalized here
+    # passes the exact check it skips
+    checked = 0
+    for name, X in _hostile_features(n, np.random.default_rng(n)).items():
+        fm = FeatureMatrix(X, "v")
+        for spec in PSD_SPECS:
+            if name == "d=3n" and n == 1000 and spec.kind == "rbf":
+                continue  # pdist is O(n^2 d): seconds per build here
+            try:
+                k = build_kernel(fm, spec)
+            except NonFiniteError:  # the polynomial kernels at scale 1e100
+                continue
+            for mode in ("none", "cosine", "center"):
+                try:
+                    out = normalize_kernel(k, mode)
+                except ZeroDiagonalError:  # cubes that underflow to 0
+                    continue
+                assert out._psd_by_construction
+                assert kernels_module._cholesky_succeeds(out.data.copy()), \
+                    (name, spec, mode)
+                checked += 1
+    assert checked >= 80
+
+
+def test_validation_skips_cholesky_only_for_built_kernels(rng, monkeypatch):
+    calls = []
+
+    def counted(K):
+        calls.append(K.shape[0])
+        return True
+    monkeypatch.setattr(kernels_module, "_cholesky_succeeds", counted)
+    fms = [FeatureMatrix(rng.standard_normal((3, 30)), f"v{i}")
+           for i in range(3)]
+    built = [build_kernel(fm, spec) for fm, spec in zip(fms, PSD_SPECS)]
+    for mode in ("none", "cosine", "center"):
+        ks = KernelSet(kernels=tuple(normalize_kernel(k, mode) for k in built))
+        assert [r.indefinite for r in validate_kernel_set(ks)] == [False] * 3
+    assert calls == []
+    # the same numbers as arrays from outside, and normalized from those,
+    # are factored once per view
+    for mode in ("none", "cosine", "center"):
+        ks = KernelSet(kernels=tuple(
+            normalize_kernel(KernelMatrix(k.data, k.view_name), mode)
+            for k in built))
+        assert not any(k._psd_by_construction for k in ks.kernels)
+        validate_kernel_set(ks)
+        assert calls == [30] * 3
+        calls.clear()
+
+
+def test_marked_kernels_are_read_only(rng):
+    fm = FeatureMatrix(rng.standard_normal((3, 12)), "v")
+    for spec in PSD_SPECS:
+        k = build_kernel(fm, spec)
+        for out in (k, normalize_kernel(k, "cosine"),
+                    normalize_kernel(k, "center")):
+            assert out._psd_by_construction
+            assert not out.data.flags.writeable
+            with pytest.raises(ValueError):
+                out.data[0, 0] = -1e6
+    # copies keep the mark and a read-only array
+    for copied in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert copied._psd_by_construction
+        assert not copied.data.flags.writeable
+        assert _same_bits(copied.data, k.data)
+    # the mark is no constructor argument and cannot be set afterwards
+    with pytest.raises(TypeError):
+        KernelMatrix(np.eye(3), "v", _psd_by_construction=True)
+    with pytest.raises(AttributeError):
+        KernelMatrix(np.eye(3), "v")._psd_by_construction = True
+
+
+def test_unmarked_kernels_keep_the_callers_array(rng):
+    K = random_psd_kernel(rng, 6).data
+    km = KernelMatrix(K, "v")
+    assert not km._psd_by_construction
+    assert km.data is K and K.flags.writeable
+    for mode in ("cosine", "center"):
+        out = normalize_kernel(km, mode)
+        assert not out._psd_by_construction
+        assert out.data.flags.writeable
 
 
 def test_kernel_set_properties():
@@ -639,10 +781,11 @@ def test_rbf_build_and_validation_peak_memory():
     matrix = n * n * 8
     k, build_peak = _traced_peak(lambda: build_kernel(feats[0], KernelSpec(kind="rbf")))
     # the build runs inside the kernel's own buffer, so it holds the kernel
-    # and the median's count of zero distances (n^2/2 bytes); validation
-    # factors the kernel in place
+    # and the median's count of zero distances (n^2/2 bytes)
     assert build_peak <= 1.15 * matrix
-    ks = KernelSet(kernels=(k,))
+    # the built kernel needs no factorization, so validation is measured on
+    # the same numbers as an array from outside, which it factors in place
+    ks = KernelSet(kernels=(KernelMatrix(k.data.copy(), "v"),))
     _, validate_peak = _traced_peak(lambda: validate_kernel_set(ks))
     assert validate_peak <= 0.5 * matrix
 

@@ -815,6 +815,62 @@ def test_fit_mkkm_identical_views_uniform_gamma(rng):
     assert np.max(np.abs(gamma - 0.5)) < 1e-10
 
 
+def _ref_fit_mkkm(kernels, clusters, max_iters=SolverConfig.max_iters,
+                  rel_tol=SolverConfig.rel_tol):
+    """fit_mkkm as it was when it summed a new K_gamma per build."""
+    V = len(kernels)
+    traces = np.array([float(np.trace(K)) for K in kernels])
+    gamma = np.full(V, 1.0 / V)
+    H = fit_kkm(sum((g * g) * K for g, K in zip(gamma, kernels)), clusters)
+    j_prev = None
+    for _ in range(max_iters):
+        c = np.array([traces[v] - float(np.sum((H @ kernels[v]) * H))
+                      for v in range(V)])
+        gamma = update_weights(c)
+        j = float(np.sum(gamma * gamma * c))
+        if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
+            break
+        j_prev = j
+        H = fit_kkm(sum((g * g) * K for g, K in zip(gamma, kernels)), clusters)
+    return H, gamma
+
+
+@pytest.mark.parametrize("normalization", ["none", "center"])
+def test_fit_mkkm_matches_summed_reference(normalization):
+    # K_gamma is built in one reused buffer, with the additions of the sum
+    # it replaces, so (H, gamma) keep their bits; the centered kernels hold
+    # exact zeros, whose signs 0 + g^2 K_0 decides
+    from mvkmf.kernels import normalize_kernel
+
+    feats, _ = make_synthetic(75, 4, 3, separation=2.5, seed=101)
+    kernels = [normalize_kernel(build_kernel(f, KernelSpec(kind="rbf")),
+                                normalization).data for f in feats]
+    if normalization == "center":
+        kernels[0] = kernels[0].copy()
+        kernels[0][:3, :3] = -0.0
+        kernels[0][3:6, 3:6] = 0.0
+    H, gamma = fit_mkkm(kernels, 4)
+    ref_H, ref_gamma = _ref_fit_mkkm(kernels, 4)
+    assert H.tobytes() == ref_H.tobytes()
+    assert gamma.tobytes() == ref_gamma.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 362, 363, 700])
+def test_combined_kernel_matches_sum_bitwise(rng, n):
+    # one block up to n = 362, several above; signed zeros included
+    kernels = [rng.standard_normal((n, n)) for _ in range(3)]
+    kernels[0].reshape(-1)[::5] = -0.0
+    kernels[1].reshape(-1)[::7] = 0.0
+    for K in kernels:
+        K.reshape(-1)[::35] = -0.0  # 0 + (-0.0) + (-0.0) + (-0.0) is +0.0
+    gamma = update_weights(rng.uniform(0.5, 2.0, 3))
+    out = np.full((n, n), np.nan)
+    assert solver._combined_kernel(kernels, gamma, out) is out
+    assert out.tobytes() == sum((g * g) * K
+                               for g, K in zip(gamma, kernels)).tobytes()
+    assert not np.signbit(out.reshape(-1)[::35]).any()
+
+
 def test_mkkm_gamma_step_matches_grid_search(rng):
     # fixed H: the gamma update solves min sum gamma^2 c_v on the simplex
     K1, K2 = (random_psd_kernel(rng, 8, name=s) for s in ("a", "b"))
