@@ -40,6 +40,13 @@ formed in one buffer by in-place steps, which are the operations of the
 plain expressions in their order, so they give the same bits; and each
 restart's labels are held once, by the running set or by the list of
 restarts that have stopped.
+
+A call runs numpy's BLAS on one thread (``mvkmf._blas``) and restores the
+caller's count on return or raise: its distance products, n x d times
+d x R*k, are too skinny to gain from a second thread, which only fights the
+main thread. So, wherever numpy's count can be set, the bits do not depend
+on the caller's count. The count is global to the process; mvkmf starts no
+threads of its own.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import BadParamError, NonFiniteError, TooFewPointsError
 
 # Samples per block where labels are read off the distances; a block's
@@ -181,6 +189,7 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums.reshape(R, k, -1) / np.maximum(counts, 1.0).reshape(R, k, 1)
 
 
+@one_thread()
 def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     """Cluster the columns of ``points`` (dim x n) into cfg.k groups.
 

@@ -37,6 +37,15 @@ kernels themselves:
   objective and the first sweep.
 - The start G and H (``init_point``) do not depend on alpha, so fits over an
   alpha grid can share one and pay the eigensolves once.
+- ``init_point``, ``fit``, ``fit_kkm``, ``fit_mkkm`` and each step of
+  ``iterate`` run numpy's BLAS on one thread (``mvkmf._blas``) and restore
+  the caller's count on return, on a raise and between ``iterate``'s
+  yields. Their numpy products are skinny n x n times n x k products bound
+  by memory traffic, and a second numpy thread only fights the main thread
+  and scipy's BLAS pool, which numpy's does not share. Scipy's pool, which
+  runs the seed eigensolve's ``dsymv`` and gains from its threads, is left
+  as the process set it. The count is global to the process; mvkmf starts
+  no threads of its own.
 
 The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
 evaluate the definitions directly; they are the reference the fused sweep is
@@ -55,6 +64,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from ._blas import one_thread
 from .errors import (
     BadParamError,
     DimensionMismatchError,
@@ -179,10 +189,12 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     the zero matrix.
     """
     n = M.shape[0]
-    # an array M (fit_kkm, fit_mkkm) keeps numpy's gemv: through scipy's
-    # dsymv, the kkm solves between bench's k-means calls at n=300 took about
-    # twice as long, most likely because scipy's OpenBLAS thread pool then
-    # competes with numpy's for the cores
+    # an array M (fit_kkm, fit_mkkm) keeps numpy's gemv, on one thread under
+    # their scope, because the kkm and mkkm outputs carry its bits. Through
+    # scipy's dsymv these solves took about twice as long at n=300 while
+    # numpy's pool ran two threads beside scipy's; with numpy's pool on one
+    # thread dsymv is faster (n=300: 1.7 against 2.0 ms per solve, n=2000:
+    # 18 against 58 ms), but it changes the bits
     if n > max(2 * k + 1, 20):
         rng = np.random.default_rng(LANCZOS_SEED)
         try:
@@ -437,6 +449,7 @@ class InitPoint:
     H: np.ndarray
 
 
+@one_thread()
 def init_point(ks, k: int) -> InitPoint:
     """Compute the ``InitPoint`` of kernels ``ks`` for k clusters: one top-k
     eigensolve per view, O(n^2 k) each, and one k x n SVD."""
@@ -501,14 +514,17 @@ def iterate(ks, cfg: SolverConfig, init: InitPoint | None = None):
     Deterministic: identical inputs replay the identical sequence.
     """
     kernels = [_row_major(K) for K in _kernel_list(ks)]
-    state, k_sq, P, KP = _start(kernels, cfg, init)
+    with one_thread():
+        state, k_sq, P, KP = _start(kernels, cfg, init)
     trace = list(state.objective_trace)
     j_prev = trace[-1]
     H, omega = state.H, state.omega
     for _ in range(cfg.max_iters):
-        G, H, P, KP, d = _sweep(kernels, k_sq, P, KP, H, omega, cfg.alpha)
-        omega = update_weights(d)
-        j = float(np.sum(omega * omega * d))
+        with one_thread():
+            G, H, P, KP, d = _sweep(kernels, k_sq, P, KP, H, omega,
+                                    cfg.alpha)
+            omega = update_weights(d)
+            j = float(np.sum(omega * omega * d))
         if not np.isfinite(j):
             raise NonFiniteError("objective became NaN/Inf; check the kernels")
         trace.append(j)
@@ -520,6 +536,7 @@ def iterate(ks, cfg: SolverConfig, init: InitPoint | None = None):
         j_prev = j
 
 
+@one_thread()
 def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
     """Run initialization plus alternating updates to convergence.
 
@@ -544,6 +561,7 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
 # Baselines
 # ---------------------------------------------------------------------------
 
+@one_thread()
 def fit_kkm(kernel, clusters: int) -> np.ndarray:
     """Kernel k-means relaxation: rows of H are the ``clusters`` leading
     eigenvectors of K, maximizing tr(H K H^T) under H H^T = I."""
@@ -575,6 +593,7 @@ def _combined_kernel(kernels, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@one_thread()
 def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
              rel_tol: float = SolverConfig.rel_tol
              ) -> tuple[np.ndarray, np.ndarray]:

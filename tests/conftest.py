@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mvkmf import _blas
 from mvkmf.io import RunRecord
 from mvkmf.kernels import FeatureMatrix, KernelMatrix, KernelSet, KernelSpec, build_kernel
 
@@ -42,3 +43,33 @@ def read_run_records(path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def caller_threads():
+    """numpy's BLAS thread control with the caller's count set to 2, the
+    count restored after the test. Skips where numpy's BLAS is not a
+    scipy-openblas whose count can be set."""
+    control = _blas._control()
+    if control is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    before = control.get()
+    control.set(2)
+    try:
+        yield control
+    finally:
+        control.set(before)
+
+
+def record_threads(monkeypatch, module, name, control):
+    """Replace ``module.name`` with a wrapper that appends numpy's BLAS
+    thread count at each call to the returned list."""
+    seen = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(control.get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvkmf import _blas
 from mvkmf.errors import BadParamError, NonFiniteError, TooFewPointsError
 from mvkmf.io import make_synthetic
 from mvkmf.kernels import KernelSet, KernelSpec, build_kernel
@@ -16,13 +17,16 @@ from mvkmf.kmeans import (
 )
 from mvkmf.solver import SolverConfig, fit, fit_kkm
 
+from conftest import record_threads
+
 # the package re-exports the function under the module's name
 kmeans_module = importlib.import_module("mvkmf.kmeans")
 
 
 # ---------------------------------------------------------------------------
 # reference: one restart at a time, as k-means ran before its restarts were
-# batched; frozen here so the batched code is checked bit for bit
+# batched; frozen here so the batched code is checked bit for bit. ref_kmeans
+# runs numpy's BLAS on one thread, as kmeans does
 
 
 def ref_sq_dists(X, centers):
@@ -94,6 +98,7 @@ def ref_lloyd(X, k, rng, max_iters, tol):
     return labels, centers, ref_wcss(X, labels, centers)
 
 
+@_blas.one_thread()
 def ref_kmeans(points, cfg):
     X = np.asarray(points, dtype=np.float64).T
     best = None
@@ -218,6 +223,32 @@ def test_seed_changes_are_contained():
 def test_too_few_points():
     with pytest.raises(TooFewPointsError):
         kmeans(np.zeros((2, 3)), KMeansConfig(k=4))
+
+
+def test_numpy_blas_on_one_thread_inside_and_restored(caller_threads,
+                                                      monkeypatch):
+    seen = record_threads(monkeypatch, kmeans_module, "_sq_dists",
+                          caller_threads)
+    pts, _ = three_blobs()
+    kmeans(pts, KMeansConfig(k=3, restarts=5))
+    assert seen and set(seen) == {1}
+    assert caller_threads.get() == 2
+    with pytest.raises(TooFewPointsError):
+        kmeans(np.zeros((2, 3)), KMeansConfig(k=4))
+    assert caller_threads.get() == 2
+
+
+def test_bits_do_not_depend_on_the_callers_thread_count(caller_threads):
+    # at n = 2000 the (n x R*k) distance products are large enough that
+    # numpy's BLAS splits them over its threads
+    pts = np.random.default_rng(8).standard_normal((4, 2000))
+    cfg = KMeansConfig(k=4, restarts=50)
+    at_two = kmeans(pts, cfg)
+    caller_threads.set(1)
+    at_one = kmeans(pts, cfg)
+    assert np.array_equal(at_one.labels, at_two.labels)
+    assert at_one.centers.tobytes() == at_two.centers.tobytes()
+    assert at_one.inertia == at_two.inertia
 
 
 def test_assignment_ties_go_to_lowest_index():

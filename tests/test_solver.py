@@ -9,7 +9,7 @@ from mvkmf.errors import (
     NonFiniteError,
     RankDeficientWarning,
 )
-from mvkmf import solver
+from mvkmf import _blas, solver
 from mvkmf.io import make_synthetic
 from mvkmf.kernels import (
     FeatureMatrix,
@@ -37,7 +37,12 @@ from mvkmf.solver import (
     update_weights,
 )
 
-from conftest import blob_kernels, random_orthonormal_rows, random_psd_kernel
+from conftest import (
+    blob_kernels,
+    random_orthonormal_rows,
+    random_psd_kernel,
+    record_threads,
+)
 
 
 def naive_loss(K, G, H, alpha):
@@ -377,9 +382,12 @@ def test_init_state_rejects_k_above_n():
         fit([np.eye(3)], SolverConfig(k=4, max_iters=0))
 
 
+@_blas.one_thread()
 def frozen_init_state(kernels, cfg):
     """Reference for the start of a fit (``init_point`` and the start
-    objective) computed in one pass, with no shared point."""
+    objective) computed in one pass, with no shared point. Like ``fit``, it
+    runs numpy's BLAS on one thread, since the bits are those of one thread
+    count."""
     from mvkmf.solver import _fused_view_loss, _sq_norm
 
     G = tuple(init_g(K, cfg.k) for K in kernels)
@@ -410,11 +418,13 @@ def frozen_sweep(kernels, k_sq, P, H, omega, alpha):
     return G, H, P, d
 
 
+@_blas.one_thread()
 def frozen_states(ks, cfg, init=None):
     """Frozen copy of the former two-call fit path: a start state built with
     its own ||K_v||^2 and K_v H^T, then a loop that resumes from that state
     and forms both again, with two passes over each kernel per sweep.
-    Returns the start and every state after it."""
+    Returns the start and every state after it. Runs numpy's BLAS on one
+    thread, as ``fit`` does."""
     from mvkmf.solver import _fused_view_loss, _kernel_list, _sq_norm
 
     kernels = _kernel_list(ks)
@@ -761,6 +771,65 @@ def test_iterate_yields_every_iteration():
 
 
 # ---------------------------------------------------------------------------
+# numpy's BLAS threads
+
+
+SCOPED = {
+    "init_point": ("init_g", lambda ks: init_point(ks, 4)),
+    "fit": ("_kernel_products", lambda ks: fit(ks, SolverConfig(k=4))),
+    "fit_kkm": ("_top_eigenvectors", lambda ks: fit_kkm(ks[0], 4)),
+    "fit_mkkm": ("_combined_kernel", lambda ks: fit_mkkm(ks, 4)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCOPED))
+def test_entry_points_run_numpy_blas_on_one_thread(entry, caller_threads,
+                                                   monkeypatch):
+    probe, call = SCOPED[entry]
+    seen = record_threads(monkeypatch, solver, probe, caller_threads)
+    call(rbf_views(80, seed=2))
+    assert seen and set(seen) == {1}
+    assert caller_threads.get() == 2
+
+
+def test_callers_thread_count_restored_after_a_raise(caller_threads):
+    with pytest.raises(BadParamError):
+        init_point([np.eye(3)], 4)
+    assert caller_threads.get() == 2
+
+
+def test_iterate_restores_the_count_between_yields(caller_threads,
+                                                   monkeypatch):
+    seen = record_threads(monkeypatch, solver, "_kernel_products",
+                          caller_threads)
+    between = [caller_threads.get()
+               for _ in iterate(rbf_views(80, seed=2), SolverConfig(k=4))]
+    assert len(between) > 1 and set(between) == {2}
+    # one call per view for the start and for each sweep
+    assert len(seen) == 3 * (len(between) + 1) and set(seen) == {1}
+
+
+def test_fit_without_the_control_equals_fit_on_one_thread(monkeypatch):
+    # a kernel above one block, whose products numpy would thread
+    kernels = rbf_views(700, seed=3)
+    cfg = SolverConfig(k=4, alpha=16.0)
+    found = fit(kernels, cfg)
+    # the caller's count at 1 where it can be set; then fit finds no control
+    with _blas.one_thread():
+        monkeypatch.setattr(_blas, "_control", lambda: None)
+        lost = fit(kernels, cfg)
+    assert_same_state(lost, found)
+
+
+def test_scipy_openblas_numpy_has_a_thread_control():
+    # a change of the wheel's layout must not turn the control off unseen
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas.get('name')}")
+    assert _blas._control() is not None
+
+
+# ---------------------------------------------------------------------------
 # baselines
 
 
@@ -815,9 +884,11 @@ def test_fit_mkkm_identical_views_uniform_gamma(rng):
     assert np.max(np.abs(gamma - 0.5)) < 1e-10
 
 
+@_blas.one_thread()
 def _ref_fit_mkkm(kernels, clusters, max_iters=SolverConfig.max_iters,
                   rel_tol=SolverConfig.rel_tol):
-    """fit_mkkm as it was when it summed a new K_gamma per build."""
+    """fit_mkkm as it was when it summed a new K_gamma per build, on one
+    numpy BLAS thread as ``fit_mkkm`` runs."""
     V = len(kernels)
     traces = np.array([float(np.trace(K)) for K in kernels])
     gamma = np.full(V, 1.0 / V)
