@@ -14,11 +14,10 @@ import argparse
 # read only by benchmarks/tracing.py (Tracer.install); ROADMAP item 1 drops both
 import concurrent.futures
 import json
-import math
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,33 +40,6 @@ from .solver import (
 ALGORITHMS = ("umklmf", "kkm", "mkkm")
 DEFAULT_ALPHAS = tuple(float(2 ** i) for i in range(10))
 METRICS = tuple(f.name for f in fields(mmetrics.MetricReport))
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    manifests: tuple[Path, ...]
-    algorithms: tuple[str, ...]
-    alphas: tuple[float, ...]
-    seeds: tuple[int, ...]
-    out_dir: Path
-
-    def __post_init__(self):
-        if not self.manifests:
-            raise BadParamError("need at least one --manifest")
-        if not self.algorithms:
-            raise BadParamError("need at least one algorithm")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise BadParamError(f"unknown algorithm {a!r}")
-        if not self.alphas or not all(math.isfinite(a) and a > 0
-                                      for a in self.alphas):
-            raise BadParamError("alpha grid values must be finite and > 0")
-        if not self.seeds:
-            raise BadParamError("need at least one seed")
-        for what, values in (("algorithms", self.algorithms),
-                             ("alphas", self.alphas), ("seeds", self.seeds)):
-            if len(set(values)) != len(values):
-                raise BadParamError(f"duplicate {what} in {values}")
 
 
 def _say(args, text: str) -> None:
@@ -249,40 +221,46 @@ def cmd_fit(args) -> int:
 
 def _grid(flag: str, text: str, parse) -> tuple:
     """The comma-separated values of grid flag ``flag``, each read by
-    ``parse``; a value it cannot read is a usage error naming both."""
+    ``parse``; a value it cannot read, or one that repeats, is a usage error
+    naming both."""
     values = []
     for value in text.split(","):
         try:
-            values.append(parse(value))
+            parsed = parse(value)
         except ValueError:
             raise BadParamError(f"{flag}: cannot read {value!r} in "
                                 f"{text!r}") from None
+        if parsed in values:
+            raise BadParamError(f"{flag}: {value!r} repeats in {text!r}")
+        values.append(parsed)
     return tuple(values)
 
 
+def _algorithm(name: str) -> str:
+    if name not in ALGORITHMS:
+        raise ValueError(name)
+    return name
+
+
 def cmd_bench(args) -> int:
-    plan = ExperimentPlan(
-        manifests=tuple(Path(m) for m in args.manifest),
-        algorithms=tuple(args.algorithms.split(",")),
-        alphas=_grid("--alphas", args.alphas, float),
-        seeds=_grid("--seeds", args.seeds, int),
-        out_dir=Path(args.out),
-    )
-    datasets = []
-    for mp in plan.manifests:
-        manifest = mio.load_manifest(mp)
-        datasets.append((manifest, *mio.load_dataset(manifest)))
-    dataset_names = [manifest.name for manifest, _, _ in datasets]
+    algorithms = _grid("--algorithms", args.algorithms, _algorithm)
+    alphas = _grid("--alphas", args.alphas, float)
+    seeds = _grid("--seeds", args.seeds, int)
+    manifests = [mio.load_manifest(mp) for mp in args.manifest]
+    dataset_names = [manifest.name for manifest in manifests]
     if len(set(dataset_names)) != len(dataset_names):
         raise BadParamError("duplicate dataset names across manifests")
-    # every cell's configs, before any cell runs, in (dataset, algorithm,
-    # alpha, seed) order
+    # every cell's configs, before any data is read, in (dataset, algorithm,
+    # alpha, seed) order; only umklmf cells take an alpha, so only they
+    # check the alpha grid
     cells = [(i, j, alpha, seed,
               _configs(args, alg, manifest.clusters, alpha, seed))
-             for i, (manifest, _, _) in enumerate(datasets)
-             for j, alg in enumerate(plan.algorithms)
-             for alpha in (plan.alphas if alg == "umklmf" else (None,))
-             for seed in plan.seeds]
+             for i, manifest in enumerate(manifests)
+             for j, alg in enumerate(algorithms)
+             for alpha in (alphas if alg == "umklmf" else (None,))
+             for seed in seeds]
+    datasets = [(manifest, *mio.load_dataset(manifest))
+                for manifest in manifests]
 
     # a table entry is the mean select-metric across seeds at the best alpha
     # (by that mean)
@@ -290,7 +268,7 @@ def cmd_bench(args) -> int:
     scores: dict[tuple, list[float]] = {}
     key = shared = None
     for i, j, alpha, seed, configs in cells:
-        (manifest, ks, truth), alg = datasets[i], plan.algorithms[j]
+        (manifest, ks, truth), alg = datasets[i], algorithms[j]
         # the seed- and alpha-free part, once per (dataset, algorithm); one
         # that fails fails every cell that uses it, with the same error
         if key != (i, j):
@@ -311,20 +289,21 @@ def cmd_bench(args) -> int:
         records.append(record)
         scores.setdefault((i, j, alpha), []).append(
             record.metrics[args.select_metric])
-    table = np.full((len(plan.manifests), len(plan.algorithms)), np.nan)
+    table = np.full((len(manifests), len(algorithms)), np.nan)
     for (i, j, _), vals in scores.items():
         table[i, j] = np.fmax(table[i, j], np.mean(vals))
 
-    plan.out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = plan.out_dir / "records.jsonl"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    records_path = out / "records.jsonl"
     for record in records:
         mio.append_record(records_path, record)
     rt = mstats.ResultsTable(scores=table,
                              dataset_names=tuple(dataset_names),
-                             algorithm_names=plan.algorithms)
-    mstats.write_results_table(plan.out_dir / "table.csv", rt)
+                             algorithm_names=algorithms)
+    mstats.write_results_table(out / "table.csv", rt)
     _say(args, f"{len(records)}/{len(cells)} cells succeeded; wrote "
-               f"{plan.out_dir / 'table.csv'}")
+               f"{out / 'table.csv'}")
     return 0 if records else 3
 
 

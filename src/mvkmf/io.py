@@ -188,13 +188,21 @@ def _view_from_dict(obj: dict, where: str) -> ViewSource:
     if (features is None) == (kernel is None):
         raise ParseError(f"{where}: view {name!r} needs exactly one of "
                          "'features' or 'kernel'")
+    for key, value in (("features", features), ("kernel", kernel)):
+        if value is not None and not isinstance(value, str):
+            raise ParseError(f"{where}: view {name!r}: {key!r} must be a "
+                             f"path string, got {value!r}")
     if kernel is not None and "kernel_spec" in obj:
         raise ParseError(f"{where}: view {name!r} has a precomputed kernel; "
                          "'kernel_spec' does not apply")
     spec = None
-    if obj.get("kernel_spec") is not None:
+    raw_spec = obj.get("kernel_spec")
+    if raw_spec is not None:
+        if not isinstance(raw_spec, dict):
+            raise ParseError(f"{where}: view {name!r}: 'kernel_spec' must be "
+                             f"an object, got {raw_spec!r}")
         try:
-            spec = KernelSpec.from_dict(obj["kernel_spec"])
+            spec = KernelSpec.from_dict(raw_spec)
         except (BadParamError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}: view {name!r}: {exc}") from exc
     normalization = obj.get("normalization", "none")
@@ -374,6 +382,8 @@ def make_synthetic(n_per_cluster: int, clusters: int, views: int,
         raise BadParamError("views must be >= 1")
     if separation < 0 or noise < 0:
         raise BadParamError("separation and noise must be >= 0")
+    if seed < 0:
+        raise BadParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = n_per_cluster * clusters
     labels = np.repeat(np.arange(clusters), n_per_cluster)

@@ -85,10 +85,6 @@ class FeatureMatrix:
             raise BadParamError(f"view {self.view_name!r}: need at least 1 feature")
         object.__setattr__(self, "data", data)
 
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -385,8 +381,6 @@ def _rbf(X: np.ndarray, sigma: float | None) -> np.ndarray:
         head = flat[:m]
         head[...] = c
         sigma = _median_sigma(head)
-    if not sigma > 0:
-        raise BadParamError(f"rbf sigma must be > 0, got {sigma}")
     np.negative(c, out=c)
     np.divide(c, 2.0 * sigma * sigma, out=c)
     np.exp(c, out=c)

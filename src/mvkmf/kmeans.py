@@ -80,6 +80,8 @@ class KMeansConfig:
             raise BadParamError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
             raise BadParamError(f"tol must be >= 0, got {self.tol}")
+        if self.seed < 0:
+            raise BadParamError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,9 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
 
 def _top_eigenvectors(M, k: int) -> np.ndarray:
     """Columns: the k eigenvectors of symmetric M with largest eigenvalues,
-    in descending eigenvalue order, sign-fixed.
+    in descending eigenvalue order, sign-fixed. Raises ``BadParamError``
+    when k exceeds n: the one check of k against the sample count, which
+    ``init_g``, ``init_point``, ``fit_kkm`` and ``fit_mkkm`` reach.
 
     M is an n x n array or a ``LinearOperator``. A Lanczos solve (ARPACK
     ``eigsh`` at machine-precision tolerance) computes only the k leading
@@ -189,6 +191,8 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     the zero matrix.
     """
     n = M.shape[0]
+    if k > n:
+        raise BadParamError(f"k={k} exceeds sample count {n}")
     # an array M (fit_kkm, fit_mkkm) keeps numpy's gemv, on one thread under
     # their scope, because the kkm and mkkm outputs carry its bits. Through
     # scipy's dsymv these solves took about twice as long at n=300 while
@@ -432,10 +436,7 @@ def init_g(k_v, k: int) -> np.ndarray:
     bundled OpenBLAS, which reads one triangle of K_v: a raw-array kernel
     must be symmetric. Any memory layout gives the same bits, and none is
     copied per step (see ``_init_operator``)."""
-    K = _as_matrix(k_v)
-    if k > K.shape[0]:
-        raise BadParamError(f"k={k} exceeds sample count {K.shape[0]}")
-    return _top_eigenvectors(_init_operator(K), k)
+    return _top_eigenvectors(_init_operator(_as_matrix(k_v)), k)
 
 
 @dataclass(frozen=True)
@@ -453,11 +454,7 @@ class InitPoint:
 def init_point(ks, k: int) -> InitPoint:
     """Compute the ``InitPoint`` of kernels ``ks`` for k clusters: one top-k
     eigensolve per view, O(n^2 k) each, and one k x n SVD."""
-    kernels = _kernel_list(ks)
-    n = kernels[0].shape[0]
-    if k > n:
-        raise BadParamError(f"k={k} exceeds sample count {n}")
-    G = tuple(init_g(K, k) for K in kernels)
+    G = tuple(init_g(K, k) for K in _kernel_list(ks))
     G_mean = sum(G) / len(G)
     U, _, Vt = np.linalg.svd(G_mean.T, full_matrices=False)
     H = U @ Vt
@@ -565,10 +562,7 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
 def fit_kkm(kernel, clusters: int) -> np.ndarray:
     """Kernel k-means relaxation: rows of H are the ``clusters`` leading
     eigenvectors of K, maximizing tr(H K H^T) under H H^T = I."""
-    K = _as_matrix(kernel)
-    if clusters > K.shape[0]:
-        raise BadParamError(f"clusters={clusters} exceeds sample count {K.shape[0]}")
-    return _top_eigenvectors(K, clusters).T
+    return _top_eigenvectors(_as_matrix(kernel), clusters).T
 
 
 def _combined_kernel(kernels, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:

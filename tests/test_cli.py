@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import mvkmf
-from mvkmf.cli import ALGORITHMS, DEFAULT_ALPHAS, ExperimentPlan, main
-from mvkmf.errors import BadParamError
+from mvkmf.cli import ALGORITHMS, DEFAULT_ALPHAS, main
 from mvkmf.io import read_matrix
 from mvkmf.stats import read_results_table
 
@@ -47,31 +46,6 @@ def write_hostile_dataset(root):
     return write_kernel_dataset(root, "hostile", np.full((8, 8), 1e200))
 
 
-# ---------------------------------------------------------------------------
-# plan
-
-
-def test_plan_validation(tmp_path):
-    kwargs = dict(manifests=(tmp_path,), algorithms=("umklmf",),
-                  alphas=(1.0,), seeds=(0,), out_dir=tmp_path)
-    ExperimentPlan(**kwargs)
-    with pytest.raises(BadParamError):
-        ExperimentPlan(**{**kwargs, "algorithms": ()})
-    with pytest.raises(BadParamError):
-        ExperimentPlan(**{**kwargs, "algorithms": ("umklmf", "dbscan")})
-    with pytest.raises(BadParamError):
-        ExperimentPlan(**{**kwargs, "algorithms": ("umklmf-nonsp",)})
-    with pytest.raises(BadParamError):
-        ExperimentPlan(**{**kwargs, "alphas": (0.0,)})
-    with pytest.raises(BadParamError):
-        ExperimentPlan(**{**kwargs, "seeds": ()})
-    for bad in ({"alphas": (float("nan"),)}, {"alphas": (1.0, float("inf"))},
-                {"alphas": (1.0, 2.0, 1.0)}, {"seeds": (0, 0)},
-                {"algorithms": ("kkm", "umklmf", "kkm")}):
-        with pytest.raises(BadParamError):
-            ExperimentPlan(**{**kwargs, **bad})
-
-
 def test_default_alpha_grid():
     assert DEFAULT_ALPHAS == tuple(2.0 ** p for p in range(10))
     assert set(ALGORITHMS) == {"umklmf", "kkm", "mkkm"}
@@ -88,6 +62,12 @@ def test_synth_writes_dataset(tmp_path):
     assert (root / "labels.csv").exists()
     assert sorted(p.name for p in root.glob("view*.mvk1")) == [
         "view0.mvk1", "view1.mvk1", "view2.mvk1"]
+
+
+def test_synth_negative_seed_exit_2(tmp_path):
+    out = tmp_path / "s"
+    assert main(["synth", "--seed", "-1", "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
 
 
 def test_synth_deterministic(tmp_path):
@@ -172,6 +152,20 @@ def test_kernels_indefinite_polynomial_spec_exit_2(tmp_path, capsys, spec,
                  "--quiet"]) == 2
     assert not out.exists()
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("kernel_spec", "rbf"),
+                                        ("features", 5)])
+def test_fit_ill_typed_view_field_exit_2(tmp_path, capsys, key, value):
+    mpath = synth(tmp_path, per=5, clusters=2)
+    manifest = json.loads(mpath.read_text())
+    manifest["views"][0][key] = value
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["fit", "--manifest", str(mpath), "--alpha", "16",
+                 "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"view 'view0': '{key}' must be" in capsys.readouterr().err
 
 
 def test_kernels_bad_manifest_exit_2(tmp_path):
@@ -360,6 +354,9 @@ def test_evolve_row_count_matches_fit_iterations(tmp_path):
     ["fit", "--algorithm", "mkkm", "--max-iters", "-1"],
     ["fit", "--algorithm", "mkkm", "--rel-tol", "0"],
     ["fit", "--algorithm", "mkkm", "--rel-tol", "nan"],
+    ["fit", "--algorithm", "umklmf", "--alpha", "16", "--seed", "-1"],
+    ["fit", "--algorithm", "kkm", "--seed", "-1"],
+    ["evolve", "--alpha", "16", "--seed", "-1"],
 ])
 def test_bad_config_exits_2_before_fitting(tmp_path, monkeypatch, argv):
     import mvkmf.cli as cli
@@ -490,6 +487,19 @@ def test_stats_says_when_no_result_can_be_significant(tmp_path, capsys):
                      "d0,0.9,0.8,0.7\nd1,0.9,0.8,0.7\nd2,0.9,0.7,0.8\n")
     assert main(["stats", "--table", str(table)]) == 0
     assert "too few datasets" not in capsys.readouterr().out
+
+
+def test_stats_lists_significant_pairs(tmp_path, capsys):
+    # mean ranks 1, 2, 3 over 10 datasets; the CD at k=3 is
+    # 2.3437 * sqrt(12 / 60) = 1.048, so only the gap of 2 is significant
+    table = tmp_path / "table.csv"
+    table.write_text("dataset,a,b,c\n"
+                     + "".join(f"d{i},0.9,0.8,0.7\n" for i in range(10)))
+    assert main(["stats", "--table", str(table)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "CD (q_alpha=2.343700586): 1.048134766" in lines
+    assert lines[-2:] == ["significant pairs (mean-rank gap >= CD):",
+                          "  a vs c: gap 2"]
 
 
 def test_stats_constant_table(tmp_path, capsys):
@@ -640,8 +650,14 @@ def test_bench_table_feeds_stats(tmp_path, capsys):
                                          ("--alphas", "nan"),
                                          ("--alphas", "1,inf"),
                                          ("--alphas", "1,1"),
+                                         ("--alphas", "1,2,1"),
+                                         ("--alphas", "-1"),
                                          ("--seeds", "0,0"),
-                                         ("--algorithms", "kkm,kkm")])
+                                         ("--seeds", "-1"),
+                                         ("--algorithms", "kkm,kkm"),
+                                         ("--algorithms", "kkm,umklmf,kkm"),
+                                         ("--algorithms", "umklmf,dbscan"),
+                                         ("--algorithms", "umklmf-nonsp")])
 def test_bench_bad_params_exit_2_before_any_cell(tmp_path, flag, value):
     mpath = synth(tmp_path, per=5, clusters=2)
     out = tmp_path / "b"
@@ -662,6 +678,25 @@ def test_bench_malformed_grid_value_exit_2(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert flag in err and repr(value) in err
     assert not out.exists()
+
+
+def test_bench_checks_alphas_as_fit_does(tmp_path):
+    # alpha 0 is a umklmf alpha for bench as for fit, and an alpha grid that
+    # no umklmf cell uses is not read, as fit ignores --alpha for a baseline
+    mpath = synth(tmp_path, per=5, clusters=2)
+    common = ["--manifest", str(mpath), "--restarts", "10", "--quiet"]
+    bench_out, fit_out = tmp_path / "bench", tmp_path / "fit"
+    assert main(["bench", "--algorithms", "umklmf", "--alphas", "0",
+                 "--out", str(bench_out)] + common) == 0
+    assert main(["fit", "--alpha", "0", "--out", str(fit_out)] + common) == 0
+    [record] = _stripped_records(bench_out)
+    assert record == _stripped_records(fit_out)[0]
+    assert record["alpha"] == 0.0
+    for alphas in ("nan", "-1", "1,inf"):
+        out = tmp_path / f"baselines{alphas}"
+        assert main(["bench", "--algorithms", "kkm,mkkm", "--alphas", alphas,
+                     "--out", str(out)] + common) == 0
+        assert len(_stripped_records(out)) == 2
 
 
 def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):

@@ -240,6 +240,37 @@ def test_manifest_rejects_spec_on_precomputed_kernel(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("key, value", [("kernel_spec", "rbf"),
+                                        ("kernel_spec", [1]),
+                                        ("features", 5),
+                                        ("kernel", 5)])
+def test_manifest_rejects_ill_typed_view_fields(tmp_path, key, value):
+    path = write_minimal_dataset(tmp_path)
+    obj = json.loads(path.read_text())
+    view = obj["views"][0]
+    if key == "kernel":
+        del view["features"]
+    view[key] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=f"view 'a': '{key}' must be"):
+        load_manifest(path)
+
+
+def test_manifest_round_trip_with_precomputed_kernel(tmp_path):
+    write_matrix(tmp_path / "k.mvk1", np.eye(6))
+    write_labels(tmp_path / "labels.csv", [0, 1] * 3)
+    obj = {"name": "toy", "n": 6, "clusters": 2, "labels": "labels.csv",
+           "views": [{"name": "a", "kernel": "k.mvk1"},
+                     {"name": "b", "features": "x.mvk1",
+                      "kernel_spec": {"kind": "rbf", "sigma": 2.0}}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(obj))
+    first = load_manifest(tmp_path / "manifest.json")
+    save_manifest(tmp_path / "again.json", first)
+    assert json.loads((tmp_path / "again.json").read_text())["views"][0] == {
+        "name": "a", "kernel": "k.mvk1", "normalization": "none"}
+    assert load_manifest(tmp_path / "again.json") == first
+
+
 def test_manifest_rejects_bad_normalization(tmp_path):
     path = write_minimal_dataset(tmp_path)
     obj = json.loads(path.read_text())
@@ -416,6 +447,8 @@ def test_synthetic_validation():
         make_synthetic(1, 1, 1)
     with pytest.raises(BadParamError):
         make_synthetic(1, 2, 0)
+    with pytest.raises(BadParamError):
+        make_synthetic(1, 2, 1, seed=-1)
 
 
 def test_save_synthetic_dataset_round_trip(tmp_path):

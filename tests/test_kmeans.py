@@ -146,6 +146,8 @@ def test_config_validation():
         KMeansConfig(k=2, max_iters=0)
     with pytest.raises(BadParamError):
         KMeansConfig(k=2, tol=-1.0)
+    with pytest.raises(BadParamError):
+        KMeansConfig(k=2, seed=-1)
 
 
 def test_two_locations_zero_inertia():

@@ -617,6 +617,8 @@ def test_init_point_arrays_are_read_only(rng):
 def test_init_point_rejects_k_above_n():
     with pytest.raises(BadParamError):
         init_point([np.eye(3)], 4)
+    with pytest.raises(BadParamError):
+        init_g(np.eye(3), 4)
 
 
 def test_init_state_rejects_mismatched_point(rng):
@@ -857,6 +859,13 @@ def test_fit_kkm_beats_random_orthonormal(rng):
     for _ in range(200):
         Ht = random_orthonormal_rows(rng, 3, 8)
         assert best >= np.trace(Ht @ K @ Ht.T) - 1e-9
+
+
+def test_baselines_reject_k_above_n():
+    with pytest.raises(BadParamError, match="k=4 exceeds sample count 3"):
+        fit_kkm(np.eye(3), 4)
+    with pytest.raises(BadParamError, match="k=4 exceeds sample count 3"):
+        fit_mkkm([np.eye(3)] * 2, 4)
 
 
 def test_fit_mkkm_single_view_reduces_to_kkm(rng):
