@@ -154,18 +154,18 @@ def cmd_kernels(args) -> int:
     manifest = mio.load_manifest(args.manifest)
     ks, _ = mio.load_dataset(manifest)
     files = _view_files("K", ks.view_names)
-    report = validate_kernel_set(ks)
+    verdicts = validate_kernel_set(ks)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    for view, kr, file in zip(ks.kernels, report, files):
+    for view, indefinite, file in zip(ks.kernels, verdicts, files):
         mio.write_matrix(out / file, view.data)
         summary.append({
             "view": view.view_name,
             "n": view.n,
-            "indefinite": kr.indefinite,
+            "indefinite": indefinite,
         })
-        verdict = "(indefinite)" if kr.indefinite else "psd"
+        verdict = "(indefinite)" if indefinite else "psd"
         _say(args, f"view {view.view_name}: n={view.n} {verdict}")
     (out / "report.json").write_text(json.dumps(
         {"dataset": manifest.name, "views": summary}, indent=2) + "\n")

@@ -39,6 +39,21 @@ _MAGIC = b"MVK1"
 _NORMALIZATIONS = ("none", "cosine", "center")
 
 
+def _read(path: Path, text: bool = True):
+    """The UTF-8 text of ``path``, newlines untranslated, or its bytes. An
+    ``OSError`` becomes ``MissingFileError``, non-UTF-8 text ``ParseError``."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise MissingFileError(f"{path}: {exc.strerror or exc}") from exc
+    if not text:
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -103,10 +118,7 @@ def _parse_csv_matrix(data: bytes, path: Path) -> np.ndarray:
 
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise MissingFileError(str(path)) from exc
+    data = _read(path, text=False)
     if not data:
         raise CorruptHeaderError(f"{path}: empty file")
     if not data.startswith(_MAGIC):
@@ -128,10 +140,7 @@ def read_matrix(path) -> np.ndarray:
 
 def read_labels(path) -> np.ndarray:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise MissingFileError(str(path)) from exc
+    text = _read(path)
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         cell = line.strip()
@@ -221,11 +230,7 @@ def load_manifest(path) -> DatasetManifest:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise MissingFileError(str(path)) from exc
-    try:
-        obj = json.loads(text)
+        obj = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
@@ -287,8 +292,8 @@ def load_dataset(manifest: DatasetManifest) -> tuple[KernelSet, np.ndarray]:
     (linear by default); precomputed kernels are ingested as-is. Every view
     then gets its configured normalization. The views go into a
     ``KernelSet``, which rejects repeated view names with
-    ``DimensionMismatchError``. The per-view health report
-    (``validate_kernel_set``) is left to the callers that use it.
+    ``DimensionMismatchError``. The per-view definiteness verdicts
+    (``validate_kernel_set``) are left to the callers that use them.
     """
     n = manifest.n
     labels_path = manifest.resolve(manifest.labels)
@@ -372,7 +377,9 @@ def make_synthetic(n_per_cluster: int, clusters: int, views: int,
     Cluster centers sit at the scaled standard basis of R^clusters so every
     pair of centers is exactly ``separation * noise`` apart. Each view draws
     its own noise and its own orthogonal mixing matrix from a generator
-    seeded with ``seed``, so output is reproducible bit for bit.
+    seeded with ``seed``, so output is reproducible bit for bit. NaN,
+    infinite or negative ``separation`` or ``noise`` raise ``BadParamError``;
+    finite ones whose features overflow raise ``NonFiniteError``.
     """
     if n_per_cluster < 1:
         raise BadParamError("n_per_cluster must be >= 1")
@@ -380,8 +387,9 @@ def make_synthetic(n_per_cluster: int, clusters: int, views: int,
         raise BadParamError("clusters must be >= 2")
     if views < 1:
         raise BadParamError("views must be >= 1")
-    if separation < 0 or noise < 0:
-        raise BadParamError("separation and noise must be >= 0")
+    if not (0 <= separation < np.inf and 0 <= noise < np.inf):
+        raise BadParamError("separation and noise must be finite and >= 0, "
+                            f"got {separation} and {noise}")
     if seed < 0:
         raise BadParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -240,10 +240,6 @@ class KernelSet:
         return self.kernels[0].n
 
     @property
-    def V(self) -> int:
-        return len(self.kernels)
-
-    @property
     def view_names(self) -> tuple[str, ...]:
         return tuple(k.view_name for k in self.kernels)
 
@@ -430,14 +426,6 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
     raise BadParamError(f"unknown normalization mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    """Per-view health summary produced by :func:`validate_kernel_set`."""
-
-    view_name: str
-    indefinite: bool
-
-
 def _cholesky_succeeds(K: np.ndarray) -> bool:
     """Whether K + tau*I has a Cholesky factor, tau = 1e-10 * max(1, |tr K|).
 
@@ -463,12 +451,13 @@ def _cholesky_succeeds(K: np.ndarray) -> bool:
     return info == 0
 
 
-def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
-    """Per-view health of a kernel set: one report per view, in view order.
+def validate_kernel_set(ks: KernelSet) -> tuple[bool, ...]:
+    """Per-view definiteness of a kernel set: one verdict per view, in view
+    order, True where the view's kernel is indefinite.
 
     The set is consistent by construction (see :class:`KernelSet`), and
     small asymmetries were already repaired at ingest (see
-    :class:`KernelMatrix`). A view is ``indefinite`` exactly when
+    :class:`KernelMatrix`). A view is indefinite exactly when
     K + tau*I, tau = 1e-10 * max(1, |tr K|), has no Cholesky factor, i.e.
     when K has an eigenvalue below -tau up to the factorization's rounding.
     Indefinite kernels are flagged but accepted, since the solver's
@@ -481,7 +470,5 @@ def validate_kernel_set(ks: KernelSet) -> tuple[KernelReport, ...]:
     the kernels while this runs; a read-only or non-contiguous kernel is
     copied once instead.
     """
-    return tuple(KernelReport(view_name=k.view_name,
-                              indefinite=not (k._psd_by_construction
-                                              or _cholesky_succeeds(k.data)))
+    return tuple(not (k._psd_by_construction or _cholesky_succeeds(k.data))
                  for k in ks.kernels)

@@ -3,7 +3,8 @@
 The embedding H is k x n; its columns are the points to cluster, passed to
 k-means unscaled, and they must all be finite. Restarts use k-means++
 seeding (Arthur and Vassilvitskii, SODA 2007), each restart drawing from its
-own generator derived from (seed, restart index).
+own generator derived from (seed, restart index). ``KMeansConfig`` sets k,
+the restart count and the seed; the stopping rule below is fixed.
 
 Seeding runs all restarts as (R, n) arrays, and each restart draws from its
 own generator exactly what a serial loop over the restarts draws. That loop
@@ -29,10 +30,11 @@ call costs a few array passes per step rather than a Python loop per
 restart. Every restart still does its own arithmetic in its own order:
 distances are the columns the one-restart product would give, and each
 bincount sums a cluster's points in sample order, as a per-restart loop
-does. A restart leaves the active set when its labels stop changing or its
-centers move by at most ``tol``; one that leaves a cluster empty is repaired
-on its own. The inertia of every restart comes from one reduction over its
-n x d squared residuals, summed in the order a per-restart sum uses.
+does. A restart leaves the active set when its labels stop changing, when
+its centers move by at most 1e-9, or after 300 steps; one that leaves a
+cluster empty is repaired on its own. The inertia of every restart comes
+from one reduction over its n x d squared residuals, summed in the order a
+per-restart sum uses.
 
 A call holds about one array of n x R*k floats at a time. The distance
 expansion, each seeding step's differences and the final residuals are each
@@ -62,13 +64,16 @@ from .errors import BadParamError, NonFiniteError, TooFewPointsError
 # (rows, restarts) indices are the only temporary that step forms.
 _ROWS = 256
 
+# A restart stops after this many Lloyd steps, or once no center moves by
+# more than this distance.
+_MAX_ITERS = 300
+_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
     restarts: int = 50
-    max_iters: int = 300
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -76,10 +81,6 @@ class KMeansConfig:
             raise BadParamError(f"k must be >= 2, got {self.k}")
         if self.restarts < 1:
             raise BadParamError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise BadParamError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise BadParamError(f"tol must be >= 0, got {self.tol}")
         if self.seed < 0:
             raise BadParamError(f"seed must be >= 0, got {self.seed}")
 
@@ -216,13 +217,13 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     labels = _assign(X, centers)
     active = np.arange(cfg.restarts)
     stopped = []  # (restart indices, their labels), as restarts stop
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         new_centers = _cluster_means(X, labels, k)
         shift = np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=2),
                                axis=1))
         centers = new_centers
         new_labels = _assign(X, centers)
-        done = np.all(new_labels == labels, axis=1) | (shift <= cfg.tol)
+        done = np.all(new_labels == labels, axis=1) | (shift <= _TOL)
         stopped.append((active[done], new_labels[done]))
         active, centers, labels = (active[~done], centers[~done],
                                    new_labels[~done])

@@ -453,11 +453,11 @@ class InitPoint:
 @one_thread()
 def init_point(ks, k: int) -> InitPoint:
     """Compute the ``InitPoint`` of kernels ``ks`` for k clusters: one top-k
-    eigensolve per view, O(n^2 k) each, and one k x n SVD."""
+    eigensolve per view, O(n^2 k) each, and H the polar factor of the mean
+    G_v^T (one k x n SVD). Warns with ``RankDeficientWarning`` when that
+    mean is rank deficient, as at k = n, since H is then not unique."""
     G = tuple(init_g(K, k) for K in _kernel_list(ks))
-    G_mean = sum(G) / len(G)
-    U, _, Vt = np.linalg.svd(G_mean.T, full_matrices=False)
-    H = U @ Vt
+    H = _polar((sum(G) / len(G)).T)
     for a in (*G, H):
         a.setflags(write=False)
     return InitPoint(G=G, H=H)

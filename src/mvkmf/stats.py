@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from io import StringIO
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import BadParamError, ParseError
+from .io import _read
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ def read_results_table(path) -> ResultsTable:
     dataset column label), one row per dataset, cells are decimal scores or
     '-' for missing."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    reader = csv.reader(StringIO(_read(path), newline=""))
+    rows = [row for row in reader if row and any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path}: empty results table")
     header = [c.strip() for c in rows[0]]

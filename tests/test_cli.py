@@ -70,6 +70,27 @@ def test_synth_negative_seed_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--separation", "nan"),
+                                         ("--separation", "inf"),
+                                         ("--noise", "nan"),
+                                         ("--noise", "-inf")])
+def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    assert main(["synth", f"{flag}={value}", "--out", str(out),
+                 "--quiet"]) == 2
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_synth_overflowing_features_exit_3(tmp_path):
+    # each parameter is finite, but their product is not
+    out = tmp_path / "s"
+    assert main(["synth", "--separation", "1e300", "--noise", "1e10",
+                 "--out", str(out), "--quiet"]) == 3
+    assert not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     a = synth(tmp_path, name="a", seed=5)
     b = synth(tmp_path, name="b", seed=5)
@@ -171,6 +192,42 @@ def test_fit_ill_typed_view_field_exit_2(tmp_path, capsys, key, value):
 def test_kernels_bad_manifest_exit_2(tmp_path):
     missing = tmp_path / "nope" / "manifest.json"
     assert main(["kernels", "--manifest", str(missing), "--quiet"]) == 2
+
+
+def _unreadable_dataset(tmp_path, case):
+    """(manifest argument, path the error must name) for a dataset with one
+    file that cannot be read or is not UTF-8."""
+    mpath = synth(tmp_path)
+    root = mpath.parent
+    obj = json.loads(mpath.read_text())
+    if case == "manifest_is_a_directory":
+        return root, root
+    if case == "manifest_not_utf8":
+        mpath.write_bytes(mpath.read_bytes().replace(b'"toy"', b'"t\xffy"'))
+        return mpath, mpath
+    if case == "labels_not_utf8":
+        (root / "labels.csv").write_bytes(b"0\n\xff\n")
+        return mpath, root / "labels.csv"
+    key = "labels" if case == "labels_is_a_directory" else "features"
+    (obj if key == "labels" else obj["views"][0])[key] = "."
+    mpath.write_text(json.dumps(obj))
+    return mpath, root / "."
+
+
+@pytest.mark.parametrize("case", ["manifest_is_a_directory",
+                                  "manifest_not_utf8",
+                                  "labels_is_a_directory",
+                                  "labels_not_utf8",
+                                  "features_is_a_directory"])
+def test_kernels_unreadable_input_exit_2(tmp_path, capsys, case):
+    manifest, named = _unreadable_dataset(tmp_path, case)
+    out = tmp_path / "out"
+    assert main(["kernels", "--manifest", str(manifest), "--out", str(out),
+                 "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: {named}: " in err
+    assert ("not UTF-8" if case.endswith("utf8") else "Is a directory") in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -517,6 +574,22 @@ def test_stats_reports_dropped_rows(tmp_path, capsys):
     table.write_text("dataset,a,b\nd0,0.9,0.4\nd1,0.8,-\nd2,0.7,0.6\n")
     assert main(["stats", "--table", str(table)]) == 0
     assert "dropped 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("missing", "No such file"),
+    ("directory", "Is a directory"),
+    ("not_utf8", "not UTF-8"),
+])
+def test_stats_unreadable_table_exit_2(tmp_path, capsys, case, reason):
+    table = tmp_path / "table.csv"
+    if case == "directory":
+        table.mkdir()
+    elif case == "not_utf8":
+        table.write_bytes(b"dataset,a,b\nd\xff,0.9,0.4\nd1,0.8,0.6\n")
+    assert main(["stats", "--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {table}: " in err and reason in err
 
 
 def test_stats_too_few_rows_exit_2(tmp_path):

@@ -9,6 +9,7 @@ from mvkmf.errors import (
     CorruptHeaderError,
     DimensionMismatchError,
     MissingFileError,
+    NonFiniteError,
     ParseError,
     TruncatedDataError,
 )
@@ -100,6 +101,21 @@ def test_bad_header_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(MissingFileError):
         read_matrix(tmp_path / "nope.mvk1")
+
+
+def test_unreadable_files_name_path_and_reason(tmp_path):
+    # every reader maps any OSError to MissingFileError, and text that is
+    # not UTF-8 to ParseError
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    for read in (read_matrix, read_labels, load_manifest):
+        with pytest.raises(MissingFileError, match="Is a directory"):
+            read(tmp_path)
+        with pytest.raises(MissingFileError, match="No such file"):
+            read(tmp_path / "nope")
+    for read in (read_labels, load_manifest):
+        with pytest.raises(ParseError, match=f"{bad}: not UTF-8"):
+            read(bad)
 
 
 def test_write_rejects_non_2d(tmp_path):
@@ -287,7 +303,7 @@ def test_load_dataset_builds_kernels(tmp_path):
                                    normalization="cosine")
     ks, got = load_manifest(mpath), None
     kernels, got = load_dataset(ks)
-    assert kernels.V == 2
+    assert len(kernels.kernels) == 2
     assert kernels.n == 8
     assert np.array_equal(got, labels)
     for k in kernels.kernels:
@@ -449,6 +465,18 @@ def test_synthetic_validation():
         make_synthetic(1, 2, 0)
     with pytest.raises(BadParamError):
         make_synthetic(1, 2, 1, seed=-1)
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(BadParamError, match="must be finite"):
+            make_synthetic(1, 2, 1, separation=bad)
+        with pytest.raises(BadParamError, match="must be finite"):
+            make_synthetic(1, 2, 1, noise=bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_synthetic_overflow_is_a_numerical_failure():
+    # each parameter is finite, but their product is not
+    with pytest.raises(NonFiniteError):
+        make_synthetic(1, 2, 1, separation=1e300, noise=1e10)
 
 
 def test_save_synthetic_dataset_round_trip(tmp_path):

@@ -361,10 +361,7 @@ def test_normalize_unknown_mode():
 def test_validate_clean_identity_kernels():
     ks = KernelSet(kernels=(KernelMatrix(np.eye(3), "a"),
                             KernelMatrix(np.eye(3), "b")))
-    report = validate_kernel_set(ks)
-    assert [view.view_name for view in report] == ["a", "b"]
-    for view in report:
-        assert not view.indefinite
+    assert validate_kernel_set(ks) == (False, False)
 
 
 def test_validate_rejects_sample_count_mismatch():
@@ -398,16 +395,17 @@ def _verdict(K):
     """validate_kernel_set's verdict on K alone; K must come back bit for bit
     and agree with the spectrum."""
     before = K.copy(order="K")
-    report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(K, "v"),)))
+    (indefinite,) = validate_kernel_set(
+        KernelSet(kernels=(KernelMatrix(K, "v"),)))
     assert _same_bits(K, before)
-    assert report[0].indefinite == _eigvalsh_says_indefinite(before)
-    return report[0].indefinite
+    assert indefinite == _eigvalsh_says_indefinite(before)
+    return indefinite
 
 
 def test_indefinite_kernel_flagged_not_rejected():
     k = np.diag([2.0, 1.0, -0.5])
-    report = validate_kernel_set(KernelSet(kernels=(KernelMatrix(k, "a"),)))
-    assert report[0].indefinite
+    assert validate_kernel_set(
+        KernelSet(kernels=(KernelMatrix(k, "a"),))) == (True,)
     assert _eigvalsh_says_indefinite(k)
 
 
@@ -547,7 +545,7 @@ def test_validation_skips_cholesky_only_for_built_kernels(rng, monkeypatch):
     built = [build_kernel(fm, spec) for fm, spec in zip(fms, PSD_SPECS)]
     for mode in ("none", "cosine", "center"):
         ks = KernelSet(kernels=tuple(normalize_kernel(k, mode) for k in built))
-        assert [r.indefinite for r in validate_kernel_set(ks)] == [False] * 3
+        assert validate_kernel_set(ks) == (False,) * 3
     assert calls == []
     # the same numbers as arrays from outside, and normalized from those,
     # are factored once per view
@@ -598,7 +596,6 @@ def test_kernel_set_properties():
     ks = KernelSet(kernels=(KernelMatrix(np.eye(4), "a"),
                             KernelMatrix(np.eye(4), "b")))
     assert ks.n == 4
-    assert ks.V == 2
     assert ks.view_names == ("a", "b")
 
 

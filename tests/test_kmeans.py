@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -26,7 +27,8 @@ kmeans_module = importlib.import_module("mvkmf.kmeans")
 # ---------------------------------------------------------------------------
 # reference: one restart at a time, as k-means ran before its restarts were
 # batched; frozen here so the batched code is checked bit for bit. ref_kmeans
-# runs numpy's BLAS on one thread, as kmeans does
+# runs numpy's BLAS on one thread, as kmeans does, and stops each restart
+# where kmeans' step cap and shift tolerance (module constants) say
 
 
 def ref_sq_dists(X, centers):
@@ -104,11 +106,18 @@ def ref_kmeans(points, cfg):
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        labels, centers, inertia = ref_lloyd(X, cfg.k, rng, cfg.max_iters,
-                                             cfg.tol)
+        labels, centers, inertia = ref_lloyd(X, cfg.k, rng,
+                                             kmeans_module._MAX_ITERS,
+                                             kmeans_module._TOL)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     return best
+
+
+def set_limits(monkeypatch, max_iters, tol):
+    """Run kmeans and the reference with this step cap and shift tolerance."""
+    monkeypatch.setattr(kmeans_module, "_MAX_ITERS", max_iters)
+    monkeypatch.setattr(kmeans_module, "_TOL", tol)
 
 
 def assert_matches_reference(points, cfg, where=""):
@@ -143,11 +152,14 @@ def test_config_validation():
     with pytest.raises(BadParamError):
         KMeansConfig(k=2, restarts=0)
     with pytest.raises(BadParamError):
-        KMeansConfig(k=2, max_iters=0)
-    with pytest.raises(BadParamError):
-        KMeansConfig(k=2, tol=-1.0)
-    with pytest.raises(BadParamError):
         KMeansConfig(k=2, seed=-1)
+
+
+def test_config_sets_clusters_restarts_and_seed_only():
+    # the stopping rule is fixed: 300 Lloyd steps, or a center shift <= 1e-9
+    assert [f.name for f in dataclasses.fields(KMeansConfig)] == [
+        "k", "restarts", "seed"]
+    assert (kmeans_module._MAX_ITERS, kmeans_module._TOL) == (300, 1e-9)
 
 
 def test_two_locations_zero_inertia():
@@ -268,13 +280,14 @@ def test_empty_cluster_repair_fills_all_clusters():
     assert set(labels) == {0, 1, 2}
 
 
-def test_inertia_non_increasing_in_lloyd_steps():
+def test_inertia_non_increasing_in_lloyd_steps(monkeypatch):
     # one restart stopped after t steps reports the inertia of its labels
     # after step t, recomputed at their means, for t = 1 .. T
     pts, _ = three_blobs(seed=9, gap=2.5)    # overlapping blobs iterate a bit
-    inertia = [kmeans(pts, KMeansConfig(k=3, restarts=1, max_iters=t,
-                                        tol=0.0)).inertia
-               for t in range(1, 16)]
+    inertia = []
+    for t in range(1, 16):
+        set_limits(monkeypatch, t, 0.0)
+        inertia.append(kmeans(pts, KMeansConfig(k=3, restarts=1)).inertia)
     assert len(set(inertia)) > 1              # the steps do move
     assert all(b <= a + 1e-9 for a, b in zip(inertia, inertia[1:]))
 
@@ -293,7 +306,8 @@ def test_distinct_points_yield_k_nonempty_clusters():
 
 def adversarial_case(rng):
     """Small points (dim x n) with duplicates and rounded coordinates that
-    force distance ties, plus a config from the edges of its ranges."""
+    force distance ties, plus a config and (step cap, shift tolerance) from
+    the edges of their ranges."""
     n = int(rng.integers(4, 41))
     d = int(rng.integers(1, 5))
     distinct = rng.standard_normal((int(rng.integers(1, n + 1)), d))
@@ -301,12 +315,11 @@ def adversarial_case(rng):
     # dividing by a power of two keeps the ties; the small scale puts center
     # shifts near tol = 1e-2
     X = np.round(X * rng.choice([1.0, 2.0, 10.0])) / rng.choice([1.0, 64.0])
-    cfg = KMeansConfig(k=int(rng.integers(2, min(n, 8) + 1)),
-                       restarts=int(rng.integers(1, 21)),
-                       max_iters=int(rng.integers(1, 51)),
-                       tol=float(rng.choice([0.0, 1e-9, 1e-2])),
-                       seed=int(rng.integers(1000)))
-    return X.T, cfg
+    k = int(rng.integers(2, min(n, 8) + 1))
+    restarts = int(rng.integers(1, 21))
+    limits = int(rng.integers(1, 51)), float(rng.choice([0.0, 1e-9, 1e-2]))
+    cfg = KMeansConfig(k=k, restarts=restarts, seed=int(rng.integers(1000)))
+    return X.T, cfg, limits
 
 
 def test_lockstep_matches_reference_adversarial(monkeypatch):
@@ -320,8 +333,9 @@ def test_lockstep_matches_reference_adversarial(monkeypatch):
     monkeypatch.setattr(kmeans_module, "_assign_with_repair", counted)
     rng = np.random.default_rng(2024)
     for case in range(200):
-        pts, cfg = adversarial_case(rng)
-        assert_matches_reference(pts, cfg, f"case {case}: {cfg}")
+        pts, cfg, limits = adversarial_case(rng)
+        set_limits(monkeypatch, *limits)
+        assert_matches_reference(pts, cfg, f"case {case}: {cfg}, {limits}")
     assert repairs                            # empty clusters were repaired
 
 
@@ -349,7 +363,8 @@ def test_lockstep_matches_reference_empty_cluster():
 
 def subnormal_case(rng):
     """Points (dim x n) on 1 to k distinct spots near 1e-160, the spots
-    apart by a relative 1e-3, plus a config from the edges of its ranges.
+    apart by a relative 1e-3, plus a config and a step cap from the edges
+    of their ranges.
     Every squared coordinate difference (about 1e-326) underflows to 0, so
     k-means++ reaches a zero D^2 total while the points still differ, and
     the index drawn there reaches the output."""
@@ -359,13 +374,13 @@ def subnormal_case(rng):
     spots = 1e-160 * (1.0 + 1e-3 * rng.standard_normal(
         (int(rng.integers(1, k + 1)), d)))
     X = spots[rng.integers(spots.shape[0], size=n)]
-    cfg = KMeansConfig(k=k, restarts=int(rng.integers(1, 21)),
-                       max_iters=int(rng.integers(1, 51)),
-                       seed=int(rng.integers(1000)))
-    return X.T, cfg
+    restarts = int(rng.integers(1, 21))
+    max_iters = int(rng.integers(1, 51))
+    cfg = KMeansConfig(k=k, restarts=restarts, seed=int(rng.integers(1000)))
+    return X.T, cfg, max_iters
 
 
-def test_lockstep_matches_reference_zero_total_on_distinct_points():
+def test_lockstep_matches_reference_zero_total_on_distinct_points(monkeypatch):
     # unlike test_lockstep_matches_reference_empty_cluster, the points at a
     # zero total differ, so the repair does not overwrite the drawn centers:
     # drawing random() there, or nothing, changes labels or centers here.
@@ -373,11 +388,13 @@ def test_lockstep_matches_reference_zero_total_on_distinct_points():
     rng = np.random.default_rng(160)
     distinct = 0
     for case in range(200):
-        pts, cfg = subnormal_case(rng)
+        pts, cfg, max_iters = subnormal_case(rng)
+        set_limits(monkeypatch, max_iters, 1e-9)
         X = pts.T
         assert not np.any((X[:, None] - X[None]) ** 2)
         distinct += np.unique(X, axis=0).shape[0] > 1
-        assert_matches_reference(pts, cfg, f"case {case}: {cfg}")
+        assert_matches_reference(pts, cfg,
+                                 f"case {case}: {cfg}, max_iters {max_iters}")
     assert distinct > 100
 
 
@@ -446,11 +463,12 @@ def test_seeding_normalizes_the_cdf():
     assert second_center(0, d2) == 0
 
 
-def test_lockstep_matches_reference_shift_exit():
+def test_lockstep_matches_reference_shift_exit(monkeypatch):
     # a tol this large stops some restarts on the center shift while their
     # labels are still changing
+    set_limits(monkeypatch, 300, 0.3)
     pts, _ = three_blobs(seed=1, gap=2.5)
-    assert_matches_reference(pts, KMeansConfig(k=3, restarts=10, tol=0.3))
+    assert_matches_reference(pts, KMeansConfig(k=3, restarts=10))
 
 
 def test_assign_repairs_each_restart_in_place():

@@ -750,9 +750,13 @@ HOSTILE_FITS = hostile_fit_cases()
 @pytest.mark.parametrize("name", sorted(HOSTILE_FITS))
 def test_fit_on_hostile_kernels(name, alpha):
     kernels, k = HOSTILE_FITS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         state = fit(kernels, SolverConfig(k=k, alpha=alpha))
+    # at k = n the start's mean G_v is rank deficient (see
+    # test_init_point_warns_on_a_rank_deficient_mean); nothing else warns
+    expected = [RankDeficientWarning] if name == "k_equals_n" else []
+    assert [w.category for w in caught] == expected
     trace = state.objective_trace
     assert np.all(np.isfinite(trace))
     # non-increasing up to roundoff in the objective's last digits
@@ -760,6 +764,23 @@ def test_fit_on_hostile_kernels(name, alpha):
     assert np.max(np.abs(state.H @ state.H.T - np.eye(k))) < 1e-10
     assert np.all(state.omega >= 0.0)
     assert abs(state.omega.sum() - 1.0) < 1e-12
+
+
+def test_init_point_warns_on_a_rank_deficient_mean():
+    # H is the polar factor of the mean G_v^T: at k = n that mean has a
+    # trailing singular value near 1e-16, so H is not unique
+    kernels, k = HOSTILE_FITS["k_equals_n"]
+    with pytest.warns(RankDeficientWarning, match="not unique"):
+        point = init_point(kernels, k)
+    assert np.max(np.abs(point.H @ point.H.T - np.eye(k))) < 1e-10
+    # a full-rank mean gives no warning and the bits of its SVD's U V^T
+    kernels, k = HOSTILE_FITS["identical_views"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = init_point(kernels, k)
+    U, _, Vt = np.linalg.svd((sum(point.G) / len(point.G)).T,
+                             full_matrices=False)
+    assert np.array_equal(point.H, U @ Vt)
 
 
 def test_iterate_yields_every_iteration():

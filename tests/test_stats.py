@@ -319,6 +319,16 @@ def test_results_table_missing_dash(tmp_path):
     assert not np.isnan(table.scores[1, 0])
 
 
+def test_results_table_keeps_quoted_line_breaks(tmp_path):
+    # the csv module reads the text with its newlines untranslated, so a
+    # quoted cell keeps its own \r\n and \r
+    path = tmp_path / "table.csv"
+    path.write_bytes(b'dataset,a\r\n"wi\r\nne",0.9\r\n"ca\rrs",0.8\r\n')
+    table = read_results_table(path)
+    assert table.dataset_names == ("wi\r\nne", "ca\rrs")
+    assert table.algorithm_names == ("a",)
+
+
 def test_results_table_parse_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("dataset,a,b\nwine,0.9\n")            # ragged
