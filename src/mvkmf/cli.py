@@ -359,8 +359,9 @@ def cmd_stats(args) -> int:
 
 def _emit_gram(out: Path, name: str, gram: np.ndarray, order: np.ndarray) -> None:
     ordered = gram[np.ix_(order, order)]
-    mio.write_matrix_csv(out / f"{name}.csv", ordered)
+    # the PGM first: it refuses a non-finite map before either file exists
     mio.write_pgm(out / f"{name}.pgm", ordered)
+    mio.write_matrix_csv(out / f"{name}.csv", ordered)
 
 
 def cmd_heatmap(args) -> int:

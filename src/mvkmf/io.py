@@ -23,6 +23,7 @@ from .errors import (
     CorruptHeaderError,
     DimensionMismatchError,
     MissingFileError,
+    NonFiniteError,
     ParseError,
     TruncatedDataError,
 )
@@ -350,10 +351,13 @@ def append_record(path, record: RunRecord) -> None:
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """Write a matrix as a binary PGM image, min-max scaled to 0..255."""
+    """Write a matrix as a binary PGM image, min-max scaled to 0..255; one
+    holding NaN or Inf raises ``NonFiniteError`` before the file is opened."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"{Path(path).name}: matrix contains NaN/Inf")
     lo, hi = float(m.min()), float(m.max())
     if hi > lo:
         scaled = np.round((m - lo) * (255.0 / (hi - lo)))
@@ -396,13 +400,16 @@ def make_synthetic(n_per_cluster: int, clusters: int, views: int,
     n = n_per_cluster * clusters
     labels = np.repeat(np.arange(clusters), n_per_cluster)
     scale = separation * noise / np.sqrt(2.0)
-    centers = scale * np.eye(clusters)
     feats = []
-    for v in range(views):
-        points = centers[labels] + noise * rng.standard_normal((n, clusters))
-        q, r = np.linalg.qr(rng.standard_normal((clusters, clusters)))
-        q = q * np.sign(np.diag(r))    # fix the QR sign ambiguity
-        feats.append(FeatureMatrix(data=q @ points.T, view_name=f"view{v}"))
+    # FeatureMatrix's finiteness check reports an overflow and its inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = scale * np.eye(clusters)
+        for v in range(views):
+            noisy = noise * rng.standard_normal((n, clusters))
+            points = centers[labels] + noisy
+            q, r = np.linalg.qr(rng.standard_normal((clusters, clusters)))
+            q = q * np.sign(np.diag(r))    # fix the QR sign ambiguity
+            feats.append(FeatureMatrix(q @ points.T, f"view{v}"))
     return feats, labels
 
 

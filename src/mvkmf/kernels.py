@@ -88,12 +88,18 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """One view's n x n kernel. Symmetrized on ingest within SYMMETRY_TOL.
+    """One view's n x n kernel: square, finite, symmetric and C-ordered.
+    The solver's entry points ingest a raw array through it too.
 
-    Kernels that ``build_kernel`` and ``normalize_kernel`` make are exactly
-    symmetric, so they skip the asymmetry scan. Those that are also PSD by
-    construction (see the module docstring) hold a read-only array and a
-    mark that only this module sets.
+    An array from outside gets the asymmetry scan: above SYMMETRY_TOL it
+    raises ``AsymmetricKernelError``, below it is repaired in a copy. A
+    Fortran-ordered array is kept as its transpose, the same symmetric
+    matrix in the same memory, and any other non-contiguous one is copied
+    once, so every layout gives the same bits. Kernels that ``build_kernel``
+    and ``normalize_kernel`` make are exactly symmetric and C-ordered, so
+    they skip the scan. Those that are also PSD by construction (see the
+    module docstring) hold a read-only array and a mark that only this
+    module sets.
     """
 
     data: np.ndarray
@@ -118,7 +124,9 @@ class KernelMatrix:
             )
         if asym > 0.0:
             data = _symmetrize(data.copy())  # data may be the caller's
-        object.__setattr__(self, "data", data)
+        elif data.flags.f_contiguous:
+            data = data.T  # the same matrix, C-ordered
+        object.__setattr__(self, "data", np.ascontiguousarray(data))
 
     @property
     def n(self) -> int:
@@ -429,17 +437,14 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
 def _cholesky_succeeds(K: np.ndarray) -> bool:
     """Whether K + tau*I has a Cholesky factor, tau = 1e-10 * max(1, |tr K|).
 
-    LAPACK's dpotrf factors the Fortran-ordered view F of K in place and
-    reads and writes only F's lower triangle (``clean=0`` leaves the other
-    one alone). The untouched triangle holds the same numbers, so the
-    factored one is copied back from it and the saved diagonal is put back:
-    K comes back bit for bit. F is copied once when it is read-only (f2py
-    would write through it) or not Fortran-contiguous (f2py would copy it
-    in silence).
+    LAPACK's dpotrf factors F = K^T, Fortran-ordered since K is a
+    ``KernelMatrix``'s array, in place and reads and writes only F's lower
+    triangle (``clean=0`` leaves the other one alone). The untouched
+    triangle holds the same numbers, so the factored one is copied back from
+    it and the saved diagonal is put back: K comes back bit for bit. A
+    read-only K is copied once (f2py would write through it).
     """
-    F = K if K.flags.f_contiguous else K.T
-    if not (F.flags.f_contiguous and F.flags.writeable):
-        F = np.array(F, order="F")
+    F = K.T if K.flags.writeable else np.array(K.T, order="F")
     A = F.T  # C-ordered: dpotrf writes A's upper triangle
     diag = A.diagonal().copy()
     np.fill_diagonal(A, diag + 1e-10 * max(1.0, abs(float(diag.sum()))))
@@ -467,8 +472,7 @@ def validate_kernel_set(ks: KernelSet) -> tuple[bool, ...]:
     construction (see the module docstring) and are reported definite with
     no factorization. Every other kernel is factored in its own storage and
     restored bit for bit before the next one, so no other thread may read
-    the kernels while this runs; a read-only or non-contiguous kernel is
-    copied once instead.
+    the kernels while this runs; a read-only kernel is copied once instead.
     """
     return tuple(not (k._psd_by_construction or _cholesky_succeeds(k.data))
                  for k in ks.kernels)

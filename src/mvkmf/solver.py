@@ -20,7 +20,7 @@ kernels themselves:
   view. The row-sum coupling matrix of ``init_g`` is applied in O(n) per
   vector and never formed. Each product with K_v is BLAS ``dsymv`` from
   scipy's bundled OpenBLAS (``scipy.linalg.blas``), which reads one triangle
-  of K_v, so a kernel passed as a raw array must be symmetric.
+  of K_v.
 - Because H H^T = I, the reconstruction term expands with P_v = K_v H^T as
 
       ||K_v - G_v H||_F^2 = ||K_v||_F^2 - ||P_v||_F^2 + ||P_v - G_v||_F^2,
@@ -50,6 +50,9 @@ kernels themselves:
 The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
 evaluate the definitions directly; they are the reference the fused sweep is
 tested against.
+
+Every entry point ingests a kernel given as a raw array as a
+``KernelMatrix`` (see its docstring).
 
 Also here: the single-kernel and multi-kernel k-means baselines.
 """
@@ -129,39 +132,30 @@ class SolverState:
     objective_trace: np.ndarray
 
 
-def _as_matrix(kernel) -> np.ndarray:
-    """The kernel as a float64 array, checked to be square by its shape
-    alone (no pass over the entries)."""
+def _ingest(kernel) -> KernelMatrix:
+    """``kernel`` as a ``KernelMatrix``: itself if it is one, else a raw
+    array ingested as one."""
     if isinstance(kernel, KernelMatrix):
-        return kernel.data
-    K = np.asarray(kernel, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise DimensionMismatchError(
-            f"kernel must be a square 2-D array, got shape {K.shape}")
-    return K
+        return kernel
+    return KernelMatrix(data=kernel, view_name="kernel")
 
 
-def _kernel_list(ks) -> list[np.ndarray]:
-    """The kernels of ``ks`` as arrays: at least one, all square with one
-    common sample count. A ``KernelSet`` holds these by construction; any
-    other sequence is checked by shape."""
+def _kernel_list(ks) -> tuple[KernelMatrix, ...]:
+    """The kernels of ``ks``: at least one, all with one common sample
+    count. A ``KernelSet`` holds these by construction; any other sequence
+    is ingested view by view and checked here. Passing the result on to
+    another entry point ingests nothing again."""
     if isinstance(ks, KernelSet):
-        return [k.data for k in ks.kernels]
-    kernels = [_as_matrix(k) for k in ks]
+        return ks.kernels
+    kernels = tuple(_ingest(k) for k in ks)
     if not kernels:
         raise BadParamError("need at least one kernel")
-    n = kernels[0].shape[0]
+    n = kernels[0].n
     for K in kernels[1:]:
-        if K.shape[0] != n:
+        if K.n != n:
             raise DimensionMismatchError(
-                f"kernels disagree on sample count: {n} vs {K.shape[0]}")
+                f"kernels disagree on sample count: {n} vs {K.n}")
     return kernels
-
-
-def _row_major(K: np.ndarray) -> np.ndarray:
-    """Symmetric K as a C-contiguous array: a Fortran-ordered K as K^T, the
-    same matrix in the same memory, and any other layout copied once."""
-    return np.ascontiguousarray(K.T if K.flags.f_contiguous else K)
 
 
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
@@ -242,7 +236,7 @@ def update_g(k_v, H: np.ndarray, alpha: float) -> np.ndarray:
 
         G_v = (K_v^T H^T + alpha H^T) / (alpha + 1)
     """
-    K = _as_matrix(k_v)
+    K = _ingest(k_v).data
     kdim, n = H.shape
     if K.shape != (n, n):
         raise DimensionMismatchError(f"kernel {K.shape} vs embedding n={n}")
@@ -261,11 +255,10 @@ def update_h(ks, G, omega: np.ndarray, alpha: float) -> np.ndarray:
     kernels = _kernel_list(ks)
     omega = np.asarray(omega, dtype=np.float64)
     kdim = G[0].shape[1]
-    n = kernels[0].shape[0]
-    A = np.zeros((kdim, n))
+    A = np.zeros((kdim, kernels[0].n))
     for K, G_v, w in zip(kernels, G, omega):
         Gt = G_v.T
-        A += (w * w) * (Gt @ K + alpha * Gt)
+        A += (w * w) * (Gt @ K.data + alpha * Gt)
     return _polar(A)
 
 
@@ -280,7 +273,7 @@ def update_weights(d) -> np.ndarray:
 
 def per_view_loss(k_v, g_v: np.ndarray, H: np.ndarray, alpha: float) -> float:
     """One view's unweighted loss ||K_v - G_v H||_F^2 + alpha ||G_v - H^T||_F^2."""
-    K = _as_matrix(k_v)
+    K = _ingest(k_v).data
     kdim, n = H.shape
     if K.shape != (n, n) or g_v.shape != (n, kdim):
         raise DimensionMismatchError(
@@ -310,7 +303,7 @@ def _fused_view_loss(k_sq: float, P_v: np.ndarray, g_v: np.ndarray,
 
 
 def _kernel_products(K: np.ndarray, Ht: np.ndarray):
-    """(K H^T, K K H^T) for symmetric, C-contiguous K in one pass over K.
+    """(K H^T, K K H^T) for a ``KernelMatrix``'s array K in one pass over K.
 
     Row block J of K (at most ``_BLOCK_BYTES``) gives P[J] = K[J, :] H^T,
     then adds K[J, :]^T P[J] to K P while the block is still in cache. For
@@ -352,7 +345,7 @@ def _sweep(kernels, k_sq, P, KP, H: np.ndarray, omega: np.ndarray,
     for P_v, KP_v, w in zip(P, KP, omega):
         A += (w * w) * (KP_v.T + 2.0 * alpha * P_v.T + alpha * alpha * H)
     H = _polar(A / (alpha + 1.0))
-    P, KP = zip(*(_kernel_products(K, H.T) for K in kernels))
+    P, KP = zip(*(_kernel_products(K.data, H.T) for K in kernels))
     d = np.array([_fused_view_loss(s, P_v, G_v, H, alpha)
                   for s, P_v, G_v in zip(k_sq, P, G)])
     return G, H, P, KP, d
@@ -384,7 +377,7 @@ def global_similarity_matrix(k_v) -> np.ndarray:
     rule with A_i. Symmetric by construction. ``init_g`` applies it through
     ``_init_operator`` without forming it.
     """
-    K = _as_matrix(k_v)
+    K = _ingest(k_v).data
     A = K.sum(axis=1)
     idx = np.arange(K.shape[0])
     return A[np.maximum.outer(idx, idx)]
@@ -395,22 +388,16 @@ def _init_operator(K: np.ndarray) -> LinearOperator:
 
     Since D_ij = A_max(i,j), (D x)_i = A_i sum_{j<=i} x_j + sum_{j>i} A_j x_j:
     two cumulative sums, O(n) per vector on top of the O(n^2) product K x.
-    Raises ``NonFiniteError`` when a row sum is not finite (a NaN or Inf
-    entry, or an overflow), since the eigensolve would otherwise fail on it
-    without saying why.
+    Raises ``NonFiniteError`` when a row sum overflows, since the eigensolve
+    would otherwise fail on it without saying why.
 
-    K must be symmetric. A single vector's K x is BLAS ``dsymv`` (scipy's
-    bundled OpenBLAS, through ``scipy.linalg.blas``), which reads one
-    triangle of K: half the memory traffic of a full product, and the
-    eigensolve is bound by that traffic. ``dsymv`` wants a Fortran-ordered
-    array and would copy any other on every call. So the operator holds K
-    C-ordered, as K itself or as K^T of a Fortran-ordered K (the same
-    matrix), and passes its Fortran-ordered transpose; only a non-contiguous
-    K is copied, once. Every layout of K then gives the same bits. Blocks of
-    vectors keep numpy's ``K @ X``.
+    K is a ``KernelMatrix``'s array. A single vector's K x is BLAS
+    ``dsymv`` (scipy's bundled OpenBLAS, through ``scipy.linalg.blas``) on
+    K^T, the same symmetric matrix, which it reads one triangle of: half
+    the memory traffic of a full product, and the eigensolve is bound by
+    that traffic. Blocks of vectors keep numpy's ``K @ X``.
     """
     n = K.shape[0]
-    K = _row_major(K)
     with np.errstate(over="ignore"):
         A = K.sum(axis=1)
     if not np.isfinite(A).all():
@@ -433,10 +420,9 @@ def init_g(k_v, k: int) -> np.ndarray:
     the row-sum coupling matrix. Columns are orthonormal and sign-fixed.
 
     The Lanczos steps multiply by K_v with BLAS ``dsymv`` from scipy's
-    bundled OpenBLAS, which reads one triangle of K_v: a raw-array kernel
-    must be symmetric. Any memory layout gives the same bits, and none is
-    copied per step (see ``_init_operator``)."""
-    return _top_eigenvectors(_init_operator(_as_matrix(k_v)), k)
+    bundled OpenBLAS, which reads one triangle of K_v (see
+    ``_init_operator``)."""
+    return _top_eigenvectors(_init_operator(_ingest(k_v).data), k)
 
 
 @dataclass(frozen=True)
@@ -464,26 +450,26 @@ def init_point(ks, k: int) -> InitPoint:
 
 
 def _start(kernels, cfg: SolverConfig, init: InitPoint | None):
-    """The start of a fit on the kernel arrays ``kernels``: G and H from
+    """The start of a fit on ``kernels`` (``_kernel_list``): G and H from
     ``init`` (computed by ``init_point`` when None) and uniform weights.
 
     Returns (state, k_sq, P, KP) with k_sq_v = ||K_v||_F^2, P_v = K_v H^T
     and KP_v = K_v P_v. k_sq and P give the start objective at
     ``cfg.alpha`` through the same expansion as the sweep, and all three
     are the sweep's first inputs. They are the only alpha-dependent part,
-    O(n^2 k) per view. The kernels must be C-contiguous (``_row_major``).
+    O(n^2 k) per view.
     """
     if init is None:
         init = init_point(kernels, cfg.k)
     G, H = init.G, init.H
-    n = kernels[0].shape[0]
+    n = kernels[0].n
     if len(G) != len(kernels) or H.shape != (cfg.k, n):
         raise DimensionMismatchError(
             f"init point with {len(G)} views and H {H.shape} vs "
             f"{len(kernels)} kernels, k={cfg.k}, n={n}")
     omega = np.full(len(kernels), 1.0 / len(kernels))
-    k_sq = [_sq_norm(K) for K in kernels]
-    P, KP = zip(*(_kernel_products(K, H.T) for K in kernels))
+    k_sq = [_sq_norm(K.data) for K in kernels]
+    P, KP = zip(*(_kernel_products(K.data, H.T) for K in kernels))
     d = np.array([_fused_view_loss(s, P_v, G_v, H, cfg.alpha)
                   for s, P_v, G_v in zip(k_sq, P, G)])
     j0 = float(np.sum(omega * omega * d))
@@ -504,13 +490,11 @@ def iterate(ks, cfg: SolverConfig, init: InitPoint | None = None):
     Each iteration is one fused sweep (``_sweep``) and a weight update: the
     G, H and loss updates of ``update_g``, ``update_h`` and
     ``per_view_loss`` from one pass over each kernel, O(n^2 k), with no
-    n x n temporary. A Fortran-ordered kernel is read as its transpose (the
-    same symmetric matrix) and a non-contiguous one is copied once, so every
-    layout gives the same bits.
+    n x n temporary.
 
     Deterministic: identical inputs replay the identical sequence.
     """
-    kernels = [_row_major(K) for K in _kernel_list(ks)]
+    kernels = _kernel_list(ks)
     with one_thread():
         state, k_sq, P, KP = _start(kernels, cfg, init)
     trace = list(state.objective_trace)
@@ -547,8 +531,7 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
     k-means on the columns of ``state.H`` to obtain cluster labels.
     """
     if cfg.max_iters == 0:
-        return _start([_row_major(K) for K in _kernel_list(ks)], cfg,
-                      init)[0]
+        return _start(_kernel_list(ks), cfg, init)[0]
     for state in iterate(ks, cfg, init):
         pass
     return state
@@ -562,7 +545,7 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
 def fit_kkm(kernel, clusters: int) -> np.ndarray:
     """Kernel k-means relaxation: rows of H are the ``clusters`` leading
     eigenvectors of K, maximizing tr(H K H^T) under H H^T = I."""
-    return _top_eigenvectors(_as_matrix(kernel), clusters).T
+    return _top_eigenvectors(_ingest(kernel).data, clusters).T
 
 
 def _combined_kernel(kernels, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -599,17 +582,19 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
     tr(K_gamma - H K_gamma H^T) falls below rel_tol. The limits are checked
     as ``SolverConfig`` checks them (``BadParamError``).
 
-    K_gamma is rebuilt in place in one n x n buffer (``_combined_kernel``).
+    K_gamma is rebuilt in place in one n x n buffer (``_combined_kernel``),
+    whose top eigenvectors are solved for as ``fit_kkm`` solves them.
 
     Returns (H, gamma).
     """
     _check_limits(max_iters, rel_tol)
-    kernels = _kernel_list(ks)
+    kernels = [K.data for K in _kernel_list(ks)]
     V = len(kernels)
     traces = np.array([float(np.trace(K)) for K in kernels])
     gamma = np.full(V, 1.0 / V)
-    combined = np.empty_like(kernels[0])  # sum(...)'s layout for one layout
-    H = fit_kkm(_combined_kernel(kernels, gamma, combined), clusters)
+    combined = np.empty(kernels[0].shape)
+    H = _top_eigenvectors(_combined_kernel(kernels, gamma, combined),
+                          clusters).T
     j_prev = None
     for _ in range(max_iters):
         c = np.array([traces[v] - float(np.sum((H @ kernels[v]) * H))
@@ -621,5 +606,6 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
         if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
             break
         j_prev = j
-        H = fit_kkm(_combined_kernel(kernels, gamma, combined), clusters)
+        H = _top_eigenvectors(_combined_kernel(kernels, gamma, combined),
+                              clusters).T
     return H, gamma

@@ -82,7 +82,6 @@ def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, flag, value):
     assert "must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_synth_overflowing_features_exit_3(tmp_path):
     # each parameter is finite, but their product is not
     out = tmp_path / "s"
@@ -469,6 +468,22 @@ def test_heatmap_identity_embedding(tmp_path):
     raw = (hm / "H_gram.pgm").read_bytes()
     pixels = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8)
     assert pixels.reshape(3, 3).tolist() == (255 * np.eye(3)).tolist()
+
+
+def test_heatmap_non_finite_embedding_exit_3(tmp_path, capsys):
+    from mvkmf.io import write_labels, write_matrix
+
+    state = tmp_path / "state"
+    state.mkdir()
+    h = np.eye(3)
+    h[1, 2] = np.nan
+    write_matrix(state / "H.mvk1", h)
+    write_labels(state / "labels.csv", [0, 1, 2])
+    hm = tmp_path / "hm"
+    assert main(["heatmap", "--state", str(state), "--out", str(hm),
+                 "--quiet"]) == 3
+    assert "H_gram.pgm: matrix contains NaN/Inf" in capsys.readouterr().err
+    assert list(hm.iterdir()) == []
 
 
 def test_heatmap_incomplete_state_exit_2(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mvkmf import solver
-from mvkmf.kernels import normalize_kernel
+from mvkmf.kernels import KernelMatrix, normalize_kernel
 from mvkmf.solver import fit_kkm, fit_mkkm, global_similarity_matrix, init_g
 
 from conftest import random_psd_kernel
@@ -179,12 +179,13 @@ def test_init_g_copies_no_kernel(order):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_init_operator_reads_one_triangle(order):
-    # dsymv reads the upper triangle of the Fortran-ordered array it gets:
-    # K^T's for a C-ordered K, so K's lower triangle, and K's own upper
-    # triangle for a Fortran-ordered K. NaN in the other triangle must not
-    # reach a matrix-vector product.
+    # the operator gets the ingested C-ordered array, K itself or, for a
+    # Fortran-ordered K, its transpose, and dsymv reads the upper triangle
+    # of that array's transpose: K's lower triangle for a C-ordered K and
+    # its upper one for a Fortran-ordered K. NaN in the other triangle must
+    # not reach a matrix-vector product.
     K = np.asarray(_symmetric(50, 11), order=order)
-    op = solver._init_operator(K)
+    op = solver._init_operator(KernelMatrix(K, "v").data)
     x = np.random.default_rng(12).standard_normal(50)
     before = op.matvec(x)
     unread = np.triu_indices(50, 1) if order == "C" else np.tril_indices(50, -1)

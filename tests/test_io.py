@@ -472,7 +472,6 @@ def test_synthetic_validation():
             make_synthetic(1, 2, 1, noise=bad)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_synthetic_overflow_is_a_numerical_failure():
     # each parameter is finite, but their product is not
     with pytest.raises(NonFiniteError):
@@ -508,3 +507,14 @@ def test_pgm_constant_matrix(tmp_path):
     write_pgm(path, np.full((2, 3), 7.0))
     pixels = list(path.read_bytes().split(b"255\n", 1)[1])
     assert pixels == [0] * 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_refuses_non_finite_matrix(tmp_path, bad):
+    # a NaN would otherwise draw an all-black image, and an Inf warn
+    path = tmp_path / "bad.pgm"
+    m = np.array([[0.0, 0.5], [1.0, 0.25]])
+    m[1, 0] = bad
+    with pytest.raises(NonFiniteError, match="bad.pgm"):
+        write_pgm(path, m)
+    assert not path.exists()

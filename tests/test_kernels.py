@@ -592,6 +592,35 @@ def test_unmarked_kernels_keep_the_callers_array(rng):
         assert out.data.flags.writeable
 
 
+def test_every_kernel_matrix_holds_a_c_ordered_array(tmp_path, rng):
+    # the solver reads kernels by row blocks and hands dsymv and dpotrf
+    # their transposes, so every way to make a KernelMatrix gives C order
+    fm = FeatureMatrix(rng.standard_normal((3, 12)), "v")
+    built = [build_kernel(fm, spec) for spec in PSD_SPECS]
+    K = random_psd_kernel(rng, 12).data
+    write_matrix(tmp_path / "k.mvk1", K)
+    write_labels(tmp_path / "labels.csv", [0, 1] * 6)
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "name": "toy", "n": 12, "clusters": 2, "labels": "labels.csv",
+        "views": [{"name": "a", "kernel": "k.mvk1"}]}))
+    from_file = load_dataset(
+        load_manifest(tmp_path / "manifest.json"))[0].kernels[0]
+    F = np.asfortranarray(K)
+    wide = np.zeros((12, 24))
+    wide[:, ::2] = K
+    kernels = [*built, from_file, KernelMatrix(F, "f"),
+               KernelMatrix(wide[:, ::2], "strided")]
+    kernels += [normalize_kernel(k, mode) for k in kernels
+                for mode in ("cosine", "center")]
+    kernels += [copy.deepcopy(k) for k in kernels]
+    kernels += [pickle.loads(pickle.dumps(k)) for k in kernels]
+    for k in kernels:
+        assert k.data.flags.c_contiguous, k.view_name
+    # a Fortran-ordered symmetric array is kept as its own transpose
+    f = KernelMatrix(F, "f").data
+    assert np.shares_memory(f, F) and _same_bits(f, K)
+
+
 def test_kernel_set_properties():
     ks = KernelSet(kernels=(KernelMatrix(np.eye(4), "a"),
                             KernelMatrix(np.eye(4), "b")))

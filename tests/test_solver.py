@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvkmf.errors import (
+    AsymmetricKernelError,
     BadParamError,
     DimensionMismatchError,
     NonFiniteError,
@@ -427,7 +428,7 @@ def frozen_states(ks, cfg, init=None):
     thread, as ``fit`` does."""
     from mvkmf.solver import _fused_view_loss, _kernel_list, _sq_norm
 
-    kernels = _kernel_list(ks)
+    kernels = [K.data for K in _kernel_list(ks)]
     if init is None:
         init = init_point(kernels, cfg.k)
     G, H = init.G, init.H
@@ -589,6 +590,92 @@ def test_kernel_layout_does_not_change_the_bits(n):
             assert_same_state(fit(list(ks), cfg), ref)
 
 
+def off_symmetric(K, eps):
+    """A copy of K with one entry raised by eps, which breaks its symmetry."""
+    K = K.copy()
+    K[3, 7] += eps
+    return K
+
+
+def test_kernel_within_tolerance_gives_the_same_bits_in_every_layout():
+    # at n = 400 the sweep reads each kernel in several row blocks. The
+    # asymmetry is repaired on ingest, so no entry point may see the raised
+    # entry on one side of the diagonal for one layout and on the other
+    # side for another
+    kernels = rbf_views(400, seed=1)
+    kernels[0] = off_symmetric(kernels[0], 5e-9)
+    c_order, f_order, strided = zip(*(layouts(K) for K in kernels))
+    cfg = SolverConfig(k=4, alpha=16.0)
+    ref = fit(list(c_order), cfg)
+    ref_kkm = fit_kkm(c_order[0], 4)
+    ref_mkkm = fit_mkkm(list(c_order), 4)
+    for ks in (f_order, strided):
+        assert_same_state(fit(list(ks), cfg), ref)
+        assert fit_kkm(ks[0], 4).tobytes() == ref_kkm.tobytes()
+        H, gamma = fit_mkkm(list(ks), 4)
+        assert H.tobytes() == ref_mkkm[0].tobytes()
+        assert gamma.tobytes() == ref_mkkm[1].tobytes()
+
+
+def _reference_calls():
+    H = random_orthonormal_rows(np.random.default_rng(0), 4, 40)
+    G = (H.T,) * 3
+    omega = np.full(3, 1.0 / 3.0)
+    state = SolverState(H=H, G=G, omega=omega, objective_trace=np.zeros(1))
+    return {
+        "update_g": lambda ks: update_g(ks[0], H, 1.0),
+        "update_h": lambda ks: update_h(ks, G, omega, 1.0),
+        "per_view_loss": lambda ks: per_view_loss(ks[0], G[0], H, 1.0),
+        "objective": lambda ks: objective(ks, state, SolverConfig(k=4)),
+        "global_similarity_matrix":
+            lambda ks: global_similarity_matrix(ks[0]),
+    }
+
+
+INGESTING = {
+    "fit": lambda ks: fit(ks, SolverConfig(k=4)),
+    "fit-no-iterations": lambda ks: fit(ks, SolverConfig(k=4, max_iters=0)),
+    "iterate": lambda ks: next(iterate(ks, SolverConfig(k=4))),
+    "init_point": lambda ks: init_point(ks, 4),
+    "init_g": lambda ks: init_g(ks[0], 4),
+    "fit_kkm": lambda ks: fit_kkm(ks[0], 4),
+    "fit_mkkm": lambda ks: fit_mkkm(ks, 4),
+    **_reference_calls(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INGESTING))
+def test_entry_points_reject_an_asymmetric_raw_kernel(entry):
+    # the closed-form updates and the one-triangle products hold for
+    # symmetric kernels only, so a raw array gets the KernelMatrix scan
+    kernels = rbf_views(40, seed=1)
+    kernels[0] = off_symmetric(kernels[0], 1e-3)
+    with pytest.raises(AsymmetricKernelError):
+        INGESTING[entry](kernels)
+
+
+def test_entry_points_scan_each_raw_kernel_once(monkeypatch):
+    # the entry points hand the ingested kernels on to each other, so a
+    # raw array is scanned once per call and a KernelSet never
+    from mvkmf import kernels as kernels_module
+
+    scans = []
+    scan = kernels_module._max_asymmetry
+    monkeypatch.setattr(kernels_module, "_max_asymmetry",
+                        lambda a: scans.append(a.shape) or scan(a))
+    kernels = rbf_views(40, seed=1)
+    ks = KernelSet(tuple(KernelMatrix(K, f"v{i}")
+                         for i, K in enumerate(kernels)))
+    scans.clear()
+    for entry in ("fit", "fit-no-iterations", "iterate", "init_point",
+                  "fit_mkkm", "update_h", "objective"):
+        INGESTING[entry](ks)
+        assert scans == [], entry
+        INGESTING[entry](kernels)
+        assert scans == [(40, 40)] * 3, entry
+        scans.clear()
+
+
 def test_fit_from_shared_init_point_is_bitwise_equal():
     for kernels, k in init_point_cases():
         point = init_point(kernels, k)
@@ -686,7 +773,7 @@ def test_fit_names_non_finite_kernels():
     X = np.random.default_rng(5).standard_normal((3, 30))
     K = X.T @ X
     K[3, 4] = K[4, 3] = np.nan
-    with pytest.raises(NonFiniteError, match="not finite"):
+    with pytest.raises(NonFiniteError, match="NaN/Inf"):
         fit([K], SolverConfig(k=2))
 
 
@@ -970,6 +1057,22 @@ def test_combined_kernel_matches_sum_bitwise(rng, n):
     assert out.tobytes() == sum((g * g) * K
                                for g, K in zip(gamma, kernels)).tobytes()
     assert not np.signbit(out.reshape(-1)[::35]).any()
+
+
+def test_mkkm_objective_never_increases():
+    # fit_mkkm with max_iters = t replays the run of t - 1 and one more
+    # step, so its (H, gamma) is the t-th iterate. Each H step maximizes
+    # tr(H K_gamma H^T) and each gamma step solves the simplex problem, so
+    # J = sum gamma_v^2 (tr K_v - tr(H K_v H^T)) falls or stays
+    kernels = rbf_views(300, seed=1)
+    J = []
+    for t in range(25):
+        H, gamma = fit_mkkm(kernels, 4, max_iters=t)
+        J.append(sum(g * g * (np.trace(K) - np.sum((H @ K) * H))
+                     for g, K in zip(gamma, kernels)))
+    J = np.array(J)
+    assert np.all(np.diff(J) <= 1e-12 * J[:-1])
+    assert J[-1] < J[0]
 
 
 def test_mkkm_gamma_step_matches_grid_search(rng):
