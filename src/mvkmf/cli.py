@@ -31,7 +31,6 @@ from .kmeans import KMeansConfig, kmeans
 from .solver import (
     SolverConfig,
     fit,
-    fit_kkm,
     fit_mkkm,
     init_point,
     iterate,
@@ -66,11 +65,6 @@ def _g(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _mean_kernel(ks: KernelSet) -> np.ndarray:
-    stack = [k.data for k in ks.kernels]
-    return sum(stack) / len(stack)
-
-
 def _configs(args, algorithm: str, clusters: int, alpha: float | None,
              seed: int) -> tuple[SolverConfig, KMeansConfig]:
     """The validated (solver, k-means) configs of one run, from ``args``'
@@ -89,20 +83,20 @@ def _configs(args, algorithm: str, clusters: int, alpha: float | None,
 
 def _shared_part(ks: KernelSet, algorithm: str, cfg: SolverConfig):
     """The part of a run that depends on neither alpha nor the k-means seed,
-    so ``bench`` computes it once per (dataset, algorithm): the umklmf
-    ``InitPoint``, or a baseline's pair (H, weights), which for kkm is
-    (H, None) and for mkkm (H, gamma).
+    as a pair (H, weights): for umklmf and kkm the start H of
+    ``init_point``, which umklmf starts from and kkm returns as its
+    embedding, with weights None; for mkkm its (H, gamma). So ``bench``
+    computes it once per dataset for umklmf and kkm together, and once per
+    dataset for mkkm.
 
     Returns (part, seconds it took).
     """
     t0 = time.perf_counter()
-    if algorithm == "umklmf":
-        part = init_point(ks, cfg.k)
-    elif algorithm == "kkm":
-        part = fit_kkm(_mean_kernel(ks), cfg.k), None
-    else:
+    if algorithm == "mkkm":
         part = fit_mkkm(ks, cfg.k, max_iters=cfg.max_iters,
                         rel_tol=cfg.rel_tol)
+    else:
+        part = init_point(ks, cfg.k), None
     return part, time.perf_counter() - t0
 
 
@@ -113,8 +107,8 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
 
     ``configs`` is the run's pair from ``_configs`` and ``shared`` the
     (part, seconds) pair of ``_shared_part`` for this dataset and
-    algorithm. The umklmf fit starts from the shared init point; a
-    baseline's (H, weights) is the shared part itself.
+    algorithm. The umklmf fit starts from the part's H; a baseline's
+    (H, weights) is the part itself.
 
     Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
     are None where the algorithm has none. alpha is recorded as None for the
@@ -123,14 +117,13 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
     """
     cfg, km_cfg = configs
     part, shared_seconds = shared
+    h, weights = part
     trace = g_list = None
     t0 = time.perf_counter()
     if algorithm == "umklmf":
-        state = fit(ks, cfg, part)
+        state = fit(ks, cfg, h)
         h, weights = state.H, state.omega
         trace, g_list = state.objective_trace, state.G
-    else:
-        h, weights = part
     labels = kmeans(h, km_cfg).labels
     elapsed = shared_seconds + (time.perf_counter() - t0)
     record = mio.RunRecord(
@@ -266,17 +259,19 @@ def cmd_bench(args) -> int:
     # (by that mean)
     records = []
     scores: dict[tuple, list[float]] = {}
-    key = shared = None
+    parts: dict[tuple, object] = {}
     for i, j, alpha, seed, configs in cells:
         (manifest, ks, truth), alg = datasets[i], algorithms[j]
-        # the seed- and alpha-free part, once per (dataset, algorithm); one
-        # that fails fails every cell that uses it, with the same error
-        if key != (i, j):
-            key = (i, j)
+        # the seed- and alpha-free part, once per dataset for umklmf and kkm,
+        # which share the start, and once for mkkm; one that fails fails
+        # every cell that uses it, with the same error
+        key = (i, alg == "mkkm")
+        if key not in parts:
             try:
-                shared = _shared_part(ks, alg, configs[0])
+                parts[key] = _shared_part(ks, alg, configs[0])
             except MvkmfError as exc:
-                shared = exc
+                parts[key] = exc
+        shared = parts[key]
         try:
             if isinstance(shared, MvkmfError):
                 raise shared
@@ -397,7 +392,7 @@ def cmd_evolve(args) -> int:
     ks, truth = mio.load_dataset(manifest)
 
     # the start (a fit of 0 iterations) and then each iteration's state,
-    # all from one init point
+    # all from one start
     point = init_point(ks, cfg.k)
     states = [fit(ks, replace(cfg, max_iters=0), point),
               *iterate(ks, cfg, point)]
@@ -452,7 +447,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
                    help="solver iteration cap (umklmf and mkkm)")
     p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
-                   help="relative objective change that stops the solver")
+                   help="stopping tolerance: umklmf's relative "
+                        "eigen-residual, mkkm's relative objective change")
     p.add_argument("--restarts", type=int, default=KMeansConfig.restarts,
                    help="k-means restarts")
 

@@ -51,3 +51,7 @@ class MissingFileError(MvkmfError):
 
 class RankDeficientWarning(UserWarning):
     """Orthogonal subproblem has a (near-)zero trailing singular value."""
+
+
+class ConvergenceWarning(UserWarning):
+    """The iteration cap ended a fit before its stopping rule was met."""

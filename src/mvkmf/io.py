@@ -352,12 +352,15 @@ def append_record(path, record: RunRecord) -> None:
 
 def write_pgm(path, values: np.ndarray) -> None:
     """Write a matrix as a binary PGM image, min-max scaled to 0..255; one
-    holding NaN or Inf raises ``NonFiniteError`` before the file is opened."""
+    holding NaN or Inf raises ``NonFiniteError`` before the file is opened.
+    The values are halved first, so that no range of finite values, up to
+    the float maximum minus its negative, overflows."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise NonFiniteError(f"{Path(path).name}: matrix contains NaN/Inf")
+    m = m / 2.0
     lo, hi = float(m.min()), float(m.max())
     if hi > lo:
         scaled = np.round((m - lo) * (255.0 / (hi - lo)))

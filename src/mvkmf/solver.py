@@ -1,4 +1,4 @@
-"""Alternating optimization for the unified multi-kernel factorization model.
+"""Fit of the unified multi-kernel factorization model.
 
 The model couples every view's kernel K_v to one consensus embedding H
 (k x n, orthonormal rows) through a per-view coefficient matrix G_v (n x k)
@@ -7,49 +7,59 @@ and squared view weights omega:
     minimize  sum_v omega_v^2 [ ||K_v - G_v H||_F^2 + alpha ||G_v - H^T||_F^2 ]
     s.t.      H H^T = I_k,  sum_v omega_v = 1
 
-Each of the three blocks has a closed-form minimizer, so one iteration is
-three exact updates and the objective never increases. Clustering labels come
-from running k-means on the columns of the fitted H (see ``mvkmf.kmeans``).
+For fixed H the best G_v is G*(H) = (P_v + alpha H^T) / (1 + alpha), with
+P_v = K_v H^T (``update_g``), which leaves the unified form
+
+    J(H, omega) = sum_v omega_v^2 d_v,  M_v = K_v^2 + 2 alpha K_v,
+    d_v = ||K_v||_F^2 + alpha k / (1 + alpha) - tr(H M_v H^T) / (1 + alpha).
+
+For fixed omega the best H spans the top-k eigenvectors of
+M_omega = sum_v omega_v^2 M_v; for fixed H the best omega_v is proportional
+to 1 / d_v (``update_weights``). Labels come from k-means on the columns of
+the fitted H (see ``mvkmf.kmeans``). A fit is one start, one step, one stop:
+
+- Start (``init_point``): H holds the top-k eigenvectors of sum_v K_v, the
+  kernel k-means embedding of the summed kernel; omega is uniform.
+- Step: a generalized power iteration (Nie, Zhang and Li, Sci. China Inf.
+  Sci. 60, 2017) on M_omega, then the weight update. As M_v H^T =
+  K_v P_v + 2 alpha P_v,
+
+      H <- polar((sum_v omega_v^2 (K_v P_v + 2 alpha P_v + s_v H^T))^T),
+
+  with s_v = 0 for a view that is PSD by construction (a built kernel, see
+  ``mvkmf.kernels``) and alpha^2 for any other, since
+  M_v + alpha^2 I = (K_v + alpha I)^2 is PSD for every symmetric K_v. On a
+  PSD matrix the step cannot lower tr(H M H^T), so J never rises.
+- Stop: once the relative eigen-residual r = ||Y - H^T (H Y)||_F / ||H Y||_F,
+  Y = sum_v omega_v^2 M_v H^T (also the next step's matrix), is below
+  ``rel_tol``. A fit that reaches ``max_iters`` first warns with
+  ``ConvergenceWarning``.
 
 Cost. A fit does no O(n^3) work and allocates no n x n matrix beyond the
 kernels themselves:
 
-- Initialization needs only the k leading eigenvectors of one n x n matrix
-  per view. A Lanczos solve (ARPACK through ``scipy.sparse.linalg.eigsh``)
-  finds them from a small multiple of k matrix-vector products, O(n^2 k) per
-  view. The row-sum coupling matrix of ``init_g`` is applied in O(n) per
-  vector and never formed. Each product with K_v is BLAS ``dsymv`` from
-  scipy's bundled OpenBLAS (``scipy.linalg.blas``), which reads one triangle
-  of K_v.
-- Because H H^T = I, the reconstruction term expands with P_v = K_v H^T as
-
-      ||K_v - G_v H||_F^2 = ||K_v||_F^2 - ||P_v||_F^2 + ||P_v - G_v||_F^2,
-
-  so one iteration needs two n x k products per view: K_v H^T for the new
-  H, which gives both the loss and the next G step, and K_v P_v for the
-  next H step. That is O(n^2 k) per view. At this size the sweep is bound
-  by reading the kernels, not by flops, so both products come from one
-  pass over K_v in row blocks of at most 1 MiB: each block gives its rows
-  of P_v = K_v H^T and then, still in cache, its share of K_v P_v
-  (``_kernel_products``). A kernel of at most 1 MiB (n <= 362) is one
-  block and takes the two plain products. ||K_v||_F^2 is computed once per
-  fit, with the start's P_v and K_v P_v, which serve both the start
-  objective and the first sweep.
-- The start G and H (``init_point``) do not depend on alpha, so fits over an
-  alpha grid can share one and pay the eigensolves once.
+- The start is a Lanczos solve (ARPACK through ``scipy.sparse.linalg.eigsh``)
+  from a small multiple of k products with sum_v K_v, each one BLAS
+  ``dsymv`` per view (scipy's bundled OpenBLAS), which reads one triangle
+  of K_v. It does not depend on alpha, so fits over an alpha grid share
+  one, and ``fit_kkm`` is the same solve on one view.
+- Because H H^T = I, d_v = ||K_v||^2 - ||P_v||^2 + alpha / (1 + alpha)
+  ||P_v - H^T||^2, O(nk) given P_v. So an iteration needs P_v for the new
+  H and K_v P_v for the next step, O(n^2 k) per view. That is bound by
+  reading the kernels, so both come from one pass over K_v in row blocks
+  of at most 1 MiB (``_kernel_products``). The residual costs O(n k^2).
 - ``init_point``, ``fit``, ``fit_kkm``, ``fit_mkkm`` and each step of
   ``iterate`` run numpy's BLAS on one thread (``mvkmf._blas``) and restore
   the caller's count on return, on a raise and between ``iterate``'s
-  yields. Their numpy products are skinny n x n times n x k products bound
-  by memory traffic, and a second numpy thread only fights the main thread
-  and scipy's BLAS pool, which numpy's does not share. Scipy's pool, which
-  runs the seed eigensolve's ``dsymv`` and gains from its threads, is left
-  as the process set it. The count is global to the process; mvkmf starts
-  no threads of its own.
+  yields. Their numpy products are skinny and bound by memory traffic, and
+  a second numpy thread only fights the main thread and scipy's BLAS pool,
+  which numpy's does not share. Scipy's pool, which runs the start's
+  ``dsymv`` and gains from its threads, is left as the process set it.
+  mvkmf starts no threads of its own.
 
 The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
-evaluate the definitions directly; they are the reference the fused sweep is
-tested against.
+evaluate the paper's block updates and loss by their definitions. The fit
+does not call them: they are the references it is tested against.
 
 Every entry point ingests a kernel given as a raw array as a
 ``KernelMatrix`` (see its docstring).
@@ -70,6 +80,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from ._blas import one_thread
 from .errors import (
     BadParamError,
+    ConvergenceWarning,
     DimensionMismatchError,
     NonFiniteError,
     RankDeficientWarning,
@@ -92,7 +103,10 @@ class SolverConfig:
 
     ``alpha`` trades kernel reconstruction against pulling each G_v toward
     H^T; the benchmark grid is 2^0 .. 2^9 and the default sits where that
-    grid tends to peak.
+    grid tends to peak. A fit stops once its relative eigen-residual (see
+    the module docstring) is below ``rel_tol``, or after ``max_iters``
+    iterations. ``fit_mkkm`` takes the same two limits, with ``rel_tol``
+    bounding the relative change of its objective instead.
     """
 
     k: int
@@ -172,14 +186,13 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     """Columns: the k eigenvectors of symmetric M with largest eigenvalues,
     in descending eigenvalue order, sign-fixed. Raises ``BadParamError``
     when k exceeds n: the one check of k against the sample count, which
-    ``init_g``, ``init_point``, ``fit_kkm`` and ``fit_mkkm`` reach.
+    ``init_point`` (and so ``fit_kkm``) and ``fit_mkkm`` reach.
 
     M is an n x n array or a ``LinearOperator``. A Lanczos solve (ARPACK
     ``eigsh`` at machine-precision tolerance) computes only the k leading
     eigenpairs from matrix-vector products, O(n^2) each, instead of a full
     O(n^3) decomposition. The start vector is a fixed-seed Gaussian, not
-    all-ones, which lies in the null space of the init matrix of a centered
-    kernel. A dense ``eigh`` runs only where the Krylov basis of
+    all-ones, which lies in the null space of a centered kernel. A dense ``eigh`` runs only where the Krylov basis of
     max(2k + 1, 20) vectors would span the whole space (this includes
     k >= n - 1, where ARPACK cannot run) and when ARPACK fails, as it does on
     the zero matrix.
@@ -187,12 +200,11 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     n = M.shape[0]
     if k > n:
         raise BadParamError(f"k={k} exceeds sample count {n}")
-    # an array M (fit_kkm, fit_mkkm) keeps numpy's gemv, on one thread under
-    # their scope, because the kkm and mkkm outputs carry its bits. Through
-    # scipy's dsymv these solves took about twice as long at n=300 while
-    # numpy's pool ran two threads beside scipy's; with numpy's pool on one
-    # thread dsymv is faster (n=300: 1.7 against 2.0 ms per solve, n=2000:
-    # 18 against 58 ms), but it changes the bits
+    # an array M serves fit_mkkm alone and keeps numpy's gemv, on one
+    # thread under its scope, because mkkm's outputs carry its bits. With
+    # numpy's pool on one thread scipy's dsymv is faster (n=300: 1.7
+    # against 2.0 ms per solve, n=2000: 18 against 58 ms), but it changes
+    # the bits
     if n > max(2 * k + 1, 20):
         rng = np.random.default_rng(LANCZOS_SEED)
         try:
@@ -285,21 +297,21 @@ def per_view_loss(k_v, g_v: np.ndarray, H: np.ndarray, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fused sweep
+# The fit
 # ---------------------------------------------------------------------------
 
-def _fused_view_loss(k_sq: float, P_v: np.ndarray, g_v: np.ndarray,
-                     H: np.ndarray, alpha: float) -> float:
-    """``per_view_loss`` from k_sq = ||K_v||_F^2 and P_v = K_v H^T, for
-    symmetric K_v and row-orthonormal H:
+def _reduced_loss(k_sq: float, P_v: np.ndarray, H: np.ndarray,
+                  alpha: float) -> float:
+    """``per_view_loss`` at (G*(H), H) from k_sq = ||K_v||_F^2 and
+    P_v = K_v H^T, for symmetric K_v and row-orthonormal H:
 
-        ||K_v - G_v H||^2 = ||K_v||^2 - ||P_v||^2 + ||P_v - G_v||^2
+        d_v = ||K_v||^2 - ||P_v||^2 + alpha / (1 + alpha) ||P_v - H^T||^2
 
-    A near-exact reconstruction can round the difference slightly negative,
-    so the reconstruction term is clamped at 0. O(nk) given P_v.
+    A near-exact reconstruction can round the first difference slightly
+    negative, so it is clamped at 0. O(nk) given P_v.
     """
-    recon = k_sq - _sq_norm(P_v) + _sq_norm(P_v - g_v)
-    return max(recon, 0.0) + alpha * _sq_norm(g_v - H.T)
+    return (max(k_sq - _sq_norm(P_v), 0.0)
+            + alpha / (1.0 + alpha) * _sq_norm(P_v - H.T))
 
 
 def _kernel_products(K: np.ndarray, Ht: np.ndarray):
@@ -310,53 +322,67 @@ def _kernel_products(K: np.ndarray, Ht: np.ndarray):
     symmetric K that sum is K P exactly in real arithmetic; in floating
     point it differs from the two-pass product at roundoff only. A kernel
     that fits one block takes the two plain products ``K @ H^T`` and
-    ``K @ P``, so small fits keep their bits.
+    ``K @ P``. A product that overflows is left as Inf or NaN, without a
+    ``RuntimeWarning``, for the loss check of ``_losses`` to report.
     """
     n = K.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    if rows >= n:
-        P = K @ Ht
-        return P, K @ P
-    P = np.empty((n, Ht.shape[1]))
-    KP = np.zeros_like(P)
-    for i in range(0, n, rows):
-        B = K[i:i + rows]
-        np.matmul(B, Ht, out=P[i:i + rows])
-        KP += B.T @ P[i:i + rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows >= n:
+            P = K @ Ht
+            return P, K @ P
+        P = np.empty((n, Ht.shape[1]))
+        KP = np.zeros_like(P)
+        for i in range(0, n, rows):
+            B = K[i:i + rows]
+            np.matmul(B, Ht, out=P[i:i + rows])
+            KP += B.T @ P[i:i + rows]
     return P, KP
 
 
-def _sweep(kernels, k_sq, P, KP, H: np.ndarray, omega: np.ndarray,
-           alpha: float):
-    """One G / H / loss iteration with one pass over each kernel.
+def _products(kernels, H: np.ndarray):
+    """P_v = K_v H^T and KP_v = K_v P_v of every view, as two tuples."""
+    return zip(*(_kernel_products(K.data, H.T) for K in kernels))
 
-    Takes P_v = K_v H^T and KP_v = K_v P_v for the current H and returns
-    (G, H, P, KP, d): the ``update_g`` coefficients, the ``update_h``
-    embedding, P_v and KP_v for the new H (from ``_kernel_products``), and
-    the ``per_view_loss`` values at (G, new H). With G_v = (P_v + alpha
-    H^T) / (1 + alpha) and K_v symmetric, the H-step matrix is
 
-        G_v^T K_v + alpha G_v^T
-            = ((K_v P_v)^T + 2 alpha P_v^T + alpha^2 H) / (1 + alpha).
-    """
-    Ht = H.T
-    G = tuple((P_v + alpha * Ht) / (alpha + 1.0) for P_v in P)
-    A = np.zeros_like(H)
+def _losses(k_sq, P, H: np.ndarray, alpha: float) -> np.ndarray:
+    """Every view's ``_reduced_loss``. Raises ``NonFiniteError`` when one
+    is not finite, which only an overflow of the kernels' products can
+    make."""
+    d = np.array([_reduced_loss(s, P_v, H, alpha) for s, P_v in zip(k_sq, P)])
+    if not np.isfinite(d).all():
+        raise NonFiniteError("objective became NaN/Inf; check the kernels")
+    return d
+
+
+def _state(H: np.ndarray, P, omega: np.ndarray, trace,
+           alpha: float) -> SolverState:
+    """The state at H, with G_v = G*(H) = (P_v + alpha H^T) / (1 + alpha)."""
+    G = tuple((P_v + alpha * H.T) / (alpha + 1.0) for P_v in P)
+    return SolverState(H=H, G=G, omega=omega, objective_trace=np.array(trace))
+
+
+def _eigen_products(P, KP, omega: np.ndarray, alpha: float) -> np.ndarray:
+    """Y = M_omega H^T = sum_v omega_v^2 (K_v P_v + 2 alpha P_v), n x k."""
+    Y = np.zeros_like(P[0])
     for P_v, KP_v, w in zip(P, KP, omega):
-        A += (w * w) * (KP_v.T + 2.0 * alpha * P_v.T + alpha * alpha * H)
-    H = _polar(A / (alpha + 1.0))
-    P, KP = zip(*(_kernel_products(K.data, H.T) for K in kernels))
-    d = np.array([_fused_view_loss(s, P_v, G_v, H, alpha)
-                  for s, P_v, G_v in zip(k_sq, P, G)])
-    return G, H, P, KP, d
+        Y += (w * w) * (KP_v + 2.0 * alpha * P_v)
+    return Y
 
 
-# ---------------------------------------------------------------------------
-# Objective and initialization
-# ---------------------------------------------------------------------------
+def _residual(Y: np.ndarray, H: np.ndarray) -> float:
+    """The relative eigen-residual ||Y - H^T (H Y)||_F / ||H Y||_F of
+    Y = M H^T: 0 exactly when the rows of H span an invariant subspace of
+    M. O(n k^2)."""
+    HY = H @ Y
+    num, den = _sq_norm(Y - H.T @ HY), _sq_norm(HY)
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return math.sqrt(num / den)
+
 
 def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
-    """Objective value at ``state``."""
+    """Objective value at ``state``, from ``per_view_loss``."""
     kernels = _kernel_list(ks)
     if len(kernels) != len(state.G) or len(kernels) != len(state.omega):
         raise DimensionMismatchError(
@@ -369,166 +395,132 @@ def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
     return total
 
 
-def global_similarity_matrix(k_v) -> np.ndarray:
-    """Row-sum coupling matrix used to seed the per-view coefficients.
+def _sum_operator(kernels) -> LinearOperator:
+    """sum_v K_v as an operator on vectors, for the start's eigensolve.
 
-    With A_i the i-th row sum of the kernel (total similarity of sample i to
-    everything), entry (i, j) is A_{max(i,j)}; the diagonal extends the same
-    rule with A_i. Symmetric by construction. ``init_g`` applies it through
-    ``_init_operator`` without forming it.
+    A product is one BLAS ``dsymv`` per view (scipy's bundled OpenBLAS,
+    through ``scipy.linalg.blas``), added into one vector. Each reads one
+    triangle of K_v^T, the same symmetric matrix as a ``KernelMatrix``'s
+    C-ordered array: half the memory traffic of a full product, and the
+    eigensolve is bound by that traffic. The kernels are finite, so a
+    product that is not can only have overflowed: it raises
+    ``NonFiniteError``, an O(n) check per product, before the eigensolve
+    fails on it without saying why.
     """
-    K = _ingest(k_v).data
-    A = K.sum(axis=1)
-    idx = np.arange(K.shape[0])
-    return A[np.maximum.outer(idx, idx)]
+    n = kernels[0].n
 
+    def apply(x):
+        x = x.ravel()
+        y = dsymv(1.0, kernels[0].data.T, x)
+        for K in kernels[1:]:
+            y = dsymv(1.0, K.data.T, x, beta=1.0, y=y, overwrite_y=True)
+        if not np.isfinite(y).all():
+            raise NonFiniteError("kernel products are not finite: the "
+                                 "kernels' entries are too large and their "
+                                 "products overflow")
+        return y
 
-def _init_operator(K: np.ndarray) -> LinearOperator:
-    """D + K as an operator, D = ``global_similarity_matrix(K)``.
-
-    Since D_ij = A_max(i,j), (D x)_i = A_i sum_{j<=i} x_j + sum_{j>i} A_j x_j:
-    two cumulative sums, O(n) per vector on top of the O(n^2) product K x.
-    Raises ``NonFiniteError`` when a row sum overflows, since the eigensolve
-    would otherwise fail on it without saying why.
-
-    K is a ``KernelMatrix``'s array. A single vector's K x is BLAS
-    ``dsymv`` (scipy's bundled OpenBLAS, through ``scipy.linalg.blas``) on
-    K^T, the same symmetric matrix, which it reads one triangle of: half
-    the memory traffic of a full product, and the eigensolve is bound by
-    that traffic. Blocks of vectors keep numpy's ``K @ X``.
-    """
-    n = K.shape[0]
-    with np.errstate(over="ignore"):
-        A = K.sum(axis=1)
-    if not np.isfinite(A).all():
-        raise NonFiniteError("kernel row sums are not finite: the kernel "
-                             "holds NaN or Inf, or its rows overflow")
-
-    def apply(X):
-        a = A.reshape((n,) + (1,) * (X.ndim - 1))
-        ax = a * X
-        tail = np.zeros_like(ax)
-        tail[:-1] = np.cumsum(ax[:0:-1], axis=0)[::-1]
-        KX = dsymv(1.0, K.T, X) if X.ndim == 1 else K @ X
-        return KX + a * np.cumsum(X, axis=0) + tail
-
-    return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
-
-
-def init_g(k_v, k: int) -> np.ndarray:
-    """Initial G_v: the k leading eigenvectors of (D_v + K_v), where D_v is
-    the row-sum coupling matrix. Columns are orthonormal and sign-fixed.
-
-    The Lanczos steps multiply by K_v with BLAS ``dsymv`` from scipy's
-    bundled OpenBLAS, which reads one triangle of K_v (see
-    ``_init_operator``)."""
-    return _top_eigenvectors(_init_operator(_ingest(k_v).data), k)
-
-
-@dataclass(frozen=True)
-class InitPoint:
-    """The alpha-free start of a fit: G_v from ``init_g`` per view and H,
-    the polar factor of the averaged G^T. It depends on the kernels and k
-    only, so one point serves every alpha of a grid. The arrays are
-    read-only because every fit of the grid shares them."""
-
-    G: tuple[np.ndarray, ...]
-    H: np.ndarray
+    return LinearOperator((n, n), matvec=apply, dtype=np.float64)
 
 
 @one_thread()
-def init_point(ks, k: int) -> InitPoint:
-    """Compute the ``InitPoint`` of kernels ``ks`` for k clusters: one top-k
-    eigensolve per view, O(n^2 k) each, and H the polar factor of the mean
-    G_v^T (one k x n SVD). Warns with ``RankDeficientWarning`` when that
-    mean is rank deficient, as at k = n, since H is then not unique."""
-    G = tuple(init_g(K, k) for K in _kernel_list(ks))
-    H = _polar((sum(G) / len(G)).T)
-    for a in (*G, H):
-        a.setflags(write=False)
-    return InitPoint(G=G, H=H)
+def init_point(ks, k: int) -> np.ndarray:
+    """The start H of a fit on kernels ``ks`` for k clusters: k x n, its
+    rows the top-k eigenvectors of sum_v K_v, sign-fixed. One Lanczos solve
+    of ``_sum_operator``, O(n^2 k) per view.
+
+    It depends on the kernels and k only, so one start serves every alpha
+    of a grid, and it is also kernel k-means on the summed kernel. It is
+    read-only because every fit of a grid shares it.
+    """
+    H = _top_eigenvectors(_sum_operator(_kernel_list(ks)), k).T
+    H.setflags(write=False)
+    return H
 
 
-def _start(kernels, cfg: SolverConfig, init: InitPoint | None):
-    """The start of a fit on ``kernels`` (``_kernel_list``): G and H from
+def _start(kernels, cfg: SolverConfig, init: np.ndarray | None):
+    """The start of a fit on ``kernels`` (``_kernel_list``): H from
     ``init`` (computed by ``init_point`` when None) and uniform weights.
 
     Returns (state, k_sq, P, KP) with k_sq_v = ||K_v||_F^2, P_v = K_v H^T
-    and KP_v = K_v P_v. k_sq and P give the start objective at
-    ``cfg.alpha`` through the same expansion as the sweep, and all three
-    are the sweep's first inputs. They are the only alpha-dependent part,
-    O(n^2 k) per view.
+    and KP_v = K_v P_v: the start state and the loop's first inputs. They
+    are the only alpha-dependent part, O(n^2 k) per view.
     """
-    if init is None:
-        init = init_point(kernels, cfg.k)
-    G, H = init.G, init.H
+    H = init_point(kernels, cfg.k) if init is None else init
     n = kernels[0].n
-    if len(G) != len(kernels) or H.shape != (cfg.k, n):
+    if H.shape != (cfg.k, n):
         raise DimensionMismatchError(
-            f"init point with {len(G)} views and H {H.shape} vs "
-            f"{len(kernels)} kernels, k={cfg.k}, n={n}")
+            f"start H {H.shape} vs k={cfg.k}, n={n}")
     omega = np.full(len(kernels), 1.0 / len(kernels))
     k_sq = [_sq_norm(K.data) for K in kernels]
-    P, KP = zip(*(_kernel_products(K.data, H.T) for K in kernels))
-    d = np.array([_fused_view_loss(s, P_v, G_v, H, cfg.alpha)
-                  for s, P_v, G_v in zip(k_sq, P, G)])
-    j0 = float(np.sum(omega * omega * d))
-    state = SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
+    P, KP = _products(kernels, H)
+    d = _losses(k_sq, P, H, cfg.alpha)
+    state = _state(H, P, omega, [float(np.sum(omega * omega * d))], cfg.alpha)
     return state, k_sq, P, KP
 
 
-# ---------------------------------------------------------------------------
-# Fit loop
-# ---------------------------------------------------------------------------
+def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
+    """Yield the state after each iteration of the fit from the start H
+    ``init`` (``init_point(ks, cfg.k)`` when None). The start itself is not
+    yielded, but every yielded objective_trace begins with the start
+    objective.
 
-def iterate(ks, cfg: SolverConfig, init: InitPoint | None = None):
-    """Yield the state after each alternating iteration from the start at
-    ``init`` (see ``fit``), stopping on relative objective change
-    < cfg.rel_tol or after cfg.max_iters. The start itself is not yielded,
-    but every yielded objective_trace begins with the start objective.
-
-    Each iteration is one fused sweep (``_sweep``) and a weight update: the
-    G, H and loss updates of ``update_g``, ``update_h`` and
-    ``per_view_loss`` from one pass over each kernel, O(n^2 k), with no
-    n x n temporary.
+    Each iteration is the step of the module docstring: the H step, the
+    products P_v = K_v H^T and K_v P_v for the new H from one pass over
+    each kernel, the losses d_v from them and the weight update, O(n^2 k)
+    per view, with no n x n temporary. After each yield the fit stops once
+    the eigen-residual r < cfg.rel_tol. When cfg.max_iters (at least 1)
+    iterations run out first, it warns with ``ConvergenceWarning``.
 
     Deterministic: identical inputs replay the identical sequence.
     """
     kernels = _kernel_list(ks)
+    alpha = cfg.alpha
     with one_thread():
         state, k_sq, P, KP = _start(kernels, cfg, init)
-    trace = list(state.objective_trace)
-    j_prev = trace[-1]
-    H, omega = state.H, state.omega
+        H, omega = state.H, state.omega
+        trace = list(state.objective_trace)
+        Y = _eigen_products(P, KP, omega, alpha)
+    # views not known to be PSD shift M_v by alpha^2 I
+    shift = np.array([0.0 if K._psd_by_construction else alpha * alpha
+                      for K in kernels])
     for _ in range(cfg.max_iters):
         with one_thread():
-            G, H, P, KP, d = _sweep(kernels, k_sq, P, KP, H, omega,
-                                    cfg.alpha)
+            H = _polar((Y + float(omega * omega @ shift) * H.T).T)
+            P, KP = _products(kernels, H)
+            d = _losses(k_sq, P, H, alpha)
             omega = update_weights(d)
-            j = float(np.sum(omega * omega * d))
-        if not np.isfinite(j):
-            raise NonFiniteError("objective became NaN/Inf; check the kernels")
-        trace.append(j)
-        state = SolverState(H=H, G=G, omega=omega,
-                            objective_trace=np.array(trace))
+            trace.append(float(np.sum(omega * omega * d)))
+            state = _state(H, P, omega, trace, alpha)
         yield state
-        if abs(j_prev - j) / max(abs(j_prev), 1e-12) < cfg.rel_tol:
+        with one_thread():
+            Y = _eigen_products(P, KP, omega, alpha)
+            r = _residual(Y, H)
+        if r < cfg.rel_tol:
             return
-        j_prev = j
+    if cfg.max_iters:
+        warnings.warn(
+            f"stopped at max_iters={cfg.max_iters} with eigen-residual "
+            f"{r:.3e} >= rel_tol={cfg.rel_tol:.3g}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
 
 
 @one_thread()
-def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
-    """Run initialization plus alternating updates to convergence.
+def fit(ks, cfg: SolverConfig, init: np.ndarray | None = None) -> SolverState:
+    """Fit the model from a start to its stop (see ``iterate``).
 
-    ``init`` is the start from ``init_point(ks, cfg.k)``; pass it to share
+    ``init`` is the start H from ``init_point(ks, cfg.k)``; pass it to share
     one start across fits that differ only in alpha or the iteration limits.
     When None it is computed here. Either way the result is the same, bit
-    for bit. The returned state's objective_trace has the initial value
+    for bit. The returned state's objective_trace has the start value
     followed by one entry per iteration; it is non-increasing throughout.
-    With ``cfg.max_iters == 0`` the result is the start: G and H of the
-    init point, uniform weights and the start objective. Follow with
-    k-means on the columns of ``state.H`` to obtain cluster labels.
+    Unless a ``ConvergenceWarning`` was issued, the returned H has an
+    eigen-residual below cfg.rel_tol. With ``cfg.max_iters == 0`` the
+    result is the start: its H, G*(H), uniform weights and the start
+    objective. Follow with k-means on the columns of ``state.H`` to obtain
+    cluster labels.
     """
     if cfg.max_iters == 0:
         return _start(_kernel_list(ks), cfg, init)[0]
@@ -541,11 +533,12 @@ def fit(ks, cfg: SolverConfig, init: InitPoint | None = None) -> SolverState:
 # Baselines
 # ---------------------------------------------------------------------------
 
-@one_thread()
 def fit_kkm(kernel, clusters: int) -> np.ndarray:
     """Kernel k-means relaxation: rows of H are the ``clusters`` leading
-    eigenvectors of K, maximizing tr(H K H^T) under H H^T = I."""
-    return _top_eigenvectors(_ingest(kernel).data, clusters).T
+    eigenvectors of K, maximizing tr(H K H^T) under H H^T = I. This is the
+    start of a fit on K alone, so it is ``init_point`` on one view and
+    read-only."""
+    return init_point([kernel], clusters)
 
 
 def _combined_kernel(kernels, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -583,7 +576,8 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
     as ``SolverConfig`` checks them (``BadParamError``).
 
     K_gamma is rebuilt in place in one n x n buffer (``_combined_kernel``),
-    whose top eigenvectors are solved for as ``fit_kkm`` solves them.
+    whose top eigenvectors a Lanczos solve on that array finds
+    (``_top_eigenvectors``).
 
     Returns (H, gamma).
     """

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +249,7 @@ def test_views_sharing_a_file_name_exit_2(tmp_path, monkeypatch, capsys,
     manifest["views"][0]["name"] = "a b"
     manifest["views"][2]["name"] = "a/b"
     mpath.write_text(json.dumps(manifest))
-    for name in ("validate_kernel_set", "fit", "fit_kkm", "fit_mkkm",
-                 "init_point"):
+    for name in ("validate_kernel_set", "fit", "fit_mkkm", "init_point"):
         monkeypatch.setattr(cli, name, unreachable)
     out = tmp_path / "out"
     assert main(argv + ["--manifest", str(mpath), "--out", str(out),
@@ -421,7 +421,7 @@ def test_bad_config_exits_2_before_fitting(tmp_path, monkeypatch, argv):
         raise AssertionError("fit started before the config was validated")
 
     mpath = synth(tmp_path, per=5, clusters=2)
-    for name in ("fit", "fit_kkm", "fit_mkkm", "init_point", "iterate"):
+    for name in ("fit", "fit_mkkm", "init_point", "iterate"):
         monkeypatch.setattr(cli, name, unreachable)
     out = tmp_path / "out"
     assert main(argv + ["--manifest", str(mpath), "--out", str(out),
@@ -687,10 +687,10 @@ def test_bench_all_cells_fail_exit_3(tmp_path):
 
 
 def test_bench_select_metric_nmi(tmp_path):
-    # overlapping clusters, so that on set1 the best alpha by mean NMI (64)
-    # is not the best by mean ACC (4)
+    # overlapping clusters, so that on set2 the best alpha by mean NMI (1)
+    # is not the best by mean ACC (64)
     manifests = []
-    for seed in (1, 2):
+    for seed in (2, 1):
         out = tmp_path / f"set{seed}"
         assert main(["synth", "--name", f"set{seed}", "--per-cluster", "8",
                      "--clusters", "3", "--separation", "1", "--seed",
@@ -714,7 +714,7 @@ def test_bench_select_metric_nmi(tmp_path):
                 means[metric] = {a: float(np.mean(v))
                                  for a, v in by_alpha.items()}
             assert table.scores[i, j] == max(means["nmi"].values())
-            if (ds, alg) == ("set1", "umklmf"):
+            if (ds, alg) == ("set2", "umklmf"):
                 best_acc = max(means["acc"], key=means["acc"].get)
                 assert table.scores[i, j] > means["nmi"][best_acc]
 
@@ -791,21 +791,37 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
     import threading
 
     import mvkmf.cli as cli
+    import mvkmf.solver as solver
 
     calls = {"init_point": 0, "fit_kkm": 0, "fit_mkkm": 0, "fit": 0}
     threads = set()
 
     def counted(name):
-        fn = getattr(cli, name)
+        # fit_kkm through the solver module, since cli no longer calls it
+        module = solver if name == "fit_kkm" else cli
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             threads.add(threading.get_ident())
-            return fn(*args, **kwargs)
+            if name != "fit":
+                return fn(*args, **kwargs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                state = fn(*args, **kwargs)
+            # a returned fit has stopped on its residual unless the cap
+            # warned
+            ks, cfg = args[:2]
+            if not caught:
+                P, KP = solver._products(ks.kernels, state.H)
+                Y = solver._eigen_products(P, KP, state.omega, cfg.alpha)
+                assert solver._residual(Y, state.H) < cfg.rel_tol
+            return state
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(solver if name == "fit_kkm" else cli, name,
+                            counted(name))
     m1 = synth(tmp_path, name="one", per=8, clusters=3, seed=5)
     m2 = synth(tmp_path, name="two", per=8, clusters=3, seed=6)
     out = tmp_path / "bench"
@@ -814,9 +830,9 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
                  "--seeds", "0,1,2", "--restarts", "10",
                  "--out", str(out), "--quiet"]) == 0
     assert len(read_run_records(out / "records.jsonl")) == 24
-    # once per dataset; fit_kkm counts only the kkm cells' call, not the
-    # ones fit_mkkm makes inside the solver module
-    assert calls == {"init_point": 2, "fit_kkm": 2, "fit_mkkm": 2,
+    # one start per dataset serves the umklmf and the kkm cells, so no kkm
+    # solve of its own runs; mkkm's part once per dataset
+    assert calls == {"init_point": 2, "fit_kkm": 0, "fit_mkkm": 2,
                      "fit": 2 * 2 * 3}
     # every cell runs on the calling thread
     assert threads == {threading.get_ident()}
@@ -894,26 +910,33 @@ def test_bench_quiet_still_reports_failed_cells(tmp_path, capsys):
 
 
 def write_full_dataset(root, n):
-    """Manifest whose n x n kernel is filled with 1e308, so its row sums
-    overflow to inf."""
+    """Manifest whose n x n kernel is filled with 1e308, so its row sums,
+    and so its products with most vectors, overflow to inf."""
     return write_kernel_dataset(root, "full", np.full((n, n), 1e308))
 
 
-@pytest.mark.parametrize("n", [8, 40])   # dense eigh and Lanczos paths
-def test_fit_overflowing_row_sums_exit_3(tmp_path, capsys, n):
+# at n = 8 the start is a dense eigh of the kernel itself, which holds no
+# Inf, and the fit's first loss overflows; at n = 40 a Lanczos product does
+@pytest.mark.parametrize("n, message", [
+    (8, "objective became NaN/Inf; check the kernels"),
+    (40, "kernel products are not finite: the kernels' entries are too "
+         "large and their products overflow"),
+], ids=["8", "40"])
+def test_fit_overflowing_row_sums_exit_3(tmp_path, capsys, n, message):
     mpath = write_full_dataset(tmp_path / "full", n)
-    assert main(["fit", "--manifest", str(mpath), "--alpha", "2",
-                 "--restarts", "5", "--out", str(tmp_path / "fit")]) == 3
-    assert "kernel row sums are not finite" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["fit", "--manifest", str(mpath), "--alpha", "2",
+                     "--restarts", "5", "--out", str(tmp_path / "fit")]) == 3
+    assert f"error: {message}\n" == capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_bench_overflowing_row_sums_fail_their_cells(tmp_path, capsys):
+    # the dense start of the n = 8 kernel is finite, so its kkm cells
+    # succeed as they did when kkm solved the mean kernel itself
     check_bench_beside_good_set(
         tmp_path, capsys, write_full_dataset(tmp_path / "full", 8),
-        "kernel row sums are not finite: the kernel holds NaN or Inf, or its "
-        "rows overflow")
+        "objective became NaN/Inf; check the kernels")
 
 
 def test_fit_record_equals_bench_record(tmp_path):
@@ -995,6 +1018,7 @@ def test_module_entry_point(tmp_path):
 
 NO_RANK_TESTS_UNTIL_STATS = """
 import sys
+import warnings
 
 import mvkmf
 import mvkmf.cli

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from mvkmf import solver
+from mvkmf.errors import NonFiniteError
 from mvkmf.kernels import KernelMatrix, normalize_kernel
-from mvkmf.solver import fit_kkm, fit_mkkm, global_similarity_matrix, init_g
+from mvkmf.solver import fit_kkm, fit_mkkm, init_point
 
 from conftest import random_psd_kernel
 
@@ -102,10 +103,10 @@ def expected_calls(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_init_g_matches_dense(name, eigsh_calls):
+def test_init_point_matches_dense(name, eigsh_calls):
+    # two views, so each product adds a second dsymv into the first
     K, k = CASES[name]
-    reference = dense_top(global_similarity_matrix(K) + K, k)
-    assert_same_subspace(init_g(K, k), reference, k)
+    assert_same_subspace(init_point([K, K], k).T, dense_top(K + K, k), k)
     assert set(eigsh_calls) == expected_calls(name)
 
 
@@ -126,13 +127,24 @@ def test_fit_mkkm_matches_dense(name, eigsh_calls):
     assert set(eigsh_calls) == expected_calls(name)
 
 
-def test_init_operator_equals_dense_matrix():
-    K = random_psd_kernel(np.random.default_rng(7), 50).data
-    dense = global_similarity_matrix(K) + K
-    op = solver._init_operator(K)
+def test_start_operator_equals_dense_matrix():
+    rng = np.random.default_rng(7)
+    kernels = [random_psd_kernel(rng, 50), random_psd_kernel(rng, 50)]
+    dense = kernels[0].data + kernels[1].data
+    op = solver._sum_operator(kernels)
     x = np.random.default_rng(8).standard_normal(50)
     assert np.allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-9)
     assert np.array_equal(op @ np.eye(50), dense)
+
+
+def test_start_operator_raises_on_an_overflowing_product():
+    # each kernel is finite, but neither their sum nor a product with the
+    # all-ones vector is
+    kernels = [KernelMatrix(np.full((30, 30), 1e308), v) for v in "ab"]
+    with pytest.raises(NonFiniteError, match="products overflow"):
+        solver._sum_operator(kernels).matvec(np.eye(30)[0])
+    with pytest.raises(NonFiniteError, match="products overflow"):
+        solver._sum_operator(kernels[:1]).matvec(np.ones(30))
 
 
 def test_restarted_lanczos_repeats_bitwise():
@@ -141,7 +153,7 @@ def test_restarted_lanczos_repeats_bitwise():
     B = np.random.default_rng(5).standard_normal((3, 3))
     K = np.zeros((N, N))
     K[:3, :3] = B @ B.T + 3.0 * np.eye(3)
-    assert np.array_equal(init_g(K, 4), init_g(K, 4))
+    assert np.array_equal(init_point([K, K], 4), init_point([K, K], 4))
     assert np.array_equal(fit_kkm(K, 4), fit_kkm(K, 4))
 
 
@@ -150,27 +162,27 @@ def _symmetric(n, seed):
     return (S + S.T) / 2.0
 
 
-def test_init_g_same_bits_for_any_layout():
-    # every layout holds the same symmetric matrix, so the seed operator must
-    # hand BLAS the same values in the same order
+def test_init_point_same_bits_for_any_layout():
+    # every layout holds the same symmetric matrix, so the start operator
+    # must hand BLAS the same values in the same order
     big = _symmetric(2 * N, 9)
     K = np.ascontiguousarray(big[::2, ::2])
     read_only = K.copy()
     read_only.setflags(write=False)
-    reference = init_g(K, 4)
+    reference = init_point([K], 4)
     for M in (np.asfortranarray(K), read_only, big[::2, ::2]):
-        assert np.array_equal(init_g(M, 4), reference)
+        assert np.array_equal(init_point([M], 4), reference)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_init_g_copies_no_kernel(order):
+def test_init_point_copies_no_kernel(order):
     # a copy of K per matrix-vector product (or once) would peak at n^2
     # floats; the eigensolve itself needs O(n k)
     n = 1000
     K = np.asarray(_symmetric(n, 10), order=order)
     tracemalloc.start()
     try:
-        init_g(K, 4)
+        init_point([K], 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -178,14 +190,14 @@ def test_init_g_copies_no_kernel(order):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_init_operator_reads_one_triangle(order):
+def test_start_operator_reads_one_triangle(order):
     # the operator gets the ingested C-ordered array, K itself or, for a
     # Fortran-ordered K, its transpose, and dsymv reads the upper triangle
     # of that array's transpose: K's lower triangle for a C-ordered K and
     # its upper one for a Fortran-ordered K. NaN in the other triangle must
     # not reach a matrix-vector product.
     K = np.asarray(_symmetric(50, 11), order=order)
-    op = solver._init_operator(KernelMatrix(K, "v").data)
+    op = solver._sum_operator([KernelMatrix(K, "v")])
     x = np.random.default_rng(12).standard_normal(50)
     before = op.matvec(x)
     unread = np.triu_indices(50, 1) if order == "C" else np.tril_indices(50, -1)

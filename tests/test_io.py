@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +508,16 @@ def test_pgm_constant_matrix(tmp_path):
     write_pgm(path, np.full((2, 3), 7.0))
     pixels = list(path.read_bytes().split(b"255\n", 1)[1])
     assert pixels == [0] * 6
+
+
+def test_pgm_scales_a_range_past_the_float_maximum(tmp_path):
+    # hi - lo = 2e308 overflows; the halved range does not
+    path = tmp_path / "wide.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        write_pgm(path, np.array([[-1e308, 1e308], [0.0, 1.0]]))
+    pixels = list(path.read_bytes().split(b"255\n", 1)[1])
+    assert pixels == [0, 255, 128, 128]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,6 +6,7 @@ import pytest
 from mvkmf.errors import (
     AsymmetricKernelError,
     BadParamError,
+    ConvergenceWarning,
     DimensionMismatchError,
     NonFiniteError,
     RankDeficientWarning,
@@ -21,14 +22,11 @@ from mvkmf.kernels import (
 )
 from mvkmf.kmeans import KMeansConfig, kmeans
 from mvkmf.solver import (
-    InitPoint,
     SolverConfig,
     SolverState,
     fit,
     fit_kkm,
     fit_mkkm,
-    global_similarity_matrix,
-    init_g,
     init_point,
     iterate,
     objective,
@@ -324,47 +322,14 @@ def test_trace_expansion_identity(rng):
 # initialization
 
 
-def test_global_similarity_matrix_rule():
-    K = np.array([[1.0, 0.5], [0.5, 2.0]])
-    D = global_similarity_matrix(K)
-    A = K.sum(axis=1)     # (1.5, 2.5)
-    assert D[0, 0] == A[0] and D[1, 1] == A[1]
-    assert D[0, 1] == D[1, 0] == A[1]     # A_max(i,j)
-    assert np.array_equal(D, D.T)
-
-
-def test_init_g_identity_two_by_two():
-    G = init_g(np.eye(2), 1)
-    assert np.allclose(G, np.full((2, 1), 1.0 / np.sqrt(2)), atol=1e-12)
-
-
-def test_init_g_block_diagonal_indicator_structure():
-    K = np.zeros((6, 6))
-    K[:3, :3] = 1.0
-    K[3:, 3:] = 1.0
-    G = init_g(K, 2)
-    for col in range(2):
-        assert np.ptp(G[:3, col]) < 1e-8    # constant within blocks
-        assert np.ptp(G[3:, col]) < 1e-8
-    # columns span the two block-indicator directions
-    ind = np.zeros((6, 2))
-    ind[:3, 0] = 1.0 / np.sqrt(3.0)
-    ind[3:, 1] = 1.0 / np.sqrt(3.0)
-    assert np.allclose(G @ G.T, ind @ ind.T, atol=1e-8)
-
-
-def test_init_g_orthonormal_columns(rng):
-    K = random_psd_kernel(rng, 9).data
-    G = init_g(K, 4)
-    assert np.max(np.abs(G.T @ G - np.eye(4))) < 1e-8
-
-
 def test_init_state_single_view_row_space(rng):
     K = random_psd_kernel(rng, 8)
     state = fit([K], SolverConfig(k=3, alpha=1.0, max_iters=0))
-    G = init_g(K, 3)
+    # the start of one view is that view's top-3 eigenvectors
+    _, vecs = np.linalg.eigh(K.data)
+    top = vecs[:, -3:]
     assert np.max(np.abs(state.H @ state.H.T - np.eye(3))) < 1e-10
-    assert np.allclose(state.H.T @ state.H, G @ G.T, atol=1e-10)
+    assert np.allclose(state.H.T @ state.H, top @ top.T, atol=1e-10)
     assert np.array_equal(state.omega, [1.0])
     assert state.objective_trace.shape == (1,)
 
@@ -386,72 +351,64 @@ def test_init_state_rejects_k_above_n():
 @_blas.one_thread()
 def frozen_init_state(kernels, cfg):
     """Reference for the start of a fit (``init_point`` and the start
-    objective) computed in one pass, with no shared point. Like ``fit``, it
-    runs numpy's BLAS on one thread, since the bits are those of one thread
-    count."""
-    from mvkmf.solver import _fused_view_loss, _sq_norm
+    objective) computed in one pass, with no shared point: H, G*(H) and the
+    loss from P_v = K_v H^T. Like ``fit``, it runs numpy's BLAS on one
+    thread, since the bits are those of one thread count."""
+    from mvkmf.solver import _reduced_loss, _sq_norm
 
-    G = tuple(init_g(K, cfg.k) for K in kernels)
-    G_mean = sum(G) / len(G)
-    U, _, Vt = np.linalg.svd(G_mean.T, full_matrices=False)
-    H = U @ Vt
+    H = init_point(kernels, cfg.k)
+    P = [K @ H.T for K in kernels]
+    G = tuple((P_v + cfg.alpha * H.T) / (cfg.alpha + 1.0) for P_v in P)
     omega = np.full(len(kernels), 1.0 / len(kernels))
-    d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
-                  for K, G_v in zip(kernels, G)])
+    d = np.array([_reduced_loss(_sq_norm(K), P_v, H, cfg.alpha)
+                  for K, P_v in zip(kernels, P)])
     j0 = float(np.sum(omega * omega * d))
     return H, G, np.array([j0])
 
 
-def frozen_sweep(kernels, k_sq, P, H, omega, alpha):
-    """Frozen copy of the former two-product sweep: K_v P_v for the H step,
-    then K_v H^T for the new H, each a full pass over K_v."""
-    from mvkmf.solver import _fused_view_loss, _polar
-
-    Ht = H.T
-    G = tuple((P_v + alpha * Ht) / (alpha + 1.0) for P_v in P)
-    A = np.zeros_like(H)
-    for K, P_v, w in zip(kernels, P, omega):
-        A += (w * w) * ((K @ P_v).T + 2.0 * alpha * P_v.T + alpha * alpha * H)
-    H = _polar(A / (alpha + 1.0))
-    P = [K @ H.T for K in kernels]
-    d = np.array([_fused_view_loss(s, P_v, G_v, H, alpha)
-                  for s, P_v, G_v in zip(k_sq, P, G)])
-    return G, H, P, d
-
-
 @_blas.one_thread()
 def frozen_states(ks, cfg, init=None):
-    """Frozen copy of the former two-call fit path: a start state built with
-    its own ||K_v||^2 and K_v H^T, then a loop that resumes from that state
-    and forms both again, with two passes over each kernel per sweep.
-    Returns the start and every state after it. Runs numpy's BLAS on one
-    thread, as ``fit`` does."""
-    from mvkmf.solver import _fused_view_loss, _kernel_list, _sq_norm
+    """Frozen copy of the fit as a two-pass loop: K_v H^T and K_v P_v each
+    a full product, the step matrix, the losses, the weights and the
+    residual stop written out in turn. Returns the start and every state
+    after it. Runs numpy's BLAS on one thread, as ``fit`` does."""
+    from mvkmf.solver import (
+        _kernel_list,
+        _polar,
+        _reduced_loss,
+        _residual,
+        _sq_norm,
+    )
 
-    kernels = [K.data for K in _kernel_list(ks)]
-    if init is None:
-        init = init_point(kernels, cfg.k)
-    G, H = init.G, init.H
-    omega = np.full(len(kernels), 1.0 / len(kernels))
-    d = np.array([_fused_view_loss(_sq_norm(K), K @ H.T, G_v, H, cfg.alpha)
-                  for K, G_v in zip(kernels, G)])
-    j0 = float(np.sum(omega * omega * d))
-    state = SolverState(H=H, G=G, omega=omega, objective_trace=np.array([j0]))
-    states = [state]
-    trace = list(state.objective_trace)
-    j_prev = trace[-1]
-    k_sq = [_sq_norm(K) for K in kernels]
-    P = [K @ H.T for K in kernels]
-    for _ in range(cfg.max_iters):
-        G, H, P, d = frozen_sweep(kernels, k_sq, P, H, omega, cfg.alpha)
-        omega = update_weights(d)
-        j = float(np.sum(omega * omega * d))
-        trace.append(j)
+    kernels = _kernel_list(ks)
+    arrays = [K.data for K in kernels]
+    alpha = cfg.alpha
+    shift = np.array([0.0 if K._psd_by_construction else alpha * alpha
+                      for K in kernels])
+    H = init_point(kernels, cfg.k) if init is None else init
+    k_sq = [_sq_norm(K) for K in arrays]
+    omega = np.full(len(arrays), 1.0 / len(arrays))
+    trace = []
+    states = []
+    for t in range(cfg.max_iters + 1):
+        if t:
+            A = Y + float(omega * omega @ shift) * H.T
+            H = _polar(A.T)
+        P = [K @ H.T for K in arrays]
+        KP = [K @ P_v for K, P_v in zip(arrays, P)]
+        d = np.array([_reduced_loss(s, P_v, H, alpha)
+                      for s, P_v in zip(k_sq, P)])
+        if t:
+            omega = update_weights(d)
+        trace.append(float(np.sum(omega * omega * d)))
+        G = tuple((P_v + alpha * H.T) / (alpha + 1.0) for P_v in P)
         states.append(SolverState(H=H, G=G, omega=omega,
                                   objective_trace=np.array(trace)))
-        if abs(j_prev - j) / max(abs(j_prev), 1e-12) < cfg.rel_tol:
+        Y = np.zeros_like(P[0])
+        for P_v, KP_v, w in zip(P, KP, omega):
+            Y += (w * w) * (KP_v + 2.0 * alpha * P_v)
+        if t and _residual(Y, H) < cfg.rel_tol:
             break
-        j_prev = j
     return states
 
 
@@ -465,8 +422,10 @@ def assert_same_state(a, b):
 
 
 def init_point_cases():
-    """(kernels, k): a separable synthetic set, and symmetric indefinite
-    kernels. Both are large enough that ``init_g`` takes the Lanczos path."""
+    """(kernels, k): a separable synthetic set of built kernels, which take
+    the unshifted step, and raw symmetric indefinite kernels, which take the
+    shifted one. Both are large enough that ``init_point`` takes the Lanczos
+    path."""
     ks, _ = blob_kernels(11, n_per=15, clusters=4, views=3)
     rng = np.random.default_rng(7)
     indefinite = []
@@ -474,7 +433,7 @@ def init_point_cases():
         S = rng.standard_normal((40, 40))
         indefinite.append((S + S.T) / 2.0)
     assert min(np.linalg.eigvalsh(K)[0] for K in indefinite) < 0
-    return [([k.data for k in ks.kernels], 4), (indefinite, 3)]
+    return [(list(ks.kernels), 4), (indefinite, 3)]
 
 
 LADDER = tuple(2.0 ** p for p in range(10))
@@ -485,7 +444,8 @@ def test_init_state_with_and_without_point_matches_frozen_reference():
         point = init_point(kernels, k)
         for alpha in LADDER:
             cfg = SolverConfig(k=k, alpha=alpha, max_iters=0)
-            H, G, trace = frozen_init_state(kernels, cfg)
+            H, G, trace = frozen_init_state(
+                [solver._ingest(K).data for K in kernels], cfg)
             for state in (fit(kernels, cfg), fit(kernels, cfg, point)):
                 assert np.array_equal(state.H, H)
                 assert all(np.array_equal(a, b) for a, b in zip(state.G, G))
@@ -494,6 +454,7 @@ def test_init_state_with_and_without_point_matches_frozen_reference():
                                       np.full(len(kernels), 1 / len(kernels)))
 
 
+@pytest.mark.filterwarnings("ignore::mvkmf.errors.ConvergenceWarning")
 def test_iterate_and_fit_match_frozen_two_call_path():
     for kernels, k in init_point_cases():
         point = init_point(kernels, k)
@@ -627,8 +588,6 @@ def _reference_calls():
         "update_h": lambda ks: update_h(ks, G, omega, 1.0),
         "per_view_loss": lambda ks: per_view_loss(ks[0], G[0], H, 1.0),
         "objective": lambda ks: objective(ks, state, SolverConfig(k=4)),
-        "global_similarity_matrix":
-            lambda ks: global_similarity_matrix(ks[0]),
     }
 
 
@@ -637,7 +596,6 @@ INGESTING = {
     "fit-no-iterations": lambda ks: fit(ks, SolverConfig(k=4, max_iters=0)),
     "iterate": lambda ks: next(iterate(ks, SolverConfig(k=4))),
     "init_point": lambda ks: init_point(ks, 4),
-    "init_g": lambda ks: init_g(ks[0], 4),
     "fit_kkm": lambda ks: fit_kkm(ks[0], 4),
     "fit_mkkm": lambda ks: fit_mkkm(ks, 4),
     **_reference_calls(),
@@ -688,31 +646,26 @@ def test_fit_from_shared_init_point_is_bitwise_equal():
             assert np.array_equal(a.omega, b.omega)
             assert np.array_equal(a.objective_trace, b.objective_trace)
         # sharing the point left it as it was
-        assert np.array_equal(point.H, init_point(kernels, k).H)
+        assert np.array_equal(point, init_point(kernels, k))
 
 
 def test_init_point_arrays_are_read_only(rng):
     point = init_point([random_psd_kernel(rng, 9), random_psd_kernel(rng, 9)],
                        3)
-    assert isinstance(point, InitPoint)
-    for a in (point.H, *point.G):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+    assert isinstance(point, np.ndarray) and point.shape == (3, 9)
+    assert not point.flags.writeable
+    with pytest.raises(ValueError):
+        point[0, 0] = 1.0
 
 
 def test_init_point_rejects_k_above_n():
     with pytest.raises(BadParamError):
         init_point([np.eye(3)], 4)
-    with pytest.raises(BadParamError):
-        init_g(np.eye(3), 4)
 
 
 def test_init_state_rejects_mismatched_point(rng):
     kernels = [random_psd_kernel(rng, 8).data for _ in range(2)]
     point = init_point(kernels, 3)
-    with pytest.raises(DimensionMismatchError):
-        fit(kernels[:1], SolverConfig(k=3, max_iters=0), point)
     with pytest.raises(DimensionMismatchError):
         fit(kernels, SolverConfig(k=2, max_iters=0), point)
     with pytest.raises(DimensionMismatchError):
@@ -746,8 +699,8 @@ def test_fit_zero_iterations_returns_initialization(rng):
     cfg = SolverConfig(k=2, alpha=1.0, max_iters=0)
     state = fit([K], cfg)
     point = init_point([K], 2)
-    assert np.array_equal(state.H, point.H)
-    assert all(np.array_equal(a, b) for a, b in zip(state.G, point.G))
+    assert np.array_equal(state.H, point)
+    assert np.allclose(state.G[0], update_g(K, point, 1.0), rtol=1e-12)
     assert state.objective_trace.shape == (1,)
     assert list(iterate([K], cfg)) == []
 
@@ -833,17 +786,29 @@ def hostile_fit_cases():
 HOSTILE_FITS = hostile_fit_cases()
 
 
+def residual(kernels, state, alpha):
+    """The fit's stopping residual at ``state``, from dense products."""
+    H = state.H
+    Y = sum((w * w) * (K @ (K @ H.T) + 2.0 * alpha * (K @ H.T))
+            for K, w in zip(kernels, state.omega))
+    HY = H @ Y
+    return np.linalg.norm(Y - H.T @ HY) / np.linalg.norm(HY)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 128.0])
 @pytest.mark.parametrize("name", sorted(HOSTILE_FITS))
 def test_fit_on_hostile_kernels(name, alpha):
     kernels, k = HOSTILE_FITS[name]
+    cfg = SolverConfig(k=k, alpha=alpha)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        state = fit(kernels, SolverConfig(k=k, alpha=alpha))
-    # at k = n the start's mean G_v is rank deficient (see
-    # test_init_point_warns_on_a_rank_deficient_mean); nothing else warns
-    expected = [RankDeficientWarning] if name == "k_equals_n" else []
+        state = fit(kernels, cfg)
+    # the raw indefinite view takes the shifted step, whose rate on this
+    # spectrum does not reach rel_tol in 100 iterations; nothing else warns
+    expected = [ConvergenceWarning] if name == "indefinite" else []
     assert [w.category for w in caught] == expected
+    if not caught:
+        assert residual(kernels, state, alpha) < cfg.rel_tol
     trace = state.objective_trace
     assert np.all(np.isfinite(trace))
     # non-increasing up to roundoff in the objective's last digits
@@ -851,23 +816,6 @@ def test_fit_on_hostile_kernels(name, alpha):
     assert np.max(np.abs(state.H @ state.H.T - np.eye(k))) < 1e-10
     assert np.all(state.omega >= 0.0)
     assert abs(state.omega.sum() - 1.0) < 1e-12
-
-
-def test_init_point_warns_on_a_rank_deficient_mean():
-    # H is the polar factor of the mean G_v^T: at k = n that mean has a
-    # trailing singular value near 1e-16, so H is not unique
-    kernels, k = HOSTILE_FITS["k_equals_n"]
-    with pytest.warns(RankDeficientWarning, match="not unique"):
-        point = init_point(kernels, k)
-    assert np.max(np.abs(point.H @ point.H.T - np.eye(k))) < 1e-10
-    # a full-rank mean gives no warning and the bits of its SVD's U V^T
-    kernels, k = HOSTILE_FITS["identical_views"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        point = init_point(kernels, k)
-    U, _, Vt = np.linalg.svd((sum(point.G) / len(point.G)).T,
-                             full_matrices=False)
-    assert np.array_equal(point.H, U @ Vt)
 
 
 def test_iterate_yields_every_iteration():
@@ -885,7 +833,7 @@ def test_iterate_yields_every_iteration():
 
 
 SCOPED = {
-    "init_point": ("init_g", lambda ks: init_point(ks, 4)),
+    "init_point": ("_top_eigenvectors", lambda ks: init_point(ks, 4)),
     "fit": ("_kernel_products", lambda ks: fit(ks, SolverConfig(k=4))),
     "fit_kkm": ("_top_eigenvectors", lambda ks: fit_kkm(ks[0], 4)),
     "fit_mkkm": ("_combined_kernel", lambda ks: fit_mkkm(ks, 4)),
@@ -1005,11 +953,13 @@ def test_fit_mkkm_identical_views_uniform_gamma(rng):
 def _ref_fit_mkkm(kernels, clusters, max_iters=SolverConfig.max_iters,
                   rel_tol=SolverConfig.rel_tol):
     """fit_mkkm as it was when it summed a new K_gamma per build, on one
-    numpy BLAS thread as ``fit_mkkm`` runs."""
+    numpy BLAS thread as ``fit_mkkm`` runs. Its eigensolves are the array
+    solves of ``_top_eigenvectors``, as ``fit_mkkm``'s are."""
     V = len(kernels)
     traces = np.array([float(np.trace(K)) for K in kernels])
     gamma = np.full(V, 1.0 / V)
-    H = fit_kkm(sum((g * g) * K for g, K in zip(gamma, kernels)), clusters)
+    H = solver._top_eigenvectors(
+        sum((g * g) * K for g, K in zip(gamma, kernels)), clusters).T
     j_prev = None
     for _ in range(max_iters):
         c = np.array([traces[v] - float(np.sum((H @ kernels[v]) * H))
@@ -1019,7 +969,8 @@ def _ref_fit_mkkm(kernels, clusters, max_iters=SolverConfig.max_iters,
         if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
             break
         j_prev = j
-        H = fit_kkm(sum((g * g) * K for g, K in zip(gamma, kernels)), clusters)
+        H = solver._top_eigenvectors(
+            sum((g * g) * K for g, K in zip(gamma, kernels)), clusters).T
     return H, gamma
 
 
