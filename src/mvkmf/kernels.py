@@ -47,6 +47,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import pdist
 
+from ._blas import released
 from .errors import (
     AsymmetricKernelError,
     BadParamError,
@@ -434,6 +435,7 @@ def normalize_kernel(kernel: KernelMatrix, mode: str = "none") -> KernelMatrix:
     raise BadParamError(f"unknown normalization mode {mode!r}")
 
 
+@released()
 def _cholesky_succeeds(K: np.ndarray) -> bool:
     """Whether K + tau*I has a Cholesky factor, tau = 1e-10 * max(1, |tr K|).
 
@@ -442,7 +444,9 @@ def _cholesky_succeeds(K: np.ndarray) -> bool:
     triangle (``clean=0`` leaves the other one alone). The untouched
     triangle holds the same numbers, so the factored one is copied back from
     it and the saved diagonal is put back: K comes back bit for bit. A
-    read-only K is copied once (f2py would write through it).
+    read-only K is copied once (f2py would write through it). dpotrf runs
+    in scipy's BLAS pool, whose workers are released when it returns or
+    raises (``mvkmf._blas.released``).
     """
     F = K.T if K.flags.writeable else np.array(K.T, order="F")
     A = F.T  # C-ordered: dpotrf writes A's upper triangle

@@ -117,7 +117,8 @@ def ari(labels_true, labels_pred) -> float:
     sum_a = int(comb2(table.sum(axis=1)).sum())
     sum_b = int(comb2(table.sum(axis=0)).sum())
     total = n * (n - 1) // 2
-    expected = sum_a * sum_b / total
+    # one sample has no pairs: expected and maximum index are both 0
+    expected = sum_a * sum_b / total if total else 0.0
     maximum = 0.5 * (sum_a + sum_b)
     if maximum == expected:
         return 1.0 if _partitions_identical(table) else 0.0

@@ -54,8 +54,13 @@ kernels themselves:
   yields. Their numpy products are skinny and bound by memory traffic, and
   a second numpy thread only fights the main thread and scipy's BLAS pool,
   which numpy's does not share. Scipy's pool, which runs the start's
-  ``dsymv`` and gains from its threads, is left as the process set it.
-  mvkmf starts no threads of its own.
+  ``dsymv`` and gains from its threads, keeps the count the process set:
+  one thread would slow the solve. Its workers busy-wait on a core for
+  about 0.1 s after a threaded call, so every eigensolve
+  (``_top_eigenvectors``) stops them when it returns or raises, and
+  OpenBLAS starts them again at the next solve. The release acts on the
+  whole process, so a caller that runs scipy's BLAS on another thread at
+  the same time must not rely on it. mvkmf starts no threads of its own.
 
 The public ``update_g``, ``update_h``, ``per_view_loss`` and ``objective``
 evaluate the paper's block updates and loss by their definitions. The fit
@@ -77,7 +82,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from ._blas import one_thread
+from ._blas import one_thread, released
 from .errors import (
     BadParamError,
     ConvergenceWarning,
@@ -182,6 +187,7 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
+@released()
 def _top_eigenvectors(M, k: int) -> np.ndarray:
     """Columns: the k eigenvectors of symmetric M with largest eigenvalues,
     in descending eigenvalue order, sign-fixed. Raises ``BadParamError``
@@ -192,10 +198,14 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     ``eigsh`` at machine-precision tolerance) computes only the k leading
     eigenpairs from matrix-vector products, O(n^2) each, instead of a full
     O(n^3) decomposition. The start vector is a fixed-seed Gaussian, not
-    all-ones, which lies in the null space of a centered kernel. A dense ``eigh`` runs only where the Krylov basis of
-    max(2k + 1, 20) vectors would span the whole space (this includes
-    k >= n - 1, where ARPACK cannot run) and when ARPACK fails, as it does on
-    the zero matrix.
+    all-ones, which lies in the null space of a centered kernel. A dense
+    ``eigh`` runs only where the Krylov basis of max(2k + 1, 20) vectors
+    would span the whole space (this includes k >= n - 1, where ARPACK
+    cannot run) and when ARPACK fails, as it does on the zero matrix.
+
+    scipy's BLAS workers, which run an operator's ``dsymv``, are released
+    when it returns or raises (``released``), not between products, where
+    their spinning is what makes the threaded ``dsymv`` pay.
     """
     n = M.shape[0]
     if k > n:

@@ -1,8 +1,10 @@
+import ctypes
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from mvkmf import _blas
 from mvkmf.io import RunRecord
@@ -59,6 +61,25 @@ def caller_threads():
         yield control
     finally:
         control.set(before)
+
+
+@pytest.fixture
+def releases(monkeypatch):
+    """A list that gains an entry each time scipy's BLAS pool is released."""
+    calls = []
+    monkeypatch.setattr(_blas, "_release", lambda: lambda: calls.append(1))
+    return calls
+
+
+def scipy_blas_threads():
+    """The thread count of scipy's bundled scipy-openblas, or None where
+    scipy's BLAS is another."""
+    for handle in _blas._bundled(scipy):
+        get = getattr(handle, "scipy_openblas_get_num_threads", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
 
 
 def record_threads(monkeypatch, module, name, control):

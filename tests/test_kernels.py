@@ -364,6 +364,13 @@ def test_validate_clean_identity_kernels():
     assert validate_kernel_set(ks) == (False, False)
 
 
+def test_validate_releases_scipys_pool_after_each_factorization(releases):
+    ks = KernelSet(kernels=(KernelMatrix(np.eye(3), "a"),
+                            KernelMatrix(-np.eye(3), "b")))
+    assert validate_kernel_set(ks) == (False, True)
+    assert len(releases) == 2
+
+
 def test_validate_rejects_sample_count_mismatch():
     # the set itself rejects mixed sample counts, before any validation
     with pytest.raises(DimensionMismatchError, match="sample count: 10 vs 12"):

@@ -122,6 +122,13 @@ def test_ari_zero_denominator_conventions():
     assert ari([0, 1, 2], [2, 0, 1]) == 1.0          # identical all-singletons
 
 
+def test_one_sample_is_an_identical_partition():
+    # one sample has no pairs, so the index takes the degenerate rule
+    assert ari([0], [0]) == ari([3], [7]) == 1.0
+    rep = evaluate([0], [0])
+    assert rep.acc == rep.nmi == rep.purity == rep.ari == 1.0
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 

@@ -1,7 +1,9 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 from mvkmf.errors import (
     AsymmetricKernelError,
@@ -41,6 +43,7 @@ from conftest import (
     random_orthonormal_rows,
     random_psd_kernel,
     record_threads,
+    scipy_blas_threads,
 )
 
 
@@ -885,6 +888,66 @@ def test_scipy_openblas_numpy_has_a_thread_control():
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's BLAS is {blas.get('name')}")
     assert _blas._control() is not None
+
+
+# ---------------------------------------------------------------------------
+# scipy's BLAS workers
+
+
+def test_no_scipy_worker_spins_after_the_start():
+    if _blas._release() is None or (scipy_blas_threads() or 1) == 1:
+        pytest.skip("scipy's BLAS pool has one thread or cannot be released")
+    kernels = rbf_views(600, seed=2)
+    time.sleep(0.3)  # numpy's workers, threaded by the kernel build, go idle
+    init_point(kernels, 4)
+    start = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - start < 0.03
+
+
+def test_each_eigensolve_releases_scipys_pool_once(releases):
+    ks, _ = blob_kernels(1)
+    H = init_point(ks, 4)
+    fit_kkm(ks.kernels[0], 4)
+    assert len(releases) == 2
+    fit(ks, SolverConfig(k=4), init=H)
+    assert len(releases) == 2
+    fit(ks, SolverConfig(k=4))
+    assert len(releases) == 3
+
+
+def test_release_runs_on_the_dense_path_and_on_a_raise(releases):
+    solver._top_eigenvectors(np.eye(6), 2)  # n <= 20: a dense eigh
+    assert len(releases) == 1
+    with pytest.raises(NonFiniteError, match="products overflow"):
+        init_point([KernelMatrix(np.full((30, 30), 1e308), v) for v in "ab"],
+                   2)
+    assert len(releases) == 2
+    with pytest.raises(BadParamError):
+        init_point([np.eye(3)], 4)
+    assert len(releases) == 3
+
+
+def test_a_released_solve_keeps_scipys_thread_count_and_bits(monkeypatch):
+    before = scipy_blas_threads()
+    if before is None:
+        pytest.skip("scipy's BLAS is not a scipy-openblas")
+    kernels = rbf_views(600, seed=2)
+    with monkeypatch.context() as m:
+        m.setattr(_blas, "_release", lambda: None)
+        kept = init_point(kernels, 4)
+    H = init_point(kernels, 4)
+    assert scipy_blas_threads() == before
+    again = init_point(kernels, 4)  # on workers started again
+    assert np.array_equal(H, kept) and np.array_equal(H, again)
+
+
+def test_scipy_openblas_scipy_can_be_released():
+    # a change of the wheel's layout must not turn the release off unseen
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"scipy's BLAS is {blas.get('name')}")
+    assert _blas._release() is not None
 
 
 # ---------------------------------------------------------------------------
