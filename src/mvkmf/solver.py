@@ -20,20 +20,26 @@ the fitted H (see ``mvkmf.kmeans``). A fit is one start, one step, one stop:
 
 - Start (``init_point``): H holds the top-k eigenvectors of sum_v K_v, the
   kernel k-means embedding of the summed kernel; omega is uniform.
-- Step: a generalized power iteration (Nie, Zhang and Li, Sci. China Inf.
-  Sci. 60, 2017) on M_omega, then the weight update. As M_v H^T =
-  K_v P_v + 2 alpha P_v,
-
-      H <- polar((sum_v omega_v^2 (K_v P_v + 2 alpha P_v + s_v H^T))^T),
-
-  with s_v = 0 for a view that is PSD by construction (a built kernel, see
-  ``mvkmf.kernels``) and alpha^2 for any other, since
-  M_v + alpha^2 I = (K_v + alpha I)^2 is PSD for every symmetric K_v. On a
-  PSD matrix the step cannot lower tr(H M H^T), so J never rises.
-- Stop: once the relative eigen-residual r = ||Y - H^T (H Y)||_F / ||H Y||_F,
-  Y = sum_v omega_v^2 M_v H^T (also the next step's matrix), is below
+- Step: a Rayleigh-Ritz step on M_omega, then the weight update. H^T
+  becomes the top-k Ritz vectors of M_omega on the block S = [H^T, Q, W]:
+  Q is an orthonormal basis of the eigen-residual R = Y - H^T (H Y),
+  Y = M_omega H^T, and W one of the last step's direction, the part of
+  the last step's new H^T outside the H^T before it. This is the block of
+  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001). H^T lies in S, so
+  tr(H M_omega H^T) cannot fall for any symmetric K_v and J never rises:
+  no kernel needs to be PSD, and no shift is added. A direction of R or of
+  the last step that holds almost nothing off the rest of S is left out of
+  it, and S holds at most n - k directions besides H^T, so at k = n H does
+  not move (``_new_directions``).
+- Stop: once the relative eigen-residual r = ||R||_F / ||H Y||_F is below
   ``rel_tol``. A fit that reaches ``max_iters`` first warns with
   ``ConvergenceWarning``.
+
+The step replaces a generalized power iteration (Nie, Zhang and Li, Sci.
+China Inf. Sci. 60, 2017), whose rate tends to 1 as alpha grows and which
+needed an alpha^2 shift for kernels not known to be PSD. The start, the
+stop and the fixed point are the same; the iterates, and so the bits of a
+fit, are not.
 
 Cost. A fit does no O(n^3) work and allocates no n x n matrix beyond the
 kernels themselves:
@@ -44,10 +50,15 @@ kernels themselves:
   of K_v. It does not depend on alpha, so fits over an alpha grid share
   one, and ``fit_kkm`` is the same solve on one view.
 - Because H H^T = I, d_v = ||K_v||^2 - ||P_v||^2 + alpha / (1 + alpha)
-  ||P_v - H^T||^2, O(nk) given P_v. So an iteration needs P_v for the new
-  H and K_v P_v for the next step, O(n^2 k) per view. That is bound by
-  reading the kernels, so both come from one pass over K_v in row blocks
-  of at most 1 MiB (``_kernel_products``). The residual costs O(n k^2).
+  ||P_v - H^T||^2, O(nk) given P_v = K_v H^T, and
+  Y = sum_v omega_v^2 (K_v P_v + 2 alpha P_v). A step needs K_v Q and
+  K_v K_v Q, O(n^2 k) per view. That is bound by reading the kernels, so
+  both come from one pass over K_v in row blocks of at most 1 MiB
+  (``_kernel_products``). Every other product of the step is a
+  combination of ones already known: those of W combine those of the last
+  step's block, and the new P_v and K_v P_v combine those of S. So a fit
+  makes one pass over each kernel at its start and one per iteration. The
+  rest of a step costs O(n k^2).
 - ``init_point``, ``fit``, ``fit_kkm``, ``fit_mkkm`` and each step of
   ``iterate`` run numpy's BLAS on one thread (``mvkmf._blas``) and restore
   the caller's count on return, on a raise and between ``iterate``'s
@@ -100,6 +111,9 @@ LANCZOS_SEED = 0
 # largest row block of a kernel that ``_kernel_products`` multiplies twice
 # while it stays in cache
 _BLOCK_BYTES = 2 ** 20
+# the H step leaves out a direction that keeps less than this share of the
+# size of the block it comes from once projected off the others
+_DIRECTION_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -324,14 +338,15 @@ def _reduced_loss(k_sq: float, P_v: np.ndarray, H: np.ndarray,
             + alpha / (1.0 + alpha) * _sq_norm(P_v - H.T))
 
 
-def _kernel_products(K: np.ndarray, Ht: np.ndarray):
-    """(K H^T, K K H^T) for a ``KernelMatrix``'s array K in one pass over K.
+def _kernel_products(K: np.ndarray, X: np.ndarray):
+    """(K X, K K X) for a ``KernelMatrix``'s array K and an n x c block X,
+    in one pass over K.
 
-    Row block J of K (at most ``_BLOCK_BYTES``) gives P[J] = K[J, :] H^T,
-    then adds K[J, :]^T P[J] to K P while the block is still in cache. For
+    Row block J of K (at most ``_BLOCK_BYTES``) gives P[J] = K[J, :] X, then
+    adds K[J, :]^T P[J] to K P while the block is still in cache. For
     symmetric K that sum is K P exactly in real arithmetic; in floating
     point it differs from the two-pass product at roundoff only. A kernel
-    that fits one block takes the two plain products ``K @ H^T`` and
+    that fits one block takes the two plain products ``K @ X`` and
     ``K @ P``. A product that overflows is left as Inf or NaN, without a
     ``RuntimeWarning``, for the loss check of ``_losses`` to report.
     """
@@ -339,20 +354,22 @@ def _kernel_products(K: np.ndarray, Ht: np.ndarray):
     rows = max(1, _BLOCK_BYTES // (8 * n))
     with np.errstate(over="ignore", invalid="ignore"):
         if rows >= n:
-            P = K @ Ht
+            P = K @ X
             return P, K @ P
-        P = np.empty((n, Ht.shape[1]))
+        P = np.empty((n, X.shape[1]))
         KP = np.zeros_like(P)
         for i in range(0, n, rows):
             B = K[i:i + rows]
-            np.matmul(B, Ht, out=P[i:i + rows])
+            np.matmul(B, X, out=P[i:i + rows])
             KP += B.T @ P[i:i + rows]
     return P, KP
 
 
-def _products(kernels, H: np.ndarray):
-    """P_v = K_v H^T and KP_v = K_v P_v of every view, as two tuples."""
-    return zip(*(_kernel_products(K.data, H.T) for K in kernels))
+def _products(kernels, X: np.ndarray):
+    """(K_v X, K_v K_v X) of every view for an n x c block X, as two
+    V x n x c arrays."""
+    P, KP = zip(*(_kernel_products(K.data, X) for K in kernels))
+    return np.stack(P), np.stack(KP)
 
 
 def _losses(k_sq, P, H: np.ndarray, alpha: float) -> np.ndarray:
@@ -368,27 +385,95 @@ def _losses(k_sq, P, H: np.ndarray, alpha: float) -> np.ndarray:
 def _state(H: np.ndarray, P, omega: np.ndarray, trace,
            alpha: float) -> SolverState:
     """The state at H, with G_v = G*(H) = (P_v + alpha H^T) / (1 + alpha)."""
-    G = tuple((P_v + alpha * H.T) / (alpha + 1.0) for P_v in P)
+    G = tuple((P + alpha * H.T) / (alpha + 1.0))
     return SolverState(H=H, G=G, omega=omega, objective_trace=np.array(trace))
 
 
 def _eigen_products(P, KP, omega: np.ndarray, alpha: float) -> np.ndarray:
-    """Y = M_omega H^T = sum_v omega_v^2 (K_v P_v + 2 alpha P_v), n x k."""
-    Y = np.zeros_like(P[0])
-    for P_v, KP_v, w in zip(P, KP, omega):
-        Y += (w * w) * (KP_v + 2.0 * alpha * P_v)
-    return Y
+    """M_omega X = sum_v omega_v^2 (K_v K_v X + 2 alpha K_v X), n x c, from
+    the V x n x c products P = K_v X and KP = K_v K_v X."""
+    w2 = omega * omega
+    return (w2 @ (KP + (2.0 * alpha) * P).reshape(w2.size, -1)
+            ).reshape(P.shape[1:])
 
 
-def _residual(Y: np.ndarray, H: np.ndarray) -> float:
-    """The relative eigen-residual ||Y - H^T (H Y)||_F / ||H Y||_F of
-    Y = M H^T: 0 exactly when the rows of H span an invariant subspace of
-    M. O(n k^2)."""
+def _residual(Y: np.ndarray, H: np.ndarray):
+    """(R, r) for Y = M H^T: the eigen-residual R = Y - H^T (H Y) and its
+    relative size r = ||R||_F / ||H Y||_F, 0 exactly when the rows of H
+    span an invariant subspace of M. O(n k^2)."""
     HY = H @ Y
-    num, den = _sq_norm(Y - H.T @ HY), _sq_norm(HY)
+    R = Y - H.T @ HY
+    num, den = _sq_norm(R), _sq_norm(HY)
     if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return math.sqrt(num / den)
+        return R, 0.0 if num == 0.0 else math.inf
+    return R, math.sqrt(num / den)
+
+
+def _new_directions(B: np.ndarray, S: np.ndarray):
+    """(X, C, T) with X = (B - S C) T an orthonormal basis of the part of B
+    orthogonal to the orthonormal columns of S, or None when that part is
+    roundoff.
+
+    B is projected off S twice, which leaves it orthogonal to S to roundoff.
+    Of its singular directions, those with a singular value above
+    ``_DIRECTION_TOL`` ||B||_F are kept, at most as many as S leaves room
+    for in n dimensions; T = V diag(1 / s) of those. The bound keeps T from
+    amplifying the roundoff of B - S C, or of products of B carried along
+    with it, by more than 1 / ``_DIRECTION_TOL``. O(n c^2) for the n x c
+    block [S, B].
+    """
+    limit = _DIRECTION_TOL * math.sqrt(_sq_norm(B))
+    C = S.T @ B
+    B = B - S @ C
+    C2 = S.T @ B
+    B -= S @ C2
+    C += C2
+    _, sv, Vt = np.linalg.svd(B, full_matrices=False)
+    m = min(S.shape[0] - S.shape[1], int(np.count_nonzero(sv > limit)))
+    if m == 0:
+        return None
+    T = Vt[:m].T / sv[:m]
+    return B @ T, C, T
+
+
+def _ritz_step(kernels, H, P, KP, D, R, omega, alpha):
+    """The H step: the top-k Ritz vectors of M_omega on the block
+    S = [H^T, Q, W]. Returns the new (H, P, KP, D), or (H, P, KP, None) when
+    ``_new_directions`` finds no direction of the residual R off H^T.
+
+    Q holds the new directions of R and W those of D, the last step's
+    direction, off [H^T, Q] (``_new_directions``). D is None on the first
+    step, else (D, K_v D, K_v K_v D). One pass over each kernel gives K_v Q
+    and K_v K_v Q; W = (D - [H^T, Q] C) T, so its products are the same
+    combination of those of D, H^T and Q, and need no pass. M_omega S =
+    sum_v omega_v^2 (K_v K_v S + 2 alpha K_v S) completes S^T M_omega S,
+    whose top-k eigenvectors Z give the new H^T = S Z, with K_v H^T and
+    K_v K_v H^T the same combination of those of S. The new D is S Z minus
+    its part in the old H^T, [Q, W] Z[k:].
+    """
+    found = _new_directions(R, H.T)
+    if found is None:
+        return H, P, KP, None
+    Q = found[0]
+    k = H.shape[0]
+    PQ, KQ = _products(kernels, Q)
+    S = np.hstack([H.T, Q])
+    PS = np.concatenate([P, PQ], axis=2)
+    KS = np.concatenate([KP, KQ], axis=2)
+    if D is not None:
+        D, PD, KD = D
+        found = _new_directions(D, S)
+        if found is not None:
+            W, C, T = found
+            PS, KS = (np.concatenate([B, (BD - B @ C) @ T], axis=2)
+                      for B, BD in ((PS, PD), (KS, KD)))
+            S = np.hstack([S, W])
+    # eigh reads the lower triangle
+    A = S.T @ _eigen_products(PS, KS, omega, alpha)
+    Z = np.linalg.eigh(A)[1][:, :-k - 1:-1]
+    Zd = Z[k:]
+    D = (S[:, k:] @ Zd, PS[:, :, k:] @ Zd, KS[:, :, k:] @ Zd)
+    return Z.T @ S.T, PS @ Z, KS @ Z, D
 
 
 def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
@@ -463,7 +548,7 @@ def _start(kernels, cfg: SolverConfig, init: np.ndarray | None):
             f"start H {H.shape} vs k={cfg.k}, n={n}")
     omega = np.full(len(kernels), 1.0 / len(kernels))
     k_sq = [_sq_norm(K.data) for K in kernels]
-    P, KP = _products(kernels, H)
+    P, KP = _products(kernels, H.T)
     d = _losses(k_sq, P, H, cfg.alpha)
     state = _state(H, P, omega, [float(np.sum(omega * omega * d))], cfg.alpha)
     return state, k_sq, P, KP
@@ -475,12 +560,13 @@ def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
     yielded, but every yielded objective_trace begins with the start
     objective.
 
-    Each iteration is the step of the module docstring: the H step, the
-    products P_v = K_v H^T and K_v P_v for the new H from one pass over
-    each kernel, the losses d_v from them and the weight update, O(n^2 k)
-    per view, with no n x n temporary. After each yield the fit stops once
-    the eigen-residual r < cfg.rel_tol. When cfg.max_iters (at least 1)
-    iterations run out first, it warns with ``ConvergenceWarning``.
+    Each iteration is the step of the module docstring: the Ritz step
+    (``_ritz_step``), which makes one pass over each kernel and returns
+    P_v = K_v H^T and K_v P_v for the new H, the losses d_v from them and
+    the weight update, O(n^2 k) per view, with no n x n temporary. After
+    each yield the fit stops once the eigen-residual r < cfg.rel_tol. When
+    cfg.max_iters (at least 1) iterations run out first, it warns with
+    ``ConvergenceWarning``.
 
     Deterministic: identical inputs replay the identical sequence.
     """
@@ -491,13 +577,11 @@ def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
         H, omega = state.H, state.omega
         trace = list(state.objective_trace)
         Y = _eigen_products(P, KP, omega, alpha)
-    # views not known to be PSD shift M_v by alpha^2 I
-    shift = np.array([0.0 if K._psd_by_construction else alpha * alpha
-                      for K in kernels])
+        R, r = _residual(Y, H)
+    D = None
     for _ in range(cfg.max_iters):
         with one_thread():
-            H = _polar((Y + float(omega * omega @ shift) * H.T).T)
-            P, KP = _products(kernels, H)
+            H, P, KP, D = _ritz_step(kernels, H, P, KP, D, R, omega, alpha)
             d = _losses(k_sq, P, H, alpha)
             omega = update_weights(d)
             trace.append(float(np.sum(omega * omega * d)))
@@ -505,7 +589,7 @@ def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
         yield state
         with one_thread():
             Y = _eigen_products(P, KP, omega, alpha)
-            r = _residual(Y, H)
+            R, r = _residual(Y, H)
         if r < cfg.rel_tol:
             return
     if cfg.max_iters:

@@ -27,6 +27,20 @@ def synth(tmp_path, name="toy", per=10, clusters=3, views=2, kernel="rbf",
     return out / "manifest.json"
 
 
+def kernel_file_manifest(mpath, kernels_dir):
+    """A manifest of the kernel files that ``mvkmf kernels`` wrote to
+    ``kernels_dir`` for the dataset of ``mpath``."""
+    manifest = json.loads(mpath.read_text())
+    for view in manifest["views"]:
+        view.pop("kernel_spec", None)
+        view.pop("features")
+        view["kernel"] = f"K_{view['name']}.mvk1"
+    manifest["labels"] = str(mpath.parent / manifest["labels"])
+    kpath = kernels_dir / "manifest.json"
+    kpath.write_text(json.dumps(manifest))
+    return kpath
+
+
 def write_kernel_dataset(root, name, kernel):
     """Two-cluster manifest with one precomputed view, ``kernel``."""
     from mvkmf.io import write_labels, write_matrix
@@ -140,14 +154,7 @@ def test_kernels_estimates_each_view_once(tmp_path, monkeypatch):
     # the kernel files just written, read back as precomputed kernels, are
     # factored once per view (load_dataset leaves the health report to the
     # command) and get the same verdicts
-    manifest = json.loads(mpath.read_text())
-    for view in manifest["views"]:
-        view.pop("kernel_spec", None)
-        view.pop("features")
-        view["kernel"] = f"K_{view['name']}.mvk1"
-    manifest["labels"] = str(mpath.parent / manifest["labels"])
-    kpath = out / "manifest.json"
-    kpath.write_text(json.dumps(manifest))
+    kpath = kernel_file_manifest(mpath, out)
     kout = tmp_path / "kout2"
     assert main(["kernels", "--manifest", str(kpath), "--out", str(kout),
                  "--quiet"]) == 0
@@ -281,6 +288,36 @@ def test_fit_writes_artifacts_and_recovers(tmp_path):
     assert np.all(np.diff(trace[:, 0]) <= 1e-9)
     omega = read_matrix(out / "omega.csv")
     assert omega.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [16.0, 128.0, 512.0])
+def test_kernel_files_converge_like_built_kernels(tmp_path, alpha):
+    # kernel files and raw arrays carry no PSD mark, and the step needs
+    # none: they stop within one iteration of the built kernels, and
+    # without ConvergenceWarning (an error under this suite's settings)
+    from mvkmf.io import load_dataset, load_manifest
+    from mvkmf.solver import SolverConfig, fit
+
+    mpath = tmp_path / "data" / "manifest.json"
+    assert main(["synth", "--seed", "1", "--per-cluster", "30",
+                 "--clusters", "4", "--separation", "2.5",
+                 "--out", str(mpath.parent), "--quiet"]) == 0
+    kdir = tmp_path / "kernels"
+    assert main(["kernels", "--manifest", str(mpath), "--out", str(kdir),
+                 "--quiet"]) == 0
+    kpath = kernel_file_manifest(mpath, kdir)
+    runs = {}
+    for name, manifest in (("built", mpath), ("file", kpath)):
+        out = tmp_path / name
+        assert main(["fit", "--manifest", str(manifest), "--alpha",
+                     str(alpha), "--out", str(out), "--quiet"]) == 0
+        [runs[name]] = read_run_records(out / "records.jsonl")
+    built = runs["built"].iterations
+    assert runs["file"].iterations <= built + 1
+    ks, _ = load_dataset(load_manifest(mpath))
+    state = fit([K.data.copy() for K in ks.kernels],
+                SolverConfig(k=4, alpha=alpha))
+    assert state.objective_trace.size - 1 <= built + 1
 
 
 def test_fit_deterministic_across_invocations(tmp_path):
@@ -813,9 +850,9 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
             # warned
             ks, cfg = args[:2]
             if not caught:
-                P, KP = solver._products(ks.kernels, state.H)
+                P, KP = solver._products(ks.kernels, state.H.T)
                 Y = solver._eigen_products(P, KP, state.omega, cfg.alpha)
-                assert solver._residual(Y, state.H) < cfg.rel_tol
+                assert solver._residual(Y, state.H)[1] < cfg.rel_tol
             return state
         return wrapper
 

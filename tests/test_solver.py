@@ -371,47 +371,90 @@ def frozen_init_state(kernels, cfg):
 
 @_blas.one_thread()
 def frozen_states(ks, cfg, init=None):
-    """Frozen copy of the fit as a two-pass loop: K_v H^T and K_v P_v each
-    a full product, the step matrix, the losses, the weights and the
-    residual stop written out in turn. Returns the start and every state
-    after it. Runs numpy's BLAS on one thread, as ``fit`` does."""
+    """Frozen copy of the fit written out in turn: the Ritz step on
+    [H^T, Q, W], with K_v Q and K_v K_v Q each a full product and every
+    other product formed from known ones as the fit forms them, then the
+    losses, the weights and the residual stop. Returns the start and every
+    state after it. Runs numpy's BLAS on one thread, as ``fit`` does."""
     from mvkmf.solver import (
+        _DIRECTION_TOL,
         _kernel_list,
-        _polar,
         _reduced_loss,
-        _residual,
         _sq_norm,
     )
 
     kernels = _kernel_list(ks)
     arrays = [K.data for K in kernels]
-    alpha = cfg.alpha
-    shift = np.array([0.0 if K._psd_by_construction else alpha * alpha
-                      for K in kernels])
-    H = init_point(kernels, cfg.k) if init is None else init
+    alpha, k = cfg.alpha, cfg.k
+    n = arrays[0].shape[0]
+
+    def products(X):
+        P = np.stack([K @ X for K in arrays])
+        return P, np.stack([K @ P_v for K, P_v in zip(arrays, P)])
+
+    def m_times(P, KP, omega):
+        w2 = omega * omega
+        return (w2 @ (KP + (2.0 * alpha) * P).reshape(w2.size, -1)
+                ).reshape(P.shape[1:])
+
+    def new_directions(B, S):
+        limit = _DIRECTION_TOL * np.sqrt(_sq_norm(B))
+        C = S.T @ B
+        B = B - S @ C
+        C2 = S.T @ B
+        B -= S @ C2
+        C += C2
+        _, sv, Vt = np.linalg.svd(B, full_matrices=False)
+        m = min(n - S.shape[1], int(np.count_nonzero(sv > limit)))
+        if m == 0:
+            return None
+        T = Vt[:m].T / sv[:m]
+        return B @ T, C, T
+
+    H = init_point(kernels, k) if init is None else init
     k_sq = [_sq_norm(K) for K in arrays]
+    P, KP = products(H.T)
     omega = np.full(len(arrays), 1.0 / len(arrays))
+    D = None
     trace = []
     states = []
     for t in range(cfg.max_iters + 1):
+        Y = m_times(P, KP, omega)
+        HY = H @ Y
+        R = Y - H.T @ HY
+        if t > 1 and np.sqrt(_sq_norm(R) / _sq_norm(HY)) < cfg.rel_tol:
+            break
         if t:
-            A = Y + float(omega * omega @ shift) * H.T
-            H = _polar(A.T)
-        P = [K @ H.T for K in arrays]
-        KP = [K @ P_v for K, P_v in zip(arrays, P)]
+            found = new_directions(R, H.T)
+            if found is None:
+                D = None
+            else:
+                Q = found[0]
+                PQ, KQ = products(Q)
+                S = np.hstack([H.T, Q])
+                PS = np.concatenate([P, PQ], axis=2)
+                KS = np.concatenate([KP, KQ], axis=2)
+                if D is not None:
+                    D, PD, KD = D
+                    found = new_directions(D, S)
+                    if found is not None:
+                        W, C, T = found
+                        PS = np.concatenate([PS, (PD - PS @ C) @ T], axis=2)
+                        KS = np.concatenate([KS, (KD - KS @ C) @ T], axis=2)
+                        S = np.hstack([S, W])
+                A = S.T @ m_times(PS, KS, omega)
+                Z = np.linalg.eigh(A)[1][:, :-k - 1:-1]
+                D = (S[:, k:] @ Z[k:], PS[:, :, k:] @ Z[k:],
+                     KS[:, :, k:] @ Z[k:])
+                H, P, KP = Z.T @ S.T, PS @ Z, KS @ Z
         d = np.array([_reduced_loss(s, P_v, H, alpha)
                       for s, P_v in zip(k_sq, P)])
         if t:
             omega = update_weights(d)
         trace.append(float(np.sum(omega * omega * d)))
-        G = tuple((P_v + alpha * H.T) / (alpha + 1.0) for P_v in P)
+        G = tuple((P + alpha * H.T) / (alpha + 1.0))
         states.append(SolverState(H=H, G=G, omega=omega,
                                   objective_trace=np.array(trace)))
-        Y = np.zeros_like(P[0])
-        for P_v, KP_v, w in zip(P, KP, omega):
-            Y += (w * w) * (KP_v + 2.0 * alpha * P_v)
-        if t and _residual(Y, H) < cfg.rel_tol:
-            break
     return states
 
 
@@ -425,10 +468,9 @@ def assert_same_state(a, b):
 
 
 def init_point_cases():
-    """(kernels, k): a separable synthetic set of built kernels, which take
-    the unshifted step, and raw symmetric indefinite kernels, which take the
-    shifted one. Both are large enough that ``init_point`` takes the Lanczos
-    path."""
+    """(kernels, k): a separable synthetic set of built kernels, and raw
+    symmetric indefinite kernels, which carry no PSD mark. Both are large
+    enough that ``init_point`` takes the Lanczos path."""
     ks, _ = blob_kernels(11, n_per=15, clusters=4, views=3)
     rng = np.random.default_rng(7)
     indefinite = []
@@ -457,7 +499,6 @@ def test_init_state_with_and_without_point_matches_frozen_reference():
                                       np.full(len(kernels), 1 / len(kernels)))
 
 
-@pytest.mark.filterwarnings("ignore::mvkmf.errors.ConvergenceWarning")
 def test_iterate_and_fit_match_frozen_two_call_path():
     for kernels, k in init_point_cases():
         point = init_point(kernels, k)
@@ -764,7 +805,9 @@ def test_solver_entry_rejects_bad_shapes(call, error):
 
 def hostile_fit_cases():
     """(kernels, k) at n = 60, where the seed eigensolve takes the Lanczos
-    path (except k = n, which leaves it no room)."""
+    path (except for k close to n, which leaves it no room). At k = 40 the
+    Ritz block [H^T, Q, W] could hold 3k > n directions, at k = n - 1 the
+    residual has one usable direction, and at k = n none."""
     n = 60
     rng = np.random.default_rng(31)
 
@@ -783,6 +826,8 @@ def hostile_fit_cases():
         "indefinite": ([(S + S.T) / 2.0, psd(n)], 4),
         "zero_view": ([np.zeros((n, n)), psd(n)], 4),
         "identical_views": ([K, K.copy()], 4),
+        "k_is_n_minus_1": ([psd(n), (S + S.T) / 2.0], n - 1),
+        "k_close_to_n": ([psd(n), (S + S.T) / 2.0], 40),
     }
 
 
@@ -806,12 +851,10 @@ def test_fit_on_hostile_kernels(name, alpha):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         state = fit(kernels, cfg)
-    # the raw indefinite view takes the shifted step, whose rate on this
-    # spectrum does not reach rel_tol in 100 iterations; nothing else warns
-    expected = [ConvergenceWarning] if name == "indefinite" else []
-    assert [w.category for w in caught] == expected
-    if not caught:
-        assert residual(kernels, state, alpha) < cfg.rel_tol
+    # no case warns: the step needs no shift for an indefinite view, and
+    # each reaches rel_tol before the cap
+    assert [w.category for w in caught] == []
+    assert residual(kernels, state, alpha) < cfg.rel_tol
     trace = state.objective_trace
     assert np.all(np.isfinite(trace))
     # non-increasing up to roundoff in the objective's last digits
@@ -819,6 +862,37 @@ def test_fit_on_hostile_kernels(name, alpha):
     assert np.max(np.abs(state.H @ state.H.T - np.eye(k))) < 1e-10
     assert np.all(state.omega >= 0.0)
     assert abs(state.omega.sum() - 1.0) < 1e-12
+
+
+def test_new_directions_keep_only_the_room_left():
+    # the block of the Ritz step holds at most n - k directions besides
+    # H^T, and none that B holds almost nothing of off S
+    rng = np.random.default_rng(3)
+    n = 12
+    full = random_orthonormal_rows(rng, n, n).T
+    B = rng.standard_normal((n, 3))
+    assert solver._new_directions(B, full) is None
+    S = full[:, :n - 1]
+    X, C, T = solver._new_directions(B, S)
+    assert X.shape == (n, 1)
+    assert np.allclose(X, (B - S @ C) @ T, rtol=0, atol=1e-14)
+    assert abs(abs(X[:, 0] @ full[:, -1]) - 1.0) < 1e-14
+    S = full[:, :4]
+    for inside in (np.zeros((n, 3)), S @ rng.standard_normal((4, 3))):
+        assert solver._new_directions(inside, S) is None
+    X, _, _ = solver._new_directions(np.hstack([B, B]), S)
+    assert X.shape == (n, 3)
+    assert np.max(np.abs(X.T @ X - np.eye(3))) < 1e-14
+    assert np.max(np.abs(S.T @ X)) < 1e-14
+
+
+def test_fit_at_k_equals_n_keeps_the_start():
+    # H^T then spans the whole space: the step has no direction to add, H
+    # stays the start and only the weights move
+    kernels, k = HOSTILE_FITS["k_equals_n"]
+    state = fit(kernels, SolverConfig(k=k, alpha=16.0))
+    assert np.array_equal(state.H, init_point(kernels, k))
+    assert state.objective_trace.size == 2
 
 
 def test_iterate_yields_every_iteration():

@@ -1,11 +1,12 @@
 """The fit of ``iterate`` against dense references and the unified form.
 
 ``fit`` evaluates each view's loss at G*(H) from P = K H^T alone
-(``_reduced_loss``) and takes its H step and residual from the n x k
-products K P and P, starting from Lanczos eigenvectors. The reference below
-forms M_v = K_v^2 + 2 alpha K_v, starts from a dense ``eigh`` and evaluates
-the loss through the public ``update_g`` / ``per_view_loss`` /
-``update_weights`` with n x n residuals. Both must take the same steps.
+(``_reduced_loss``) and takes its Ritz step and residual from n x k
+products that it carries from step to step, starting from Lanczos
+eigenvectors. The reference below forms M_omega densely, starts from a
+dense ``eigh`` and evaluates the loss through the public ``update_g`` /
+``per_view_loss`` / ``update_weights`` with n x n residuals. Both must take
+the same steps.
 
 The other tests pin the unified form J(H, omega) of the module docstring:
 its value, its fixed point, its monotone trace and its independence of the
@@ -40,14 +41,25 @@ def dense_m(K, alpha):
     return K @ K + 2.0 * alpha * K
 
 
-def reference_fit(kernels, cfg, shifted):
+def dense_basis(B, S):
+    """Orthonormal basis of the left singular vectors of B, projected off
+    the orthonormal columns of S, whose singular value exceeds the step's
+    share of ||B||_F; None when there are none."""
+    limit = solver._DIRECTION_TOL * np.linalg.norm(B)
+    B = B - S @ (S.T @ B)
+    B = B - S @ (S.T @ B)
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    m = min(B.shape[0] - S.shape[1], int(np.count_nonzero(s > limit)))
+    return U[:, :m] if m else None
+
+
+def reference_fit(kernels, cfg):
     """Dense-eigh start plus the step, loss and stop of the module
-    docstring, with dense M_v and the public loss; ``shifted`` takes
-    s_v = alpha^2 for every view."""
+    docstring, with dense M_omega and the public loss: the top-k Ritz
+    vectors of M_omega on [H^T, Q, W], Q and W plain singular vectors."""
     k, alpha = cfg.k, cfg.alpha
     arrays = [K.data for K in kernels]
     M = [dense_m(K, alpha) for K in arrays]
-    shift = alpha * alpha if shifted else 0.0
     _, vecs = np.linalg.eigh(sum(arrays))
     H = solver._fix_column_signs(vecs[:, ::-1][:, :k]).T
 
@@ -55,19 +67,34 @@ def reference_fit(kernels, cfg, shifted):
         return np.array([per_view_loss(K, update_g(K, H, alpha), H, alpha)
                          for K in arrays])
 
+    def eigen_residual(H, omega):
+        Mw = sum((w * w) * M_v for M_v, w in zip(M, omega))
+        Y = Mw @ H.T
+        R = Y - H.T @ (H @ Y)
+        return Mw, R, np.linalg.norm(R) / np.linalg.norm(H @ Y)
+
     omega = np.full(len(arrays), 1.0 / len(arrays))
     trace = [float(np.sum(omega * omega * losses(H)))]
+    D = None
     for _ in range(cfg.max_iters):
-        A = sum((w * w) * (M_v @ H.T + shift * H.T)
-                for M_v, w in zip(M, omega))
-        U, _, Vt = np.linalg.svd(A.T, full_matrices=False)
-        H = U @ Vt
+        Mw, R, _ = eigen_residual(H, omega)
+        Q = dense_basis(R, H.T)
+        if Q is None:
+            D = None
+        else:
+            S = np.hstack([H.T, Q])
+            if D is not None:
+                W = dense_basis(D, S)
+                if W is not None:
+                    S = np.hstack([S, W])
+            _, Z = np.linalg.eigh(S.T @ Mw @ S)
+            Z = Z[:, ::-1][:, :k]
+            D = S[:, k:] @ Z[k:]
+            H = (S @ Z).T
         d = losses(H)
         omega = update_weights(d)
         trace.append(float(np.sum(omega * omega * d)))
-        Y = sum((w * w) * (M_v @ H.T) for M_v, w in zip(M, omega))
-        HY = H @ Y
-        if np.linalg.norm(Y - H.T @ HY) / np.linalg.norm(HY) < cfg.rel_tol:
+        if eigen_residual(H, omega)[2] < cfg.rel_tol:
             break
     return H, omega, np.array(trace)
 
@@ -89,23 +116,22 @@ def instance():
 
 @pytest.mark.parametrize("alpha", [1.0, 16.0, 512.0])
 def test_fit_matches_reference_loop(instance, alpha):
-    # built kernels take the unshifted step; their raw arrays, which carry
-    # no PSD mark, the shifted one
+    # built kernels carry the PSD mark and their raw arrays do not; the
+    # step reads no mark, so both take the same one
     cfg = SolverConfig(k=4, alpha=alpha)
-    for kernels, shifted in ((instance, False),
-                             ([K.data for K in instance], True)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            state = fit(kernels, cfg)
-        H_ref, omega_ref, trace_ref = reference_fit(instance, cfg, shifted)
+    state = fit(instance, cfg)
+    raw = fit([K.data for K in instance], cfg)
+    assert np.array_equal(raw.H, state.H)
+    assert np.array_equal(raw.objective_trace, state.objective_trace)
+    H_ref, omega_ref, trace_ref = reference_fit(instance, cfg)
 
-        assert state.objective_trace.shape == trace_ref.shape
-        gap = np.abs(state.objective_trace - trace_ref) / np.abs(trace_ref)
-        assert gap.max() <= 1e-10
-        assert np.max(np.abs(state.omega - omega_ref)) <= 1e-12
-        km = KMeansConfig(k=4, restarts=20, seed=0)
-        assert np.array_equal(kmeans(state.H, km).labels,
-                              kmeans(H_ref, km).labels)
+    assert state.objective_trace.shape == trace_ref.shape
+    gap = np.abs(state.objective_trace - trace_ref) / np.abs(trace_ref)
+    assert gap.max() <= 1e-10
+    assert np.max(np.abs(state.omega - omega_ref)) <= 1e-12
+    km = KMeansConfig(k=4, restarts=20, seed=0)
+    assert np.array_equal(kmeans(state.H, km).labels,
+                          kmeans(H_ref, km).labels)
 
 
 def test_fused_loss_matches_per_view_loss(instance):
@@ -196,33 +222,53 @@ def test_fit_reaches_the_dense_fixed_point():
 
 
 @pytest.mark.parametrize("alpha", [1.0, 16.0, 128.0, 512.0])
-def test_shifted_step_is_monotone_on_an_indefinite_kernel(alpha):
-    # a raw indefinite kernel carries no PSD mark, so the fit shifts every
-    # M_v by alpha^2 I, which keeps the step monotone where M_omega is not
-    # PSD
+def test_step_is_monotone_on_an_indefinite_kernel(alpha):
+    # a raw indefinite kernel makes M_omega indefinite. The Ritz step keeps
+    # H^T in its block, so it needs no shift to be monotone, and it reaches
+    # rel_tol before the cap (a ConvergenceWarning is an error here)
     rng = np.random.default_rng(8)
     S = rng.standard_normal((60, 60))
     X = rng.standard_normal((5, 60))
     kernels = [(S + S.T) / 2.0, X.T @ X]
     assert np.linalg.eigvalsh(dense_m(kernels[0], alpha))[0] < 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        trace = fit(kernels, SolverConfig(k=4, alpha=alpha)).objective_trace
+    trace = fit(kernels, SolverConfig(k=4, alpha=alpha)).objective_trace
     assert trace.size > 2
     assert np.all(np.diff(trace) <= 1e-12 * abs(trace[0]))
 
 
 def test_cap_warns_when_the_residual_is_above_the_tolerance():
-    # omega drifts while the residual falls only about 0.91x per iteration,
-    # so 100 iterations do not reach rel_tol
+    # one iteration does not reach rel_tol on this instance; the default
+    # cap does
     feats, _ = make_synthetic(15, 4, 3, separation=3.0, seed=2)
     kernels = [build_kernel(f, KernelSpec(kind="linear")) for f in feats]
-    cfg = SolverConfig(k=4, alpha=1.0)
-    with pytest.warns(ConvergenceWarning, match="max_iters=100"):
-        state = fit(kernels, cfg)
-    assert state.objective_trace.size == 101
+    with pytest.warns(ConvergenceWarning, match="max_iters=1 "):
+        state = fit(kernels, SolverConfig(k=4, alpha=1.0, max_iters=1))
+    assert state.objective_trace.size == 2
+    assert fit(kernels, SolverConfig(k=4, alpha=1.0)).objective_trace.size > 2
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
         fit(kernels, SolverConfig(k=4, alpha=1.0, max_iters=0))
         assert list(iterate(kernels, SolverConfig(k=4, alpha=1.0,
                                                   max_iters=0))) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_carried_products_stay_exact_on_the_bench_ladder(seed):
+    # the step forms K_v H^T and K_v K_v H^T from those of its block, never
+    # from H itself. On bench's sizes (n = 300, alpha = 2^0 .. 2^9) the
+    # state must still agree with products formed afresh from its H
+    kernels = rbf_set(75, seed)
+    point = init_point(kernels, 4)
+    for alpha in (2.0 ** p for p in range(10)):
+        cfg = SolverConfig(k=4, alpha=alpha)
+        state = fit(kernels, cfg, point)
+        H = state.H
+        assert (state.objective_trace[-1]
+                == pytest.approx(objective(kernels, state, cfg), rel=1e-12))
+        for K, G in zip(kernels, state.G):
+            fresh = update_g(K, H, alpha)
+            assert np.abs(G - fresh).max() <= 1e-10 * np.abs(fresh).max()
+        Y = sum((w * w) * dense_m(K.data, alpha) @ H.T
+                for K, w in zip(kernels, state.omega))
+        HY = H @ Y
+        assert np.linalg.norm(Y - H.T @ HY) / np.linalg.norm(HY) < cfg.rel_tol
