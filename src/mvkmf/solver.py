@@ -47,8 +47,11 @@ kernels themselves:
 - The start is a Lanczos solve (ARPACK through ``scipy.sparse.linalg.eigsh``)
   from a small multiple of k products with sum_v K_v, each one BLAS
   ``dsymv`` per view (scipy's bundled OpenBLAS), which reads one triangle
-  of K_v. It does not depend on alpha, so fits over an alpha grid share
-  one, and ``fit_kkm`` is the same solve on one view.
+  of K_v (``_sum_operator``). It does not depend on alpha, so fits over an
+  alpha grid share one, and ``fit_kkm`` is the same solve on one view.
+  Every eigensolve of the module runs on that operator: ``fit_mkkm``'s
+  solves of sum_v gamma_v^2 K_v scale each ``dsymv`` by gamma_v^2, and
+  each after its first starts from the last H.
 - Because H H^T = I, d_v = ||K_v||^2 - ||P_v||^2 + alpha / (1 + alpha)
   ||P_v - H^T||^2, O(nk) given P_v = K_v H^T, and
   Y = sum_v omega_v^2 (K_v P_v + 2 alpha P_v). A step needs K_v Q and
@@ -202,20 +205,23 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
 
 
 @released()
-def _top_eigenvectors(M, k: int) -> np.ndarray:
-    """Columns: the k eigenvectors of symmetric M with largest eigenvalues,
-    in descending eigenvalue order, sign-fixed. Raises ``BadParamError``
-    when k exceeds n: the one check of k against the sample count, which
-    ``init_point`` (and so ``fit_kkm``) and ``fit_mkkm`` reach.
+def _top_eigenvectors(M: LinearOperator, k: int,
+                      v0: np.ndarray | None = None) -> np.ndarray:
+    """Columns: the k eigenvectors of the symmetric operator M with largest
+    eigenvalues, in descending eigenvalue order, sign-fixed. Raises
+    ``BadParamError`` when k exceeds n: the one check of k against the
+    sample count, which ``init_point`` (and so ``fit_kkm``) and
+    ``fit_mkkm`` reach.
 
-    M is an n x n array or a ``LinearOperator``. A Lanczos solve (ARPACK
-    ``eigsh`` at machine-precision tolerance) computes only the k leading
-    eigenpairs from matrix-vector products, O(n^2) each, instead of a full
-    O(n^3) decomposition. The start vector is a fixed-seed Gaussian, not
-    all-ones, which lies in the null space of a centered kernel. A dense
-    ``eigh`` runs only where the Krylov basis of max(2k + 1, 20) vectors
-    would span the whole space (this includes k >= n - 1, where ARPACK
-    cannot run) and when ARPACK fails, as it does on the zero matrix.
+    A Lanczos solve (ARPACK ``eigsh`` at machine-precision tolerance)
+    computes only the k leading eigenpairs from matrix-vector products,
+    O(n^2) each, instead of a full O(n^3) decomposition. It starts from
+    ``v0``, or when that is None from a fixed-seed Gaussian, not all-ones,
+    which lies in the null space of a centered kernel. A dense ``eigh`` of
+    M's n products with the identity runs only where the Krylov basis of
+    max(2k + 1, 20) vectors would span the whole space (this includes
+    k >= n - 1, where ARPACK cannot run) and when ARPACK fails, as it does
+    on the zero matrix.
 
     scipy's BLAS workers, which run an operator's ``dsymv``, are released
     when it returns or raises (``released``), not between products, where
@@ -224,22 +230,17 @@ def _top_eigenvectors(M, k: int) -> np.ndarray:
     n = M.shape[0]
     if k > n:
         raise BadParamError(f"k={k} exceeds sample count {n}")
-    # an array M serves fit_mkkm alone and keeps numpy's gemv, on one
-    # thread under its scope, because mkkm's outputs carry its bits. With
-    # numpy's pool on one thread scipy's dsymv is faster (n=300: 1.7
-    # against 2.0 ms per solve, n=2000: 18 against 58 ms), but it changes
-    # the bits
     if n > max(2 * k + 1, 20):
         rng = np.random.default_rng(LANCZOS_SEED)
+        if v0 is None:
+            v0 = rng.standard_normal(n)
         try:
-            vals, vecs = eigsh(M, k, which="LA", v0=rng.standard_normal(n),
-                               tol=0, rng=rng)
+            vals, vecs = eigsh(M, k, which="LA", v0=v0, tol=0, rng=rng)
         except ArpackError:
             pass
         else:
             return _fix_column_signs(vecs[:, np.argsort(vals)[::-1]])
-    dense = M if isinstance(M, np.ndarray) else M @ np.eye(n)
-    _, vecs = np.linalg.eigh(dense)
+    _, vecs = np.linalg.eigh(M @ np.eye(n))
     return _fix_column_signs(vecs[:, ::-1][:, :k])
 
 
@@ -490,25 +491,26 @@ def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
     return total
 
 
-def _sum_operator(kernels) -> LinearOperator:
-    """sum_v K_v as an operator on vectors, for the start's eigensolve.
+def _sum_operator(kernels, weights) -> LinearOperator:
+    """sum_v w_v K_v as an operator on vectors, for the eigensolves of
+    ``init_point`` (every w_v = 1) and ``fit_mkkm`` (w_v = gamma_v^2).
 
     A product is one BLAS ``dsymv`` per view (scipy's bundled OpenBLAS,
-    through ``scipy.linalg.blas``), added into one vector. Each reads one
-    triangle of K_v^T, the same symmetric matrix as a ``KernelMatrix``'s
-    C-ordered array: half the memory traffic of a full product, and the
-    eigensolve is bound by that traffic. The kernels are finite, so a
-    product that is not can only have overflowed: it raises
-    ``NonFiniteError``, an O(n) check per product, before the eigensolve
-    fails on it without saying why.
+    through ``scipy.linalg.blas``) with w_v as its scale, added into one
+    vector. Each reads one triangle of K_v^T, the same symmetric matrix as a
+    ``KernelMatrix``'s C-ordered array: half the memory traffic of a full
+    product, and the eigensolve is bound by that traffic. The sum is never
+    formed. The kernels are finite, so a product that is not can only have
+    overflowed: it raises ``NonFiniteError``, an O(n) check per product,
+    before the eigensolve fails on it without saying why.
     """
     n = kernels[0].n
 
     def apply(x):
         x = x.ravel()
-        y = dsymv(1.0, kernels[0].data.T, x)
-        for K in kernels[1:]:
-            y = dsymv(1.0, K.data.T, x, beta=1.0, y=y, overwrite_y=True)
+        y = dsymv(weights[0], kernels[0].data.T, x)
+        for w, K in zip(weights[1:], kernels[1:]):
+            y = dsymv(w, K.data.T, x, beta=1.0, y=y, overwrite_y=True)
         if not np.isfinite(y).all():
             raise NonFiniteError("kernel products are not finite: the "
                                  "kernels' entries are too large and their "
@@ -522,13 +524,14 @@ def _sum_operator(kernels) -> LinearOperator:
 def init_point(ks, k: int) -> np.ndarray:
     """The start H of a fit on kernels ``ks`` for k clusters: k x n, its
     rows the top-k eigenvectors of sum_v K_v, sign-fixed. One Lanczos solve
-    of ``_sum_operator``, O(n^2 k) per view.
+    of ``_sum_operator`` at unit weights, O(n^2 k) per view.
 
     It depends on the kernels and k only, so one start serves every alpha
     of a grid, and it is also kernel k-means on the summed kernel. It is
     read-only because every fit of a grid shares it.
     """
-    H = _top_eigenvectors(_sum_operator(_kernel_list(ks)), k).T
+    kernels = _kernel_list(ks)
+    H = _top_eigenvectors(_sum_operator(kernels, (1.0,) * len(kernels)), k).T
     H.setflags(write=False)
     return H
 
@@ -635,28 +638,6 @@ def fit_kkm(kernel, clusters: int) -> np.ndarray:
     return init_point([kernel], clusters)
 
 
-def _combined_kernel(kernels, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Overwrite ``out`` with K_gamma = sum_v gamma_v^2 K_v and return it.
-
-    Each row block (at most ``_BLOCK_BYTES``) starts from 0 and adds the
-    views' terms in view order, the additions of
-    ``sum((g * g) * K for g, K in zip(gamma, kernels))``, so the bits match
-    that expression (0 + g^2 K_0 included, which turns -0.0 into 0.0)
-    while one block of terms is the only temporary.
-    """
-    n = out.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    term = np.empty((min(rows, n), n))
-    for i in range(0, n, rows):
-        block = out[i:i + rows]
-        t = term[:block.shape[0]]
-        block.fill(0.0)
-        for g, K in zip(gamma, kernels):
-            np.multiply(g * g, K[i:i + rows], out=t)
-            block += t
-    return out
-
-
 @one_thread()
 def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
              rel_tol: float = SolverConfig.rel_tol
@@ -669,31 +650,33 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
     tr(K_gamma - H K_gamma H^T) falls below rel_tol. The limits are checked
     as ``SolverConfig`` checks them (``BadParamError``).
 
-    K_gamma is rebuilt in place in one n x n buffer (``_combined_kernel``),
-    whose top eigenvectors a Lanczos solve on that array finds
-    (``_top_eigenvectors``).
+    K_gamma is never formed: each H step is a Lanczos solve of
+    ``_sum_operator`` at weights gamma^2 (``_top_eigenvectors``). The
+    first starts from the fixed-seed vector, each later one from the sum of
+    the last H's rows, a vector of norm sqrt(k) in the subspace it refines.
+    Costs that overflow are left as Inf or NaN, without a
+    ``RuntimeWarning``, and raise ``NonFiniteError``.
 
     Returns (H, gamma).
     """
     _check_limits(max_iters, rel_tol)
-    kernels = [K.data for K in _kernel_list(ks)]
-    V = len(kernels)
-    traces = np.array([float(np.trace(K)) for K in kernels])
-    gamma = np.full(V, 1.0 / V)
-    combined = np.empty(kernels[0].shape)
-    H = _top_eigenvectors(_combined_kernel(kernels, gamma, combined),
-                          clusters).T
+    kernels = _kernel_list(ks)
+    gamma = np.full(len(kernels), 1.0 / len(kernels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = [float(np.trace(K.data)) for K in kernels]
+    H = _top_eigenvectors(_sum_operator(kernels, gamma * gamma), clusters).T
     j_prev = None
     for _ in range(max_iters):
-        c = np.array([traces[v] - float(np.sum((H @ kernels[v]) * H))
-                      for v in range(V)])
-        gamma = update_weights(c)
-        j = float(np.sum(gamma * gamma * c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.array([t - float(np.sum((H @ K.data) * H))
+                          for t, K in zip(traces, kernels)])
+            gamma = update_weights(c)
+            j = float(np.sum(gamma * gamma * c))
         if not np.isfinite(j):
             raise NonFiniteError("combined-kernel objective became NaN/Inf")
         if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
             break
         j_prev = j
-        H = _top_eigenvectors(_combined_kernel(kernels, gamma, combined),
-                              clusters).T
+        H = _top_eigenvectors(_sum_operator(kernels, gamma * gamma), clusters,
+                              v0=H.sum(axis=0)).T
     return H, gamma

@@ -695,7 +695,6 @@ def test_bench_grid_and_best_alpha(tmp_path):
             assert table.scores[i, j] == pytest.approx(best, abs=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_bench_diverging_cell_dashes(tmp_path):
     good = synth(tmp_path, name="fine", per=6, clusters=2)
     bad = write_hostile_dataset(tmp_path / "hostile")
@@ -713,7 +712,6 @@ def test_bench_diverging_cell_dashes(tmp_path):
     assert not np.isnan(table.scores[0, 0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_bench_all_cells_fail_exit_3(tmp_path):
     bad = write_hostile_dataset(tmp_path / "hostile")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -899,12 +897,11 @@ def check_bench_beside_good_set(tmp_path, capsys, bad, umklmf_error,
     grid = ["--algorithms", "umklmf,kkm,mkkm", "--alphas", "1,2",
             "--seeds", "0,1", "--restarts", "5"]
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["bench", "--manifest", str(good), "--manifest", str(bad),
-                   "--out", str(tmp_path / "both"), *flags] + grid)
-        captured = capsys.readouterr()
-        assert main(["bench", "--manifest", str(good),
-                     "--out", str(tmp_path / "alone"), "--quiet"] + grid) == 0
+    rc = main(["bench", "--manifest", str(good), "--manifest", str(bad),
+               "--out", str(tmp_path / "both"), *flags] + grid)
+    captured = capsys.readouterr()
+    assert main(["bench", "--manifest", str(good),
+                 "--out", str(tmp_path / "alone"), "--quiet"] + grid) == 0
     assert rc == 0
     failed = [line for line in captured.err.splitlines()
               if line.startswith("cell failed:")]
@@ -930,16 +927,12 @@ def check_bench_beside_good_set(tmp_path, capsys, bad, umklmf_error,
             if r["dataset"] == name] == [("kkm", 0), ("kkm", 1)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_bench_failed_shared_part_fails_its_cells(tmp_path, capsys):
     check_bench_beside_good_set(
         tmp_path, capsys, write_overflow_dataset(tmp_path / "overflow"),
         "objective became NaN/Inf; check the kernels")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_bench_quiet_still_reports_failed_cells(tmp_path, capsys):
     check_bench_beside_good_set(
         tmp_path, capsys, write_overflow_dataset(tmp_path / "overflow"),

@@ -13,7 +13,14 @@ import pytest
 
 from mvkmf import solver
 from mvkmf.errors import NonFiniteError
-from mvkmf.kernels import KernelMatrix, normalize_kernel
+from mvkmf.io import make_synthetic
+from mvkmf.kernels import (
+    KernelMatrix,
+    KernelSet,
+    KernelSpec,
+    build_kernel,
+    normalize_kernel,
+)
 from mvkmf.solver import fit_kkm, fit_mkkm, init_point
 
 from conftest import random_psd_kernel
@@ -131,10 +138,50 @@ def test_start_operator_equals_dense_matrix():
     rng = np.random.default_rng(7)
     kernels = [random_psd_kernel(rng, 50), random_psd_kernel(rng, 50)]
     dense = kernels[0].data + kernels[1].data
-    op = solver._sum_operator(kernels)
+    op = solver._sum_operator(kernels, (1.0, 1.0))
     x = np.random.default_rng(8).standard_normal(50)
     assert np.allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-9)
     assert np.array_equal(op @ np.eye(50), dense)
+    # fit_mkkm's weights scale each view's dsymv
+    weighted = solver._sum_operator(kernels, (0.09, 0.49))
+    assert np.allclose(weighted @ np.eye(50),
+                       0.09 * kernels[0].data + 0.49 * kernels[1].data,
+                       rtol=1e-14, atol=1e-12)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that gains an entry at each of the operators' ``dsymv``
+    calls, one per view and matrix-vector product."""
+    calls = []
+    real = solver.dsymv
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dsymv", spy)
+    return calls
+
+
+def test_mkkm_warm_start_saves_products(products, monkeypatch):
+    # every mkkm solve after the first starts from the last H; started
+    # from the fixed-seed vector instead, the same fit makes more products
+    feats, _ = make_synthetic(75, 4, 3, separation=2.5, seed=101)
+    ks = KernelSet(tuple(build_kernel(f, KernelSpec(kind="rbf"))
+                         for f in feats))
+    H, gamma = fit_mkkm(ks, 4)
+    warm = len(products)
+    products.clear()
+    cold_solve = solver._top_eigenvectors
+    monkeypatch.setattr(solver, "_top_eigenvectors",
+                        lambda M, k, v0=None: cold_solve(M, k))
+    cold_H, cold_gamma = fit_mkkm(ks, 4)
+    cold = len(products)
+    assert warm < cold
+    cosines = np.linalg.svd(cold_H @ H.T, compute_uv=False)
+    assert cosines.min() >= 1.0 - COS_TOL
+    assert np.max(np.abs(gamma - cold_gamma)) <= 1e-12
 
 
 def test_start_operator_raises_on_an_overflowing_product():
@@ -142,9 +189,9 @@ def test_start_operator_raises_on_an_overflowing_product():
     # all-ones vector is
     kernels = [KernelMatrix(np.full((30, 30), 1e308), v) for v in "ab"]
     with pytest.raises(NonFiniteError, match="products overflow"):
-        solver._sum_operator(kernels).matvec(np.eye(30)[0])
+        solver._sum_operator(kernels, (1.0, 1.0)).matvec(np.eye(30)[0])
     with pytest.raises(NonFiniteError, match="products overflow"):
-        solver._sum_operator(kernels[:1]).matvec(np.ones(30))
+        solver._sum_operator(kernels[:1], (1.0,)).matvec(np.ones(30))
 
 
 def test_restarted_lanczos_repeats_bitwise():
@@ -197,7 +244,7 @@ def test_start_operator_reads_one_triangle(order):
     # its upper one for a Fortran-ordered K. NaN in the other triangle must
     # not reach a matrix-vector product.
     K = np.asarray(_symmetric(50, 11), order=order)
-    op = solver._sum_operator([KernelMatrix(K, "v")])
+    op = solver._sum_operator([KernelMatrix(K, "v")], (1.0,))
     x = np.random.default_rng(12).standard_normal(50)
     before = op.matvec(x)
     unread = np.triu_indices(50, 1) if order == "C" else np.tril_indices(50, -1)
