@@ -7,7 +7,7 @@ same cores. After a threaded call, a pool's workers busy-wait for their next
 task for about 0.1 s, on a core the other pool or the main thread needs.
 
 - numpy's pool. mvkmf's numpy products are skinny and bound by memory
-  traffic (n x n times n x k, n x d times d x R*k), so numpy's extra threads
+  traffic (n x n times n x k, R*k x d times d x n), so numpy's extra threads
   mostly fight the main thread. ``one_thread()`` sets numpy's count to 1 and
   restores the caller's count on exit, on an exception too.
 - scipy's pool. The start's eigensolve runs its products in scipy's BLAS

@@ -24,28 +24,45 @@ Points so large that the Lloyd steps' distance expansion could overflow
 :class:`NonFiniteError`; ``choice`` would raise a bare ``ValueError``.
 
 The restarts then advance in lockstep. Each Lloyd step serves all restarts
-still running with one (n x R*k) distance product, one argmin and, for the
-cluster means, one ``bincount`` per coordinate over R*k offset bins, so a
-call costs a few array passes per step rather than a Python loop per
-restart. Every restart still does its own arithmetic in its own order:
-distances are the columns the one-restart product would give, and each
-bincount sums a cluster's points in sample order, as a per-restart loop
-does. A restart leaves the active set when its labels stop changing, when
-its centers move by at most 1e-9, or after 300 steps; one that leaves a
-cluster empty is repaired on its own. The inertia of every restart comes
-from one reduction over its n x d squared residuals, summed in the order a
-per-restart sum uses.
+still running with one (R*k x n) distance product, k - 1 comparison passes
+for the labels and, for the cluster means, one ``bincount`` per coordinate
+over R*k offset bins, so a call costs a few array passes per step rather
+than a Python loop per restart. The product's rows are center-major: row
+j*R + r holds the distances to center j of restart r, so each pass reads
+one contiguous (R, n) block. A pass keeps the least distance so far in the
+first block and moves a point's label to j where center j is strictly
+closer, so ties go to the lowest index, as ``argmin`` gives them. The
+points' terms |x|^2 and 2 X^T are formed once per call, and the cluster
+counts that the empty-cluster check takes from each step's labels are the
+ones the next step's means divide by.
 
-A call holds about one array of n x R*k floats at a time. The distance
-expansion, each seeding step's differences and the final residuals are each
-formed in one buffer by in-place steps, which are the operations of the
-plain expressions in their order, so they give the same bits; and each
-restart's labels are held once, by the running set or by the list of
-restarts that have stopped.
+Every restart still does its own arithmetic in its own order: each
+distance is the dot product of d terms that the one-restart (n x k)
+product forms, and each bincount sums a cluster's points in sample order,
+as a per-restart loop does. The two products give the same bits as long as
+OpenBLAS's gemm kernel adds a dot product's terms in the same order for
+both shapes; the CI workflow checks this under several of its kernels. A
+restart leaves the active set when its labels stop changing, when its
+centers move by at most 1e-9, or after 300 steps; one that leaves a
+cluster empty is repaired on its own, by ``argmin`` over its distances. The inertia of every restart comes
+from one reduction over its n x d squared residuals, summed in the order a
+per-restart sum uses. Seeding and |x|^2 add a point's squared coordinates
+in coordinate order, which is the order numpy's sum over a row of X takes:
+X (n x dim) is the transpose of the points copied to C order, so its rows
+are not contiguous and numpy adds them term by term rather than pairwise.
+
+A call holds about one array of R*k x n floats at a time. The distance
+expansion and the final residuals are each formed in one buffer by
+in-place steps, which are the operations of the plain expressions in their
+order, so they give the same bits. The passes overwrite the distances and
+hold each restart's labels in the narrowest unsigned type that holds
+k - 1, until the winner's are returned as ``intp``; each restart's labels
+are held once, by the running set or by the list of restarts that have
+stopped.
 
 A call runs numpy's BLAS on one thread (``mvkmf._blas``) and restores the
-caller's count on return or raise: its distance products, n x d times
-d x R*k, are too skinny to gain from a second thread, which only fights the
+caller's count on return or raise: its distance products, R*k x d times
+d x n, are too skinny to gain from a second thread, which only fights the
 main thread. So, wherever numpy's count can be set, the bits do not depend
 on the caller's count. The count is global to the process; mvkmf starts no
 threads of its own.
@@ -59,10 +76,6 @@ import numpy as np
 
 from ._blas import one_thread
 from .errors import BadParamError, NonFiniteError, TooFewPointsError
-
-# Samples per block where labels are read off the distances; a block's
-# (rows, restarts) indices are the only temporary that step forms.
-_ROWS = 256
 
 # A restart stops after this many Lloyd steps, or once no center moves by
 # more than this distance.
@@ -95,20 +108,45 @@ class Labeling:
     centers: np.ndarray
 
 
-def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, never negative: the expansion
-    |x|^2 - 2 x.c + |c|^2, left to right, formed in the product's buffer."""
-    d = 2.0 * X @ centers.T
-    np.subtract(np.sum(X * X, axis=1)[:, None], d, out=d)
-    np.add(d, np.sum(centers * centers, axis=1)[None, :], out=d)
+def _sq_dists(P2: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(m, n) squared Euclidean distances of n points to m centers (m, d),
+    never negative, from the points' terms ``P2`` = 2 X^T (d, n) and ``xx``
+    = |x|^2 (n,): the expansion |x|^2 - 2 x.c + |c|^2, left to right,
+    formed in the product's buffer, each center's distances one row."""
+    d = centers @ P2
+    np.subtract(xx, d, out=d)
+    np.add(d, np.sum(centers * centers, axis=1)[:, None], out=d)
     return np.maximum(d, 0.0, out=d)
 
 
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """(R, n) nearest-center labels from the distances (k*R, n) of the
+    points to R restarts' k centers, center j of restart r in row j*R + r,
+    in the narrowest unsigned type that holds k - 1; ties go to the lowest
+    index, as ``argmin`` gives them. Overwrites ``dist``: its first R rows
+    keep the least distances so far, and center j takes the points it is
+    strictly closer to than every center before it."""
+    dist = dist.reshape(k, -1, dist.shape[1])
+    best = dist[0]
+    small = np.min_scalar_type(k - 1)
+    labels = np.zeros(best.shape, dtype=small)
+    for j in range(1, k):
+        closer = np.less(dist[j], best)
+        np.minimum(best, dist[j], out=best)
+        np.maximum(labels, closer * small.type(j), out=labels)
+    return labels
+
+
 def _sq_dists_to(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(R, n) squared distances of the points to one center per restart,
-    ``c`` (R, d): sum((X - c)**2) over coordinates, squared in place."""
-    diff = X - c[:, None]
-    return np.sum(np.square(diff, out=diff), axis=2)
+    """(R, n) squared distances of the points X (n, d) to one center per
+    restart, ``c`` (R, d): the squared differences added coordinate by
+    coordinate, in order, as a sum over a row of ``kmeans``'s X adds them."""
+    d2 = np.square(X[:, 0] - c[:, :1])
+    step = np.empty_like(d2)
+    for x, cx in zip(X.T[1:], c.T[1:]):
+        np.subtract(x, cx[:, None], out=step)
+        np.add(d2, np.square(step, out=step), out=d2)
+    return d2
 
 
 def _seed_centers(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
@@ -147,10 +185,13 @@ def _draw_next(d2: np.ndarray, rngs: list) -> np.ndarray:
 def _assign_with_repair(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels (ties to the lowest index). Empty clusters are
     reseeded at the point farthest from its currently assigned center, one
-    repair pass per empty cluster, then reassigned."""
+    repair pass per empty cluster, then reassigned. A reassignment, up to k
+    of them, is one ``argmin`` over the k x n distances: for one restart
+    that is cheaper than the k - 1 passes of :func:`_nearest`."""
     k = centers.shape[0]
+    P2, xx = 2.0 * X.T, np.sum(X * X, axis=1)
     for _ in range(k):
-        labels = np.argmin(_sq_dists(X, centers), axis=1)
+        labels = np.argmin(_sq_dists(P2, xx, centers), axis=0)
         counts = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
@@ -160,36 +201,43 @@ def _assign_with_repair(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
             far = int(np.argmax(own))
             centers[e] = X[far]
             own[far] = -1.0
-    return np.argmin(_sq_dists(X, centers), axis=1)
+    return np.argmin(_sq_dists(P2, xx, centers), axis=0)
 
 
-def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """(R, k) number of points each restart assigns to each cluster."""
+    R = labels.shape[0]
+    return np.bincount((labels + k * np.arange(R)[:, None]).ravel(),
+                       minlength=R * k).reshape(R, k)
+
+
+def _assign(X: np.ndarray, P2: np.ndarray, xx: np.ndarray,
+            centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, n) nearest-center labels for R restarts' centers (R, k, d), ties
-    to the lowest index. A restart that leaves a cluster empty is reassigned
-    by :func:`_assign_with_repair`, which moves its centers in place."""
+    to the lowest index, and their (R, k) cluster counts; ``P2`` and ``xx``
+    are the points' terms of :func:`_sq_dists`. A restart that leaves a
+    cluster empty is reassigned by :func:`_assign_with_repair`, which moves
+    its centers in place."""
     R, k, d = centers.shape
-    n = X.shape[0]
-    dist = _sq_dists(X, centers.reshape(R * k, d)).reshape(n, R, k)
-    labels = np.empty((R, n), dtype=np.intp)
-    for i in range(0, n, _ROWS):  # argmin's (rows, R) result a block at a time
-        labels[:, i:i + _ROWS] = np.argmin(dist[i:i + _ROWS], axis=2).T
-    del dist
-    counts = np.bincount((labels + k * np.arange(R)[:, None]).ravel(),
-                         minlength=R * k).reshape(R, k)
+    by_center = centers.transpose(1, 0, 2).reshape(k * R, d)
+    labels = _nearest(_sq_dists(P2, xx, by_center), k)
+    counts = _counts(labels, k)
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
         labels[r] = _assign_with_repair(X, centers[r])
-    return labels
+        counts[r] = np.bincount(labels[r], minlength=k)
+    return labels, counts
 
 
-def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """(R, k, d) means of the points each restart assigns to each cluster; an
-    empty cluster's mean is 0. Every sum adds its points in sample order."""
-    R = labels.shape[0]
+def _cluster_means(X: np.ndarray, labels: np.ndarray,
+                   counts: np.ndarray) -> np.ndarray:
+    """(R, k, d) means of the points each restart assigns to each cluster,
+    given the labels (R, n) and their counts (R, k); an empty cluster's mean
+    is 0. Every sum adds its points in sample order."""
+    R, k = counts.shape
     bins = (labels + k * np.arange(R)[:, None]).ravel()
-    counts = np.bincount(bins, minlength=R * k).astype(float)
     sums = np.stack([np.bincount(bins, weights=np.tile(x, R), minlength=R * k)
                      for x in X.T], axis=1)
-    return sums.reshape(R, k, -1) / np.maximum(counts, 1.0).reshape(R, k, 1)
+    return sums.reshape(R, k, -1) / np.maximum(counts, 1.0)[:, :, None]
 
 
 @one_thread()
@@ -202,45 +250,50 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig) -> Labeling:
     Raises :class:`NonFiniteError` when a point is not finite, or so large
     that squared norms or distances overflow.
     """
-    X = np.asarray(points, dtype=np.float64).T
+    # in C order, whatever the caller's, so a point's squared coordinates are
+    # added in coordinate order (see the module docstring)
+    X = np.ascontiguousarray(points, dtype=np.float64).T
     n = X.shape[0]
     if n < cfg.k:
         raise TooFewPointsError(f"{n} points cannot form {cfg.k} clusters")
     # the Lloyd steps expand a squared distance as |x|^2 - 2 x.c + |c|^2,
     # where each center c is a mean of points: all finite while 4 |x|^2 is
     with np.errstate(over="ignore"):
-        if not np.isfinite(4.0 * np.sum(X * X, axis=1)).all():
+        xx = np.sum(X * X, axis=1)
+        if not np.isfinite(4.0 * xx).all():
             raise NonFiniteError("points contain NaN or Inf, or their squared "
                                  "norms overflow; rescale the points")
+    P2 = 2.0 * X.T
     k = cfg.k
     centers = _seed_centers(X, k, cfg.seed, cfg.restarts)
-    labels = _assign(X, centers)
+    labels, counts = _assign(X, P2, xx, centers)
     active = np.arange(cfg.restarts)
     stopped = []  # (restart indices, their labels), as restarts stop
     for _ in range(_MAX_ITERS):
-        new_centers = _cluster_means(X, labels, k)
+        new_centers = _cluster_means(X, labels, counts)
         shift = np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=2),
                                axis=1))
         centers = new_centers
-        new_labels = _assign(X, centers)
+        new_labels, counts = _assign(X, P2, xx, centers)
         done = np.all(new_labels == labels, axis=1) | (shift <= _TOL)
         stopped.append((active[done], new_labels[done]))
-        active, centers, labels = (active[~done], centers[~done],
-                                   new_labels[~done])
+        active, centers, labels, counts = (
+            active[~done], centers[~done], new_labels[~done], counts[~done])
         del new_labels  # so each restart's labels are held once
         if active.size == 0:
             break
     stopped.append((active, labels))
-    final = np.empty((cfg.restarts, n), dtype=np.intp)
+    final = np.empty((cfg.restarts, n), dtype=labels.dtype)
     for idx, rows in stopped:
         final[idx] = rows
     del stopped, labels  # final holds every restart's labels now
-    means = _cluster_means(X, final, k)
+    means = _cluster_means(X, final, _counts(final, k))
     # the (R, n, d) squared residuals, formed in the gathered means' buffer
     residuals = means[np.arange(cfg.restarts)[:, None], final]
     np.subtract(X, residuals, out=residuals)
     np.square(residuals, out=residuals)
     inertia = np.sum(residuals.reshape(cfg.restarts, -1), axis=1)
     best = int(np.argmin(inertia))
-    return Labeling(labels=final[best].copy(), inertia=float(inertia[best]),
+    return Labeling(labels=final[best].astype(np.intp),
+                    inertia=float(inertia[best]),
                     centers=means[best].copy())

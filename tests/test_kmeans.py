@@ -253,7 +253,7 @@ def test_numpy_blas_on_one_thread_inside_and_restored(caller_threads,
 
 
 def test_bits_do_not_depend_on_the_callers_thread_count(caller_threads):
-    # at n = 2000 the (n x R*k) distance products are large enough that
+    # at n = 2000 the (R*k x n) distance products are large enough that
     # numpy's BLAS splits them over its threads
     pts = np.random.default_rng(8).standard_normal((4, 2000))
     cfg = KMeansConfig(k=4, restarts=50)
@@ -471,6 +471,80 @@ def test_lockstep_matches_reference_shift_exit(monkeypatch):
     assert_matches_reference(pts, KMeansConfig(k=3, restarts=10))
 
 
+@pytest.mark.parametrize("k", [39, 40])
+@pytest.mark.parametrize("spots", [40, 25])
+def test_lockstep_matches_reference_k_close_to_n(monkeypatch, k, spots):
+    # n = 40 points on 40 (distinct) or 25 spots, each spot taken: k-means++
+    # runs out of points to draw, and on 25 spots every restart needs repairs
+    # at every step; the step cap keeps such restarts short
+    set_limits(monkeypatch, 60, 1e-9)
+    rng = np.random.default_rng(k + spots)
+    where = np.concatenate([np.arange(spots),
+                            rng.integers(spots, size=40 - spots)])
+    X = rng.standard_normal((spots, 3))[rng.permutation(where)]
+    cfg = KMeansConfig(k=k, restarts=4, seed=spots)
+    assert_matches_reference(X.T, cfg, f"k {k}, spots {spots}")
+
+
+@pytest.mark.parametrize("k", [200, 260])
+def test_lockstep_matches_reference_large_k(k):
+    # k - 1 comparison passes per step; past k = 256 the labels the pass
+    # holds take two bytes
+    pts = np.random.default_rng(k).standard_normal((3, 300))
+    cfg = KMeansConfig(k=k, restarts=3, seed=2)
+    assert_matches_reference(pts, cfg)
+    assert kmeans(pts, cfg).labels.dtype == np.intp
+
+
+def near_duplicates(seed, n=60):
+    """2 x n points at 1e8 plus perturbations of about 1e-4. The distance
+    expansion |x|^2 - 2 x.c + |c|^2 loses the perturbations to rounding: it
+    comes out as a small multiple of 4, often below 0, so after the clamp
+    at 0 several centers tie for many points."""
+    rng = np.random.default_rng(seed)
+    return 1e8 + 1e-4 * rng.standard_normal((2, n))
+
+
+def clamped_ties(X, centers):
+    """Points whose least distance to ``centers`` (k, d) is a clamped 0 that
+    more than one center attains."""
+    d = ref_sq_dists(X, centers)
+    least = d.min(axis=1, keepdims=True)
+    return ((d == least).sum(axis=1) > 1) & (least[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_matches_reference_on_ties_after_the_clamp(seed):
+    pts = near_duplicates(seed)
+    cfg = KMeansConfig(k=4, restarts=10, seed=seed)
+    seeded = kmeans_module._seed_centers(pts.T, 4, seed, 10)
+    assert all(clamped_ties(pts.T, c).any() for c in seeded)
+    assert_matches_reference(pts, cfg, f"seed {seed}")
+
+
+def test_assignment_ties_after_the_clamp_go_to_lowest_index():
+    X = near_duplicates(7).T
+    centers = X[[3, 17, 29, 41]]
+    ties = clamped_ties(X, centers)
+    assert ties.sum() > 10
+    # the labels of the pass are argmin's, which takes the lowest index
+    xx = np.sum(X * X, axis=1)
+    labels = kmeans_module._nearest(
+        kmeans_module._sq_dists(2.0 * X.T, xx, centers), 4)[0]
+    assert np.array_equal(labels, np.argmin(ref_sq_dists(X, centers), axis=1))
+    # with a cluster left empty, the repair path matches its reference too
+    assert np.bincount(labels, minlength=4).min() == 0
+    repaired = centers.copy()
+    expected = ref_assign_with_repair(X, centers.copy())
+    assert np.array_equal(_assign_with_repair(X, repaired), expected)
+    # and the lockstep pass, with each restart's rows interleaved by center
+    both = np.stack([centers, centers[::-1]])
+    lockstep, _ = kmeans_module._assign(X, 2.0 * X.T, xx, both)
+    assert np.array_equal(lockstep[0], expected)
+    assert np.array_equal(lockstep[1],
+                          ref_assign_with_repair(X, centers[::-1].copy()))
+
+
 def test_assign_repairs_each_restart_in_place():
     # the shift test of the next step reads the repaired centers
     X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
@@ -479,11 +553,15 @@ def test_assign_repairs_each_restart_in_place():
     repaired = centers[0].copy()
     expected = ref_assign_with_repair(X, repaired)
     untouched = centers[1].copy()
-    labels = kmeans_module._assign(X, centers)
+    labels, counts = kmeans_module._assign(X, 2.0 * X.T, np.sum(X * X, axis=1),
+                                           centers)
     assert np.array_equal(labels[0], expected)
     assert np.array_equal(centers[0], repaired)
     assert np.array_equal(centers[1], untouched)
     assert np.array_equal(labels[1], [0, 0, 1, 2, 2])
+    # the counts handed to the next step's means are those of the repair
+    assert np.array_equal(counts, [np.bincount(row, minlength=3)
+                                   for row in labels])
 
 
 def fitted_embedding(n, algorithm, alpha=None):
@@ -508,9 +586,9 @@ def test_lockstep_matches_reference_on_fits(n, algorithm, alpha):
 
 
 def test_fifty_restarts_at_n2000_hold_one_distance_array():
-    # the distance expansion, the seeding's differences and the final
-    # residuals are each formed in one n x (R*k) buffer, and each restart's
-    # labels are held once, so a call peaks near one such array
+    # the distance expansion and the final residuals are each formed in one
+    # (R*k) x n buffer, the label passes overwrite the distances, and each
+    # restart's labels are held once, so a call peaks near one such array
     H = fitted_embedding(2000, "umklmf", 16.0)
     cfg = KMeansConfig(k=4, restarts=50, seed=0)
     tracemalloc.start()
