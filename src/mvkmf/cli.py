@@ -81,23 +81,32 @@ def _configs(args, algorithm: str, clusters: int, alpha: float | None,
             KMeansConfig(k=clusters, restarts=args.restarts, seed=seed))
 
 
-def _shared_part(ks: KernelSet, algorithm: str, cfg: SolverConfig):
-    """The part of a run that depends on neither alpha nor the k-means seed,
-    as a pair (H, weights): for umklmf and kkm the start H of
-    ``init_point``, which umklmf starts from and kkm returns as its
-    embedding, with weights None; for mkkm its (H, gamma). So ``bench``
-    computes it once per dataset for umklmf and kkm together, and once per
-    dataset for mkkm.
-
-    Returns (part, seconds it took).
-    """
+def _start(ks: KernelSet, cfg: SolverConfig):
+    """The start H of ``init_point``, which every algorithm shares, and the
+    seconds it took: (H, seconds). So ``bench`` computes it once per
+    dataset."""
     t0 = time.perf_counter()
-    if algorithm == "mkkm":
-        part = fit_mkkm(ks, cfg.k, max_iters=cfg.max_iters,
-                        rel_tol=cfg.rel_tol)
-    else:
-        part = init_point(ks, cfg.k), None
-    return part, time.perf_counter() - t0
+    return init_point(ks, cfg.k), time.perf_counter() - t0
+
+
+def _shared_part(ks: KernelSet, algorithm: str, cfg: SolverConfig, start):
+    """The part of a run that depends on neither alpha nor the k-means
+    seed, from the dataset's ``start`` pair of ``_start``, as a triple
+    (H, weights, trace): for umklmf and kkm the start H, which umklmf starts
+    from and kkm returns as its embedding, with weights and trace None; for
+    mkkm its fit (H, gamma, trace) from that H. So ``bench`` computes it
+    once per dataset for umklmf and kkm together, and once per dataset for
+    mkkm.
+
+    Returns (part, seconds it took with the start's).
+    """
+    H, seconds = start
+    if algorithm != "mkkm":
+        return (H, None, None), seconds
+    t0 = time.perf_counter()
+    part = fit_mkkm(ks, cfg.k, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
+                    init=H)
+    return part, seconds + time.perf_counter() - t0
 
 
 def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
@@ -108,7 +117,7 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
     ``configs`` is the run's pair from ``_configs`` and ``shared`` the
     (part, seconds) pair of ``_shared_part`` for this dataset and
     algorithm. The umklmf fit starts from the part's H; a baseline's
-    (H, weights) is the part itself.
+    (H, weights, trace) is the part itself.
 
     Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
     are None where the algorithm has none. alpha is recorded as None for the
@@ -117,8 +126,8 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
     """
     cfg, km_cfg = configs
     part, shared_seconds = shared
-    h, weights = part
-    trace = g_list = None
+    h, weights, trace = part
+    g_list = None
     t0 = time.perf_counter()
     if algorithm == "umklmf":
         state = fit(ks, cfg, h)
@@ -193,7 +202,7 @@ def cmd_fit(args) -> int:
     g_files = _view_files("G", ks.view_names)
     record, artifacts = _run_fit(
         manifest, ks, truth, args.algorithm, configs,
-        _shared_part(ks, args.algorithm, configs[0]))
+        _shared_part(ks, args.algorithm, configs[0], _start(ks, configs[0])))
 
     out = Path(args.out)
     _write_fit_artifacts(out, artifacts, g_files)
@@ -259,22 +268,26 @@ def cmd_bench(args) -> int:
     # (by that mean)
     records = []
     scores: dict[tuple, list[float]] = {}
-    parts: dict[tuple, object] = {}
-    for i, j, alpha, seed, configs in cells:
-        (manifest, ks, truth), alg = datasets[i], algorithms[j]
-        # the seed- and alpha-free part, once per dataset for umklmf and kkm,
-        # which share the start, and once for mkkm; one that fails fails
-        # every cell that uses it, with the same error
-        key = (i, alg == "mkkm")
+    parts: dict[object, object] = {}
+
+    def once(key, compute):
+        # one that fails fails every cell that uses it, with the same error
         if key not in parts:
             try:
-                parts[key] = _shared_part(ks, alg, configs[0])
+                parts[key] = compute()
             except MvkmfError as exc:
                 parts[key] = exc
-        shared = parts[key]
+        if isinstance(parts[key], MvkmfError):
+            raise parts[key]
+        return parts[key]
+
+    for i, j, alpha, seed, configs in cells:
+        (manifest, ks, truth), alg = datasets[i], algorithms[j]
+        # the seed- and alpha-free parts: one start per dataset, and from it
+        # one part for umklmf and kkm together and one for mkkm
         try:
-            if isinstance(shared, MvkmfError):
-                raise shared
+            shared = once((i, alg == "mkkm"), lambda: _shared_part(
+                ks, alg, configs[0], once(i, lambda: _start(ks, configs[0]))))
             record, _ = _run_fit(manifest, ks, truth, alg, configs, shared)
         except MvkmfError as exc:
             # on stderr, so that --quiet does not hide it
@@ -447,8 +460,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
                    help="solver iteration cap (umklmf and mkkm)")
     p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
-                   help="stopping tolerance: umklmf's relative "
-                        "eigen-residual, mkkm's relative objective change")
+                   help="stopping tolerance on the relative eigen-residual "
+                        "(umklmf and mkkm)")
     p.add_argument("--restarts", type=int, default=KMeansConfig.restarts,
                    help="k-means restarts")
 

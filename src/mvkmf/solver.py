@@ -35,12 +35,6 @@ the fitted H (see ``mvkmf.kmeans``). A fit is one start, one step, one stop:
   ``rel_tol``. A fit that reaches ``max_iters`` first warns with
   ``ConvergenceWarning``.
 
-The step replaces a generalized power iteration (Nie, Zhang and Li, Sci.
-China Inf. Sci. 60, 2017), whose rate tends to 1 as alpha grows and which
-needed an alpha^2 shift for kernels not known to be PSD. The start, the
-stop and the fixed point are the same; the iterates, and so the bits of a
-fit, are not.
-
 Cost. A fit does no O(n^3) work and allocates no n x n matrix beyond the
 kernels themselves:
 
@@ -48,10 +42,8 @@ kernels themselves:
   from a small multiple of k products with sum_v K_v, each one BLAS
   ``dsymv`` per view (scipy's bundled OpenBLAS), which reads one triangle
   of K_v (``_sum_operator``). It does not depend on alpha, so fits over an
-  alpha grid share one, and ``fit_kkm`` is the same solve on one view.
-  Every eigensolve of the module runs on that operator: ``fit_mkkm``'s
-  solves of sum_v gamma_v^2 K_v scale each ``dsymv`` by gamma_v^2, and
-  each after its first starts from the last H.
+  alpha grid share one, and ``fit_kkm`` is the same solve on one view. It
+  is the module's only eigensolve: ``fit_mkkm`` starts from it too.
 - Because H H^T = I, d_v = ||K_v||^2 - ||P_v||^2 + alpha / (1 + alpha)
   ||P_v - H^T||^2, O(nk) given P_v = K_v H^T, and
   Y = sum_v omega_v^2 (K_v P_v + 2 alpha P_v). A step needs K_v Q and
@@ -83,7 +75,9 @@ does not call them: they are the references it is tested against.
 Every entry point ingests a kernel given as a raw array as a
 ``KernelMatrix`` (see its docstring).
 
-Also here: the single-kernel and multi-kernel k-means baselines.
+Also here: the single-kernel and multi-kernel k-means baselines. The
+latter, ``fit_mkkm``, runs the same start, step and stop (``_fit_loop``)
+on sum_v gamma_v^2 K_v and costs c_v = tr K_v - tr(H K_v H^T).
 """
 
 from __future__ import annotations
@@ -127,8 +121,8 @@ class SolverConfig:
     H^T; the benchmark grid is 2^0 .. 2^9 and the default sits where that
     grid tends to peak. A fit stops once its relative eigen-residual (see
     the module docstring) is below ``rel_tol``, or after ``max_iters``
-    iterations. ``fit_mkkm`` takes the same two limits, with ``rel_tol``
-    bounding the relative change of its objective instead.
+    iterations. ``fit_mkkm`` takes the same two limits, with the residual
+    of its combined kernel.
     """
 
     k: int
@@ -205,21 +199,20 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
 
 
 @released()
-def _top_eigenvectors(M: LinearOperator, k: int,
-                      v0: np.ndarray | None = None) -> np.ndarray:
+def _top_eigenvectors(M: LinearOperator, k: int) -> np.ndarray:
     """Columns: the k eigenvectors of the symmetric operator M with largest
     eigenvalues, in descending eigenvalue order, sign-fixed. Raises
     ``BadParamError`` when k exceeds n: the one check of k against the
-    sample count, which ``init_point`` (and so ``fit_kkm``) and
-    ``fit_mkkm`` reach.
+    sample count, which every fit reaches through ``init_point`` unless it
+    is given a start.
 
     A Lanczos solve (ARPACK ``eigsh`` at machine-precision tolerance)
     computes only the k leading eigenpairs from matrix-vector products,
-    O(n^2) each, instead of a full O(n^3) decomposition. It starts from
-    ``v0``, or when that is None from a fixed-seed Gaussian, not all-ones,
-    which lies in the null space of a centered kernel. A dense ``eigh`` of
-    M's n products with the identity runs only where the Krylov basis of
-    max(2k + 1, 20) vectors would span the whole space (this includes
+    O(n^2) each, instead of a full O(n^3) decomposition. It starts from a
+    fixed-seed Gaussian, not all-ones, which lies in the null space of a
+    centered kernel. A dense ``eigh`` of M's n products with the identity
+    runs only where the Krylov basis of max(2k + 1, 20) vectors would span
+    the whole space (this includes
     k >= n - 1, where ARPACK cannot run) and when ARPACK fails, as it does
     on the zero matrix.
 
@@ -232,10 +225,9 @@ def _top_eigenvectors(M: LinearOperator, k: int,
         raise BadParamError(f"k={k} exceeds sample count {n}")
     if n > max(2 * k + 1, 20):
         rng = np.random.default_rng(LANCZOS_SEED)
-        if v0 is None:
-            v0 = rng.standard_normal(n)
         try:
-            vals, vecs = eigsh(M, k, which="LA", v0=v0, tol=0, rng=rng)
+            vals, vecs = eigsh(M, k, which="LA", v0=rng.standard_normal(n),
+                               tol=0, rng=rng)
         except ArpackError:
             pass
         else:
@@ -366,36 +358,58 @@ def _kernel_products(K: np.ndarray, X: np.ndarray):
     return P, KP
 
 
-def _products(kernels, X: np.ndarray):
-    """(K_v X, K_v K_v X) of every view for an n x c block X, as two
-    V x n x c arrays."""
-    P, KP = zip(*(_kernel_products(K.data, X) for K in kernels))
-    return np.stack(P), np.stack(KP)
+def _products(kernels, X: np.ndarray) -> np.ndarray:
+    """The unified model's products of an n x c block X: K_v X and
+    K_v K_v X of every view, as one 2 x V x n x c array."""
+    return np.stack(list(zip(*(_kernel_products(K.data, X)
+                               for K in kernels))))
 
 
-def _losses(k_sq, P, H: np.ndarray, alpha: float) -> np.ndarray:
-    """Every view's ``_reduced_loss``. Raises ``NonFiniteError`` when one
-    is not finite, which only an overflow of the kernels' products can
-    make."""
-    d = np.array([_reduced_loss(s, P_v, H, alpha) for s, P_v in zip(k_sq, P)])
-    if not np.isfinite(d).all():
-        raise NonFiniteError("objective became NaN/Inf; check the kernels")
-    return d
-
-
-def _state(H: np.ndarray, P, omega: np.ndarray, trace,
+def _state(H: np.ndarray, PH, omega: np.ndarray, trace,
            alpha: float) -> SolverState:
     """The state at H, with G_v = G*(H) = (P_v + alpha H^T) / (1 + alpha)."""
-    G = tuple((P + alpha * H.T) / (alpha + 1.0))
+    G = tuple((PH[0] + alpha * H.T) / (alpha + 1.0))
     return SolverState(H=H, G=G, omega=omega, objective_trace=np.array(trace))
 
 
-def _eigen_products(P, KP, omega: np.ndarray, alpha: float) -> np.ndarray:
-    """M_omega X = sum_v omega_v^2 (K_v K_v X + 2 alpha K_v X), n x c, from
-    the V x n x c products P = K_v X and KP = K_v K_v X."""
-    w2 = omega * omega
-    return (w2 @ (KP + (2.0 * alpha) * P).reshape(w2.size, -1)
-            ).reshape(P.shape[1:])
+def _weighted_sum(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_v w_v^2 X_v of a V x n x c array X, n x c."""
+    w2 = w * w
+    return (w2 @ X.reshape(w2.size, -1)).reshape(X.shape[1:])
+
+
+def _umklmf(kernels, alpha: float):
+    """The unified model (see ``_fit_loop``): products K_v X and K_v K_v X
+    (``_products``), M_omega X and the losses d_v (``_reduced_loss``). A
+    loss that is not finite, only an overflow's, raises ``NonFiniteError``."""
+    k_sq = [_sq_norm(K.data) for K in kernels]
+
+    def losses(PH, H):
+        d = np.array([_reduced_loss(s, P_v, H, alpha)
+                      for s, P_v in zip(k_sq, PH[0])])
+        if not np.isfinite(d).all():
+            raise NonFiniteError("objective became NaN/Inf; check the kernels")
+        return d
+
+    return (lambda X: _products(kernels, X),
+            lambda PX, w: _weighted_sum(PX[1] + (2.0 * alpha) * PX[0], w),
+            losses)
+
+
+def _mkkm(kernels):
+    """Multiple-kernel k-means (see ``fit_mkkm`` and ``_fit_loop``):
+    products K_v X, K_gamma X and the costs c_v = tr K_v - <H^T, K_v H^T>,
+    of which one that is not finite raises ``NonFiniteError``."""
+    traces = np.array([np.trace(K.data) for K in kernels])
+
+    def costs(PH, H):
+        c = traces - np.sum(PH * H.T, axis=(1, 2))
+        if not np.isfinite(c).all():
+            raise NonFiniteError("combined-kernel objective became NaN/Inf")
+        return c
+
+    return (lambda X: np.stack([K.data @ X for K in kernels]),
+            _weighted_sum, costs)
 
 
 def _residual(Y: np.ndarray, H: np.ndarray):
@@ -437,44 +451,39 @@ def _new_directions(B: np.ndarray, S: np.ndarray):
     return B @ T, C, T
 
 
-def _ritz_step(kernels, H, P, KP, D, R, omega, alpha):
-    """The H step: the top-k Ritz vectors of M_omega on the block
-    S = [H^T, Q, W]. Returns the new (H, P, KP, D), or (H, P, KP, None) when
-    ``_new_directions`` finds no direction of the residual R off H^T.
+def _ritz_step(products, combine, H, PH, D, R, w):
+    """The H step of a model (see ``_fit_loop``): the top-k Ritz vectors of
+    its M_w on the block S = [H^T, Q, W], PH the products of H^T. Returns
+    the new (H, PH, D), or (H, PH, None) when ``_new_directions`` finds no
+    direction of the residual R off H^T.
 
     Q holds the new directions of R and W those of D, the last step's
     direction, off [H^T, Q] (``_new_directions``). D is None on the first
-    step, else (D, K_v D, K_v K_v D). One pass over each kernel gives K_v Q
-    and K_v K_v Q; W = (D - [H^T, Q] C) T, so its products are the same
-    combination of those of D, H^T and Q, and need no pass. M_omega S =
-    sum_v omega_v^2 (K_v K_v S + 2 alpha K_v S) completes S^T M_omega S,
-    whose top-k eigenvectors Z give the new H^T = S Z, with K_v H^T and
-    K_v K_v H^T the same combination of those of S. The new D is S Z minus
-    its part in the old H^T, [Q, W] Z[k:].
+    step, else (D, its products). ``products`` forms those of Q, the step's
+    one read of the kernels; W = (D - [H^T, Q] C) T, so its products, and
+    those of the new H^T = S Z, are combinations of known ones. Z holds the
+    top-k eigenvectors of S^T M_w S. The new D is S Z minus its part in the
+    old H^T, [Q, W] Z[k:].
     """
     found = _new_directions(R, H.T)
     if found is None:
-        return H, P, KP, None
+        return H, PH, None
     Q = found[0]
     k = H.shape[0]
-    PQ, KQ = _products(kernels, Q)
     S = np.hstack([H.T, Q])
-    PS = np.concatenate([P, PQ], axis=2)
-    KS = np.concatenate([KP, KQ], axis=2)
+    PS = np.concatenate([PH, products(Q)], axis=-1)
     if D is not None:
-        D, PD, KD = D
+        D, PD = D
         found = _new_directions(D, S)
         if found is not None:
             W, C, T = found
-            PS, KS = (np.concatenate([B, (BD - B @ C) @ T], axis=2)
-                      for B, BD in ((PS, PD), (KS, KD)))
+            PS = np.concatenate([PS, (PD - PS @ C) @ T], axis=-1)
             S = np.hstack([S, W])
     # eigh reads the lower triangle
-    A = S.T @ _eigen_products(PS, KS, omega, alpha)
+    A = S.T @ combine(PS, w)
     Z = np.linalg.eigh(A)[1][:, :-k - 1:-1]
     Zd = Z[k:]
-    D = (S[:, k:] @ Zd, PS[:, :, k:] @ Zd, KS[:, :, k:] @ Zd)
-    return Z.T @ S.T, PS @ Z, KS @ Z, D
+    return Z.T @ S.T, PS @ Z, (S[:, k:] @ Zd, PS[..., k:] @ Zd)
 
 
 def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
@@ -491,26 +500,25 @@ def objective(ks, state: SolverState, cfg: SolverConfig) -> float:
     return total
 
 
-def _sum_operator(kernels, weights) -> LinearOperator:
-    """sum_v w_v K_v as an operator on vectors, for the eigensolves of
-    ``init_point`` (every w_v = 1) and ``fit_mkkm`` (w_v = gamma_v^2).
+def _sum_operator(kernels) -> LinearOperator:
+    """sum_v K_v as an operator on vectors, for ``init_point``'s eigensolve.
 
     A product is one BLAS ``dsymv`` per view (scipy's bundled OpenBLAS,
-    through ``scipy.linalg.blas``) with w_v as its scale, added into one
-    vector. Each reads one triangle of K_v^T, the same symmetric matrix as a
-    ``KernelMatrix``'s C-ordered array: half the memory traffic of a full
-    product, and the eigensolve is bound by that traffic. The sum is never
-    formed. The kernels are finite, so a product that is not can only have
-    overflowed: it raises ``NonFiniteError``, an O(n) check per product,
-    before the eigensolve fails on it without saying why.
+    through ``scipy.linalg.blas``), added into one vector. Each reads one
+    triangle of K_v^T, the same symmetric matrix as a ``KernelMatrix``'s
+    C-ordered array: half the memory traffic of a full product, and the
+    eigensolve is bound by that traffic. The sum is never formed. The
+    kernels are finite, so a product that is not can only have overflowed:
+    it raises ``NonFiniteError``, an O(n) check per product, before the
+    eigensolve fails on it without saying why.
     """
     n = kernels[0].n
 
     def apply(x):
         x = x.ravel()
-        y = dsymv(weights[0], kernels[0].data.T, x)
-        for w, K in zip(weights[1:], kernels[1:]):
-            y = dsymv(w, K.data.T, x, beta=1.0, y=y, overwrite_y=True)
+        y = dsymv(1.0, kernels[0].data.T, x)
+        for K in kernels[1:]:
+            y = dsymv(1.0, K.data.T, x, beta=1.0, y=y, overwrite_y=True)
         if not np.isfinite(y).all():
             raise NonFiniteError("kernel products are not finite: the "
                                  "kernels' entries are too large and their "
@@ -524,37 +532,73 @@ def _sum_operator(kernels, weights) -> LinearOperator:
 def init_point(ks, k: int) -> np.ndarray:
     """The start H of a fit on kernels ``ks`` for k clusters: k x n, its
     rows the top-k eigenvectors of sum_v K_v, sign-fixed. One Lanczos solve
-    of ``_sum_operator`` at unit weights, O(n^2 k) per view.
+    of ``_sum_operator``, O(n^2 k) per view.
 
     It depends on the kernels and k only, so one start serves every alpha
-    of a grid, and it is also kernel k-means on the summed kernel. It is
-    read-only because every fit of a grid shares it.
+    of a grid and ``fit_mkkm`` too, and it is also kernel k-means on the
+    summed kernel. It is read-only because every fit of a grid shares it.
     """
     kernels = _kernel_list(ks)
-    H = _top_eigenvectors(_sum_operator(kernels, (1.0,) * len(kernels)), k).T
+    H = _top_eigenvectors(_sum_operator(kernels), k).T
     H.setflags(write=False)
     return H
 
 
-def _start(kernels, cfg: SolverConfig, init: np.ndarray | None):
-    """The start of a fit on ``kernels`` (``_kernel_list``): H from
-    ``init`` (computed by ``init_point`` when None) and uniform weights.
+def _fit_loop(kernels, model, k: int, init: np.ndarray | None,
+              max_iters: int, rel_tol: float):
+    """The start, step and stop of the module docstring for a model
+    (products, combine, losses) with view weights w: products(X) holds the
+    products of ``kernels`` (``_kernel_list``) with an n x c block X, its
+    last axis X's; combine(PX, w) = M_w X from them, for the M_w whose
+    top-k eigenvectors are the best H at w; losses(PH, H) are the views'
+    losses at H from the products of H^T.
 
-    Returns (state, k_sq, P, KP) with k_sq_v = ||K_v||_F^2, P_v = K_v H^T
-    and KP_v = K_v P_v: the start state and the loop's first inputs. They
-    are the only alpha-dependent part, O(n^2 k) per view.
+    Yields (H, PH, w, trace) at the start, H from ``init`` (``init_point``
+    when None) and uniform w, and after each iteration (``_ritz_step``, the
+    losses, ``update_weights``), trace the objectives so far. It stops
+    after an iteration with eigen-residual r < rel_tol; when max_iters (at
+    least 1) run out first it warns with ``ConvergenceWarning`` at the line
+    that called its consumer. numpy's BLAS runs on one thread, except
+    between yields.
     """
-    H = init_point(kernels, cfg.k) if init is None else init
-    n = kernels[0].n
-    if H.shape != (cfg.k, n):
-        raise DimensionMismatchError(
-            f"start H {H.shape} vs k={cfg.k}, n={n}")
-    omega = np.full(len(kernels), 1.0 / len(kernels))
-    k_sq = [_sq_norm(K.data) for K in kernels]
-    P, KP = _products(kernels, H.T)
-    d = _losses(k_sq, P, H, cfg.alpha)
-    state = _state(H, P, omega, [float(np.sum(omega * omega * d))], cfg.alpha)
-    return state, k_sq, P, KP
+    products, combine, losses = model
+    with one_thread():
+        H = init_point(kernels, k) if init is None else init
+        if H.shape != (k, kernels[0].n):
+            raise DimensionMismatchError(
+                f"start H {H.shape} vs k={k}, n={kernels[0].n}")
+        w = np.full(len(kernels), 1.0 / len(kernels))
+        PH = products(H.T)
+        d = losses(PH, H)
+        trace = [float(np.sum(w * w * d))]
+    D = None
+    while True:
+        yield H, PH, w, trace
+        with one_thread():
+            R, r = _residual(combine(PH, w), H)
+            # the start takes a step whatever its residual
+            done = len(trace) > 1 and r < rel_tol
+            if done or len(trace) > max_iters:
+                break
+            H, PH, D = _ritz_step(products, combine, H, PH, D, R, w)
+            d = losses(PH, H)
+            w = update_weights(d)
+            trace.append(float(np.sum(w * w * d)))
+    if max_iters and not done:
+        warnings.warn(
+            f"stopped at max_iters={max_iters} with eigen-residual "
+            f"{r:.3e} >= rel_tol={rel_tol:.3g}",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+
+
+def _umklmf_loop(ks, cfg: SolverConfig, init: np.ndarray | None):
+    """``_fit_loop`` of the unified model on kernels ``ks`` under ``cfg``."""
+    kernels = _kernel_list(ks)
+    with one_thread():
+        model = _umklmf(kernels, cfg.alpha)
+    return _fit_loop(kernels, model, cfg.k, init, cfg.max_iters, cfg.rel_tol)
 
 
 def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
@@ -563,45 +607,17 @@ def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
     yielded, but every yielded objective_trace begins with the start
     objective.
 
-    Each iteration is the step of the module docstring: the Ritz step
-    (``_ritz_step``), which makes one pass over each kernel and returns
-    P_v = K_v H^T and K_v P_v for the new H, the losses d_v from them and
-    the weight update, O(n^2 k) per view, with no n x n temporary. After
-    each yield the fit stops once the eigen-residual r < cfg.rel_tol. When
-    cfg.max_iters (at least 1) iterations run out first, it warns with
-    ``ConvergenceWarning``.
+    Each iteration is the step of the module docstring (``_fit_loop``), one
+    pass over each kernel. After each yield the fit stops once the
+    eigen-residual r < cfg.rel_tol, or warns with ``ConvergenceWarning``
+    when cfg.max_iters (at least 1) iterations run out first.
 
     Deterministic: identical inputs replay the identical sequence.
     """
-    kernels = _kernel_list(ks)
-    alpha = cfg.alpha
-    with one_thread():
-        state, k_sq, P, KP = _start(kernels, cfg, init)
-        H, omega = state.H, state.omega
-        trace = list(state.objective_trace)
-        Y = _eigen_products(P, KP, omega, alpha)
-        R, r = _residual(Y, H)
-    D = None
-    for _ in range(cfg.max_iters):
-        with one_thread():
-            H, P, KP, D = _ritz_step(kernels, H, P, KP, D, R, omega, alpha)
-            d = _losses(k_sq, P, H, alpha)
-            omega = update_weights(d)
-            trace.append(float(np.sum(omega * omega * d)))
-            state = _state(H, P, omega, trace, alpha)
-        yield state
-        with one_thread():
-            Y = _eigen_products(P, KP, omega, alpha)
-            R, r = _residual(Y, H)
-        if r < cfg.rel_tol:
-            return
-    if cfg.max_iters:
-        warnings.warn(
-            f"stopped at max_iters={cfg.max_iters} with eigen-residual "
-            f"{r:.3e} >= rel_tol={cfg.rel_tol:.3g}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
+    steps = _umklmf_loop(ks, cfg, init)
+    next(steps)  # the start
+    for H, PH, omega, trace in steps:
+        yield _state(H, PH, omega, trace, cfg.alpha)
 
 
 @one_thread()
@@ -620,7 +636,7 @@ def fit(ks, cfg: SolverConfig, init: np.ndarray | None = None) -> SolverState:
     cluster labels.
     """
     if cfg.max_iters == 0:
-        return _start(_kernel_list(ks), cfg, init)[0]
+        return _state(*next(_umklmf_loop(ks, cfg, init)), cfg.alpha)
     for state in iterate(ks, cfg, init):
         pass
     return state
@@ -638,45 +654,28 @@ def fit_kkm(kernel, clusters: int) -> np.ndarray:
     return init_point([kernel], clusters)
 
 
-@one_thread()
 def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
-             rel_tol: float = SolverConfig.rel_tol
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Multiple-kernel k-means baseline.
+             rel_tol: float = SolverConfig.rel_tol,
+             init: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiple-kernel k-means baseline: minimizes
+    J = sum_v gamma_v^2 c_v, c_v = tr K_v - tr(H K_v H^T), over
+    row-orthonormal H and simplex gamma. For fixed gamma the best H spans
+    the top-k eigenvectors of K_gamma = sum_v gamma_v^2 K_v; for fixed H the
+    best gamma_v is proportional to 1 / c_v (``update_weights``).
 
-    Alternates (a) H = leading eigenvectors of the combined kernel
-    K_gamma = sum_v gamma_v^2 K_v and (b) the simplex-optimal gamma with
-    per-view cost c_v = tr(K_v (I - H^T H)), until the relative change of
-    tr(K_gamma - H K_gamma H^T) falls below rel_tol. The limits are checked
-    as ``SolverConfig`` checks them (``BadParamError``).
+    It runs ``fit``'s loop (``_fit_loop``) on K_gamma, never formed, and
+    c_v: from ``init`` as ``fit`` takes it, one product K_v Q per view and
+    step, and the stop at an eigen-residual of K_gamma below rel_tol. The
+    limits are checked as ``SolverConfig`` checks them (``BadParamError``).
 
-    K_gamma is never formed: each H step is a Lanczos solve of
-    ``_sum_operator`` at weights gamma^2 (``_top_eigenvectors``). The
-    first starts from the fixed-seed vector, each later one from the sum of
-    the last H's rows, a vector of norm sqrt(k) in the subspace it refines.
-    Costs that overflow are left as Inf or NaN, without a
-    ``RuntimeWarning``, and raise ``NonFiniteError``.
-
-    Returns (H, gamma).
+    Returns (H, gamma, objective_trace), the trace as ``fit``'s.
     """
     _check_limits(max_iters, rel_tol)
     kernels = _kernel_list(ks)
-    gamma = np.full(len(kernels), 1.0 / len(kernels))
-    with np.errstate(over="ignore", invalid="ignore"):
-        traces = [float(np.trace(K.data)) for K in kernels]
-    H = _top_eigenvectors(_sum_operator(kernels, gamma * gamma), clusters).T
-    j_prev = None
-    for _ in range(max_iters):
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = np.array([t - float(np.sum((H @ K.data) * H))
-                          for t, K in zip(traces, kernels)])
-            gamma = update_weights(c)
-            j = float(np.sum(gamma * gamma * c))
-        if not np.isfinite(j):
-            raise NonFiniteError("combined-kernel objective became NaN/Inf")
-        if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
-            break
-        j_prev = j
-        H = _top_eigenvectors(_sum_operator(kernels, gamma * gamma), clusters,
-                              v0=H.sum(axis=0)).T
-    return H, gamma
+    # overflows stay Inf or NaN, without a RuntimeWarning, for the costs
+    with one_thread(), np.errstate(over="ignore", invalid="ignore"):
+        for H, _, gamma, trace in _fit_loop(kernels, _mkkm(kernels), clusters,
+                                            init, max_iters, rel_tol):
+            pass
+    return H, gamma, np.array(trace)

@@ -375,6 +375,10 @@ def test_fit_mkkm(tmp_path):
     gamma = read_matrix(out / "omega.csv")
     assert gamma.shape == (1, 2)
     assert gamma.sum() == pytest.approx(1.0, abs=1e-12)
+    # mkkm iterates and records its trace as umklmf does
+    trace = read_matrix(out / "objective_trace.csv")[:, 0]
+    assert record.iterations == trace.size - 1 >= 1
+    assert record.objective_final == trace[-1]
 
 
 def test_fit_mkkm_iterates_under_max_iters(tmp_path):
@@ -848,8 +852,8 @@ def test_bench_computes_shared_parts_once_per_dataset(tmp_path, monkeypatch):
             # warned
             ks, cfg = args[:2]
             if not caught:
-                P, KP = solver._products(ks.kernels, state.H.T)
-                Y = solver._eigen_products(P, KP, state.omega, cfg.alpha)
+                products, combine, _ = solver._umklmf(ks.kernels, cfg.alpha)
+                Y = combine(products(state.H.T), state.omega)
                 assert solver._residual(Y, state.H)[1] < cfg.rel_tol
             return state
         return wrapper

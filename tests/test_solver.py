@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy
-from scipy.sparse.linalg import aslinearoperator
 
 from mvkmf.errors import (
     AsymmetricKernelError,
@@ -618,9 +617,8 @@ def test_kernel_within_tolerance_gives_the_same_bits_in_every_layout():
     for ks in (f_order, strided):
         assert_same_state(fit(list(ks), cfg), ref)
         assert fit_kkm(ks[0], 4).tobytes() == ref_kkm.tobytes()
-        H, gamma = fit_mkkm(list(ks), 4)
-        assert H.tobytes() == ref_mkkm[0].tobytes()
-        assert gamma.tobytes() == ref_mkkm[1].tobytes()
+        for got, want in zip(fit_mkkm(list(ks), 4), ref_mkkm):
+            assert got.tobytes() == want.tobytes()
 
 
 def _reference_calls():
@@ -914,7 +912,7 @@ SCOPED = {
     "init_point": ("_top_eigenvectors", lambda ks: init_point(ks, 4)),
     "fit": ("_kernel_products", lambda ks: fit(ks, SolverConfig(k=4))),
     "fit_kkm": ("_top_eigenvectors", lambda ks: fit_kkm(ks[0], 4)),
-    "fit_mkkm": ("_top_eigenvectors", lambda ks: fit_mkkm(ks, 4)),
+    "fit_mkkm": ("_ritz_step", lambda ks: fit_mkkm(ks, 4)),
 }
 
 
@@ -1063,9 +1061,10 @@ def test_baselines_reject_k_above_n():
 
 
 def test_fit_mkkm_single_view_reduces_to_kkm(rng):
+    # the start is kkm's embedding, and the Ritz step keeps its subspace
     K = random_psd_kernel(rng, 8)
-    H, gamma = fit_mkkm([K], 3)
-    assert np.array_equal(H, fit_kkm(K, 3))
+    H, gamma, _ = fit_mkkm([K], 3)
+    assert subspace_distance(H, fit_kkm(K, 3)) <= 1e-12
     assert np.array_equal(gamma, [1.0])
 
 
@@ -1083,33 +1082,8 @@ def test_fit_mkkm_rejects_bad_limits(rng, limits):
 
 def test_fit_mkkm_identical_views_uniform_gamma(rng):
     K = random_psd_kernel(rng, 8)
-    _, gamma = fit_mkkm([K, K], 3)
+    _, gamma, _ = fit_mkkm([K, K], 3)
     assert np.max(np.abs(gamma - 0.5)) < 1e-10
-
-
-@_blas.one_thread()
-def _ref_fit_mkkm(kernels, clusters, max_iters=SolverConfig.max_iters,
-                  rel_tol=SolverConfig.rel_tol):
-    """fit_mkkm as it was when it summed a new K_gamma per build and solved
-    that array, every solve from the fixed-seed start vector, on one numpy
-    BLAS thread as ``fit_mkkm`` runs."""
-    V = len(kernels)
-    traces = np.array([float(np.trace(K)) for K in kernels])
-    gamma = np.full(V, 1.0 / V)
-    H = solver._top_eigenvectors(aslinearoperator(
-        sum((g * g) * K for g, K in zip(gamma, kernels))), clusters).T
-    j_prev = None
-    for _ in range(max_iters):
-        c = np.array([traces[v] - float(np.sum((H @ kernels[v]) * H))
-                      for v in range(V)])
-        gamma = update_weights(c)
-        j = float(np.sum(gamma * gamma * c))
-        if j_prev is not None and abs(j_prev - j) / max(abs(j_prev), 1e-12) < rel_tol:
-            break
-        j_prev = j
-        H = solver._top_eigenvectors(aslinearoperator(
-            sum((g * g) * K for g, K in zip(gamma, kernels))), clusters).T
-    return H, gamma
 
 
 def subspace_distance(A, B):
@@ -1118,13 +1092,32 @@ def subspace_distance(A, B):
     return np.linalg.norm(A - (A @ B.T) @ B, 2)
 
 
+def assert_at_mkkm_fixed_point(kernels, H, gamma, rel_tol):
+    """H spans the top-k eigenspace of the dense K_gamma of its own gamma,
+    within the Davis-Kahan bound sqrt(2) ||R||_F / delta that the residual
+    R = K_gamma H^T - H^T (H K_gamma H^T) sets, and gamma is the weight
+    update of H's costs."""
+    k = H.shape[0]
+    K_gamma = sum((g * g) * K for g, K in zip(gamma, kernels))
+    vals, vecs = np.linalg.eigh(K_gamma)
+    top = vecs[:, -k:]
+    HY = H @ K_gamma @ H.T
+    R = K_gamma @ H.T - H.T @ HY
+    assert np.linalg.norm(R) / np.linalg.norm(HY) < rel_tol
+    delta = np.linalg.eigvalsh(HY)[0] - vals[-k - 1]
+    assert delta > 0
+    gap = np.linalg.norm(H.T @ H - top @ top.T)
+    assert gap <= np.sqrt(2.0) * np.linalg.norm(R) / delta * (1 + 1e-6)
+    costs = [np.trace(K) - np.trace(H @ K @ H.T) for K in kernels]
+    assert np.max(np.abs(gamma - update_weights(costs))) <= 1e-12
+
+
 @pytest.mark.parametrize("normalization, per", [
     ("none", 75), ("center", 75), ("none", 175), ("center", 175),
 ], ids=["none", "center", "none-n700", "center-n700"])
 def test_fit_mkkm_matches_summed_reference(normalization, per):
-    # the operator scales each view's dsymv by gamma_v^2 and every solve
-    # after the first starts from the last H, so (H, gamma) match the summed
-    # array solved cold to roundoff, not bit for bit; the centered kernels
+    # the fit stops at the fixed point of the summed array K_gamma, formed
+    # densely here, which the Ritz step never forms; the centered kernels
     # hold exact zeros of both signs
     from mvkmf.kernels import normalize_kernel
 
@@ -1135,20 +1128,18 @@ def test_fit_mkkm_matches_summed_reference(normalization, per):
         kernels[0] = kernels[0].copy()
         kernels[0][:3, :3] = -0.0
         kernels[0][3:6, 3:6] = 0.0
-    H, gamma = fit_mkkm(kernels, 4)
-    ref_H, ref_gamma = _ref_fit_mkkm(kernels, 4)
-    assert subspace_distance(H, ref_H) <= 1e-12
-    assert np.max(np.abs(gamma - ref_gamma)) <= 1e-12
+    H, gamma, _ = fit_mkkm(kernels, 4)
+    assert_at_mkkm_fixed_point(kernels, H, gamma, SolverConfig.rel_tol)
 
 
 @pytest.mark.parametrize("n, message", [
-    (10, "combined-kernel objective became NaN/Inf"),
+    (10, "kernel products are not finite"),
     (30, "kernel products are not finite"),
 ], ids=["dense", "lanczos"])
 def test_fit_mkkm_overflow_raises_without_a_warning(n, message):
-    # each kernel is finite, but its trace and H K_v, and so the costs c_v,
-    # are not. At n = 10 the first solve is a dense eigh of finite products
-    # and the costs report; at n = 30 a Lanczos product overflows first
+    # each kernel is finite, but their sum is not. The start's products
+    # with the sum report it, those of the dense eigh at n = 10 as those of
+    # the Lanczos solve at n = 30
     kernels = [KernelMatrix(np.full((n, n), 1e308), v) for v in "ab"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1157,19 +1148,17 @@ def test_fit_mkkm_overflow_raises_without_a_warning(n, message):
 
 
 def test_mkkm_objective_never_increases():
-    # fit_mkkm with max_iters = t replays the run of t - 1 and one more
-    # step, so its (H, gamma) is the t-th iterate. Each H step maximizes
-    # tr(H K_gamma H^T) and each gamma step solves the simplex problem, so
+    # H^T lies in the block of each Ritz step, so tr(H K_gamma H^T) cannot
+    # fall, and each gamma step solves the simplex problem, so
     # J = sum gamma_v^2 (tr K_v - tr(H K_v H^T)) falls or stays
     kernels = rbf_views(300, seed=1)
-    J = []
-    for t in range(25):
-        H, gamma = fit_mkkm(kernels, 4, max_iters=t)
-        J.append(sum(g * g * (np.trace(K) - np.sum((H @ K) * H))
-                     for g, K in zip(gamma, kernels)))
-    J = np.array(J)
-    assert np.all(np.diff(J) <= 1e-12 * J[:-1])
-    assert J[-1] < J[0]
+    H, gamma, trace = fit_mkkm(kernels, 4)
+    assert trace.size > 2
+    assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
+    assert trace[-1] < trace[0]
+    J = sum(g * g * (np.trace(K) - np.sum((H @ K) * H))
+            for g, K in zip(gamma, kernels))
+    assert trace[-1] == pytest.approx(J, rel=1e-12)
 
 
 def test_mkkm_gamma_step_matches_grid_search(rng):

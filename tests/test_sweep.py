@@ -26,6 +26,7 @@ from mvkmf.kmeans import KMeansConfig, kmeans
 from mvkmf.solver import (
     SolverConfig,
     fit,
+    fit_mkkm,
     init_point,
     iterate,
     objective,
@@ -166,19 +167,27 @@ def test_fused_loss_cancellation_guard(n):
 
 def test_permuted_kernels_give_the_permuted_fit():
     # the start, step and stop see the kernels only through products that
-    # commute with a permutation of the samples
+    # commute with a permutation of the samples, for mkkm (alpha None) as
+    # for umklmf. mkkm's alternation takes up to 70 iterations here, over
+    # which the roundoff of the reordered sums grows to about 4e-8 in H^T H,
+    # still far below the 1e-5 that its stop leaves it from its fixed point
     for seed in range(4):
         order = np.random.default_rng(100 + seed).permutation(100)
         kernels = rbf_set(25, seed, separation=3.0)
         permuted = rbf_set(25, seed, separation=3.0, order=order)
-        for alpha in (1.0, 16.0, 128.0, 512.0):
-            cfg = SolverConfig(k=4, alpha=alpha)
-            a, b = fit(kernels, cfg), fit(permuted, cfg)
-            assert a.objective_trace.size == b.objective_trace.size
-            assert (abs(a.objective_trace[-1] - b.objective_trace[-1])
-                    <= 1e-12 * abs(a.objective_trace[-1]))
-            Pa = (a.H.T @ a.H)[np.ix_(order, order)]
-            assert np.max(np.abs(Pa - b.H.T @ b.H)) <= 1e-9
+        for alpha, tol in ((1.0, 1e-9), (16.0, 1e-9), (128.0, 1e-9),
+                           (512.0, 1e-9), (None, 1e-7)):
+            if alpha is None:
+                (Ha, _, ta), (Hb, _, tb) = (fit_mkkm(ks, 4)
+                                            for ks in (kernels, permuted))
+            else:
+                cfg = SolverConfig(k=4, alpha=alpha)
+                a, b = fit(kernels, cfg), fit(permuted, cfg)
+                Ha, ta, Hb, tb = a.H, a.objective_trace, b.H, b.objective_trace
+            assert ta.size == tb.size
+            assert abs(ta[-1] - tb[-1]) <= 1e-12 * abs(ta[-1])
+            Pa = (Ha.T @ Ha)[np.ix_(order, order)]
+            assert np.max(np.abs(Pa - Hb.T @ Hb)) <= tol
 
 
 def test_trace_ends_at_the_public_objective():
@@ -237,17 +246,22 @@ def test_step_is_monotone_on_an_indefinite_kernel(alpha):
 
 
 def test_cap_warns_when_the_residual_is_above_the_tolerance():
-    # one iteration does not reach rel_tol on this instance; the default
-    # cap does
+    # one iteration does not reach rel_tol on this instance, for umklmf or
+    # mkkm; the default cap does
     feats, _ = make_synthetic(15, 4, 3, separation=3.0, seed=2)
     kernels = [build_kernel(f, KernelSpec(kind="linear")) for f in feats]
     with pytest.warns(ConvergenceWarning, match="max_iters=1 "):
         state = fit(kernels, SolverConfig(k=4, alpha=1.0, max_iters=1))
     assert state.objective_trace.size == 2
-    assert fit(kernels, SolverConfig(k=4, alpha=1.0)).objective_trace.size > 2
+    with pytest.warns(ConvergenceWarning, match="max_iters=1 "):
+        assert fit_mkkm(kernels, 4, max_iters=1)[2].size == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
+        assert fit(kernels, SolverConfig(k=4, alpha=1.0)
+                   ).objective_trace.size > 2
+        assert fit_mkkm(kernels, 4)[2].size > 2
         fit(kernels, SolverConfig(k=4, alpha=1.0, max_iters=0))
+        assert fit_mkkm(kernels, 4, max_iters=0)[2].size == 1
         assert list(iterate(kernels, SolverConfig(k=4, alpha=1.0,
                                                   max_iters=0))) == []
 
@@ -272,3 +286,11 @@ def test_carried_products_stay_exact_on_the_bench_ladder(seed):
                 for K, w in zip(kernels, state.omega))
         HY = H @ Y
         assert np.linalg.norm(Y - H.T @ HY) / np.linalg.norm(HY) < cfg.rel_tol
+    # mkkm carries K_v H^T alike, and its costs and stop come from it
+    H, gamma, trace = fit_mkkm(kernels, 4, init=point)
+    costs = [np.trace(K.data) - np.trace(H @ K.data @ H.T) for K in kernels]
+    assert trace[-1] == pytest.approx(np.sum(gamma * gamma * costs),
+                                      rel=1e-12)
+    Y = sum((g * g) * K.data @ H.T for K, g in zip(kernels, gamma))
+    HY = H @ Y
+    assert np.linalg.norm(Y - H.T @ HY) / np.linalg.norm(HY) < 1e-6
