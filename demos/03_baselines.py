@@ -39,7 +39,7 @@ for seed in range(5):
     mean_kernel = sum(kv.data for kv in kernels) / len(kernels)
     acc_k = evaluate(truth, cluster(fit_kkm(mean_kernel, k), k, seed)).acc
 
-    h_m, gamma, _ = fit_mkkm(kernels, k)
+    h_m, gamma, _ = fit_mkkm(kernels, SolverConfig(k=k))
     acc_m = evaluate(truth, cluster(h_m, k, seed)).acc
 
     print(f"{seed:>4}  {acc_u:>8.4f}  {acc_k:>8.4f}  {acc_m:>8.4f}")

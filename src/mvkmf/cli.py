@@ -104,8 +104,7 @@ def _shared_part(ks: KernelSet, algorithm: str, cfg: SolverConfig, start):
     if algorithm != "mkkm":
         return (H, None, None), seconds
     t0 = time.perf_counter()
-    part = fit_mkkm(ks, cfg.k, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
-                    init=H)
+    part = fit_mkkm(ks, cfg, H)
     return part, seconds + time.perf_counter() - t0
 
 

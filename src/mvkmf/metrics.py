@@ -43,18 +43,11 @@ def contingency_table(labels_true, labels_pred) -> np.ndarray:
     return table
 
 
-def _pad_square(table: np.ndarray) -> np.ndarray:
-    r, c = table.shape
-    s = max(r, c)
-    out = np.zeros((s, s), dtype=np.int64)
-    out[:r, :c] = table
-    return out
-
-
 def accuracy(labels_true, labels_pred) -> float:
     """Best-case agreement fraction over one-to-one cluster-to-class maps,
-    found by solving the assignment problem on the contingency table."""
-    table = _pad_square(contingency_table(labels_true, labels_pred))
+    found by solving the assignment problem on the contingency table, which
+    may be rectangular."""
+    table = contingency_table(labels_true, labels_pred)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum()) / float(table.sum())
 

@@ -83,6 +83,7 @@ on sum_v gamma_v^2 K_v and costs c_v = tr K_v - tr(H K_v H^T).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -115,14 +116,14 @@ _DIRECTION_TOL = 1e-4
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters for one fit.
+    """Hyperparameters for one fit, taken as (ks, cfg, init=None) by
+    ``fit``, ``iterate`` and ``fit_mkkm``.
 
     ``alpha`` trades kernel reconstruction against pulling each G_v toward
     H^T; the benchmark grid is 2^0 .. 2^9 and the default sits where that
-    grid tends to peak. A fit stops once its relative eigen-residual (see
-    the module docstring) is below ``rel_tol``, or after ``max_iters``
-    iterations. ``fit_mkkm`` takes the same two limits, with the residual
-    of its combined kernel.
+    grid tends to peak. ``fit_mkkm`` does not read it. A fit stops once its
+    relative eigen-residual (see the module docstring) is below
+    ``rel_tol``, or after ``max_iters`` iterations.
     """
 
     k: int
@@ -135,16 +136,10 @@ class SolverConfig:
             raise BadParamError(f"cluster count must be >= 2, got {self.k}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise BadParamError(f"alpha must be finite and >= 0, got {self.alpha}")
-        _check_limits(self.max_iters, self.rel_tol)
-
-
-def _check_limits(max_iters: int, rel_tol: float) -> None:
-    """The stopping rule's checks, shared by ``SolverConfig`` and
-    ``fit_mkkm``: an iteration cap >= 0 and a tolerance > 0 (not NaN)."""
-    if max_iters < 0:
-        raise BadParamError(f"max_iters must be >= 0, got {max_iters}")
-    if not rel_tol > 0:
-        raise BadParamError(f"rel_tol must be > 0, got {rel_tol}")
+        if self.max_iters < 0:
+            raise BadParamError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.rel_tol > 0:
+            raise BadParamError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 @dataclass
@@ -341,7 +336,7 @@ def _kernel_products(K: np.ndarray, X: np.ndarray):
     point it differs from the two-pass product at roundoff only. A kernel
     that fits one block takes the two plain products ``K @ X`` and
     ``K @ P``. A product that overflows is left as Inf or NaN, without a
-    ``RuntimeWarning``, for the loss check of ``_losses`` to report.
+    ``RuntimeWarning``, for the loss check of ``_umklmf`` to report.
     """
     n = K.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * n))
@@ -544,25 +539,27 @@ def init_point(ks, k: int) -> np.ndarray:
     return H
 
 
-def _fit_loop(kernels, model, k: int, init: np.ndarray | None,
-              max_iters: int, rel_tol: float):
-    """The start, step and stop of the module docstring for a model
-    (products, combine, losses) with view weights w: products(X) holds the
-    products of ``kernels`` (``_kernel_list``) with an n x c block X, its
-    last axis X's; combine(PX, w) = M_w X from them, for the M_w whose
-    top-k eigenvectors are the best H at w; losses(PH, H) are the views'
-    losses at H from the products of H^T.
+def _fit_loop(ks, model, cfg: SolverConfig, init: np.ndarray | None):
+    """The start, step and stop of the module docstring for the model that
+    ``model(kernels)`` builds on the kernels of ``ks`` (``_kernel_list``,
+    the one place a fit ingests them): (products, combine, losses) with
+    view weights w. products(X) holds the products of the kernels with an
+    n x c block X, its last axis X's; combine(PX, w) = M_w X from them, for
+    the M_w whose top-k eigenvectors are the best H at w; losses(PH, H) are
+    the views' losses at H from the products of H^T.
 
     Yields (H, PH, w, trace) at the start, H from ``init`` (``init_point``
     when None) and uniform w, and after each iteration (``_ritz_step``, the
     losses, ``update_weights``), trace the objectives so far. It stops
-    after an iteration with eigen-residual r < rel_tol; when max_iters (at
-    least 1) run out first it warns with ``ConvergenceWarning`` at the line
-    that called its consumer. numpy's BLAS runs on one thread, except
-    between yields.
+    after an iteration with eigen-residual r < cfg.rel_tol; when
+    cfg.max_iters (at least 1) run out first it warns with
+    ``ConvergenceWarning`` at the line that called the public fit.
+    numpy's BLAS runs on one thread, except between yields.
     """
-    products, combine, losses = model
+    k, max_iters, rel_tol = cfg.k, cfg.max_iters, cfg.rel_tol
     with one_thread():
+        kernels = _kernel_list(ks)
+        products, combine, losses = model(kernels)
         H = init_point(kernels, k) if init is None else init
         if H.shape != (k, kernels[0].n):
             raise DimensionMismatchError(
@@ -585,20 +582,22 @@ def _fit_loop(kernels, model, k: int, init: np.ndarray | None,
             w = update_weights(d)
             trace.append(float(np.sum(w * w * d)))
     if max_iters and not done:
+        # at the line that called the public fit: the first frame outside
+        # this module and contextlib, whose frame ``@one_thread()`` adds
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") in (__name__, "contextlib"):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"stopped at max_iters={max_iters} with eigen-residual "
             f"{r:.3e} >= rel_tol={rel_tol:.3g}",
             ConvergenceWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
 def _umklmf_loop(ks, cfg: SolverConfig, init: np.ndarray | None):
     """``_fit_loop`` of the unified model on kernels ``ks`` under ``cfg``."""
-    kernels = _kernel_list(ks)
-    with one_thread():
-        model = _umklmf(kernels, cfg.alpha)
-    return _fit_loop(kernels, model, cfg.k, init, cfg.max_iters, cfg.rel_tol)
+    return _fit_loop(ks, lambda kernels: _umklmf(kernels, cfg.alpha), cfg, init)
 
 
 def iterate(ks, cfg: SolverConfig, init: np.ndarray | None = None):
@@ -654,9 +653,7 @@ def fit_kkm(kernel, clusters: int) -> np.ndarray:
     return init_point([kernel], clusters)
 
 
-def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
-             rel_tol: float = SolverConfig.rel_tol,
-             init: np.ndarray | None = None
+def fit_mkkm(ks, cfg: SolverConfig, init: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multiple-kernel k-means baseline: minimizes
     J = sum_v gamma_v^2 c_v, c_v = tr K_v - tr(H K_v H^T), over
@@ -664,18 +661,15 @@ def fit_mkkm(ks, clusters: int, max_iters: int = SolverConfig.max_iters,
     the top-k eigenvectors of K_gamma = sum_v gamma_v^2 K_v; for fixed H the
     best gamma_v is proportional to 1 / c_v (``update_weights``).
 
-    It runs ``fit``'s loop (``_fit_loop``) on K_gamma, never formed, and
-    c_v: from ``init`` as ``fit`` takes it, one product K_v Q per view and
-    step, and the stop at an eigen-residual of K_gamma below rel_tol. The
-    limits are checked as ``SolverConfig`` checks them (``BadParamError``).
+    It runs ``fit``'s loop (``_fit_loop``) under ``cfg`` on K_gamma, never
+    formed, and c_v: from ``init`` as ``fit`` takes it, one product K_v Q
+    per view and step, and the stop at an eigen-residual of K_gamma below
+    cfg.rel_tol. ``cfg.alpha`` is not read.
 
     Returns (H, gamma, objective_trace), the trace as ``fit``'s.
     """
-    _check_limits(max_iters, rel_tol)
-    kernels = _kernel_list(ks)
     # overflows stay Inf or NaN, without a RuntimeWarning, for the costs
     with one_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for H, _, gamma, trace in _fit_loop(kernels, _mkkm(kernels), clusters,
-                                            init, max_iters, rel_tol):
+        for H, _, gamma, trace in _fit_loop(ks, _mkkm, cfg, init):
             pass
     return H, gamma, np.array(trace)

@@ -182,7 +182,7 @@ def friedman(table: ResultsTable, higher_is_better: bool = True,
         raise BadParamError(f"need at least two complete rows, got {n}")
     from scipy.stats import rankdata
     keyed = -used if higher_is_better else used
-    ranks = np.apply_along_axis(rankdata, 1, keyed)
+    ranks = rankdata(keyed, axis=1)
     mean_ranks = ranks.mean(axis=0)
 
     chi2 = (12.0 * n / (k * (k + 1))) * (

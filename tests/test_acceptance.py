@@ -327,7 +327,7 @@ def test_criterion_08_metric_oracles(announce):
 def test_criterion_09_baselines(announce):
     rng = np.random.default_rng(9)
     K = random_psd_kernel(rng, 40)
-    _, gamma, _ = fit_mkkm([K, K], 4)
+    _, gamma, _ = fit_mkkm([K, K], SolverConfig(k=4))
     gamma_err = float(np.max(np.abs(gamma - 0.5)))
 
     sizes = (15, 15, 15, 15)

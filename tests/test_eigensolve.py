@@ -14,7 +14,7 @@ import pytest
 from mvkmf import solver
 from mvkmf.errors import NonFiniteError
 from mvkmf.kernels import KernelMatrix, normalize_kernel
-from mvkmf.solver import fit_kkm, fit_mkkm, init_point
+from mvkmf.solver import SolverConfig, fit_kkm, fit_mkkm, init_point
 
 from conftest import random_psd_kernel
 
@@ -125,13 +125,13 @@ def test_fit_mkkm_matches_dense(name, eigsh_calls):
     # two identical views keep gamma at 1/2, so every step is on K / 2. The
     # one eigensolve is the start's: given it, the fit makes none
     K, k = CASES[name]
-    H, gamma, _ = fit_mkkm([K, K], k)
+    H, gamma, _ = fit_mkkm([K, K], SolverConfig(k=k))
     assert np.allclose(gamma, 0.5, atol=1e-12)
     assert_same_subspace(H.T, dense_top(K, k), k, signs=False)
     assert set(eigsh_calls) == expected_calls(name)
     start = init_point([K, K], k)
     eigsh_calls.clear()
-    again = fit_mkkm([K, K], k, init=start)
+    again = fit_mkkm([K, K], SolverConfig(k=k), init=start)
     assert eigsh_calls == []
     for got, want in zip(again, (H, gamma)):
         assert np.array_equal(got, want)

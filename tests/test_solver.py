@@ -79,8 +79,9 @@ def test_config_validation():
         SolverConfig(k=1)
     with pytest.raises(BadParamError):
         SolverConfig(k=3, alpha=-0.5)
-    with pytest.raises(BadParamError):
-        SolverConfig(k=3, rel_tol=0.0)
+    for rel_tol in (0.0, float("nan")):
+        with pytest.raises(BadParamError, match="rel_tol must be > 0"):
+            SolverConfig(k=3, rel_tol=rel_tol)
     with pytest.raises(BadParamError):
         SolverConfig(k=3, max_iters=-1)
     for alpha in (float("nan"), float("inf"), float("-inf")):
@@ -613,11 +614,11 @@ def test_kernel_within_tolerance_gives_the_same_bits_in_every_layout():
     cfg = SolverConfig(k=4, alpha=16.0)
     ref = fit(list(c_order), cfg)
     ref_kkm = fit_kkm(c_order[0], 4)
-    ref_mkkm = fit_mkkm(list(c_order), 4)
+    ref_mkkm = fit_mkkm(list(c_order), SolverConfig(k=4))
     for ks in (f_order, strided):
         assert_same_state(fit(list(ks), cfg), ref)
         assert fit_kkm(ks[0], 4).tobytes() == ref_kkm.tobytes()
-        for got, want in zip(fit_mkkm(list(ks), 4), ref_mkkm):
+        for got, want in zip(fit_mkkm(list(ks), SolverConfig(k=4)), ref_mkkm):
             assert got.tobytes() == want.tobytes()
 
 
@@ -640,7 +641,7 @@ INGESTING = {
     "iterate": lambda ks: next(iterate(ks, SolverConfig(k=4))),
     "init_point": lambda ks: init_point(ks, 4),
     "fit_kkm": lambda ks: fit_kkm(ks[0], 4),
-    "fit_mkkm": lambda ks: fit_mkkm(ks, 4),
+    "fit_mkkm": lambda ks: fit_mkkm(ks, SolverConfig(k=4)),
     **_reference_calls(),
 }
 
@@ -789,8 +790,8 @@ def psd_array(n):
     (lambda cfg: fit(np.ones((30, 40)), cfg), DimensionMismatchError),
     (lambda cfg: init_point([psd_array(30), psd_array(40)], cfg.k),
      DimensionMismatchError),
-    (lambda cfg: fit_mkkm([], cfg.k), BadParamError),
-    (lambda cfg: fit_mkkm([psd_array(30), psd_array(40)], cfg.k),
+    (lambda cfg: fit_mkkm([], cfg), BadParamError),
+    (lambda cfg: fit_mkkm([psd_array(30), psd_array(40)], cfg),
      DimensionMismatchError),
     (lambda cfg: fit_kkm(np.ones((30, 40)), cfg.k), DimensionMismatchError),
 ], ids=["fit-empty", "fit-mixed-n", "fit-mixed-n-set", "fit-non-square",
@@ -912,7 +913,7 @@ SCOPED = {
     "init_point": ("_top_eigenvectors", lambda ks: init_point(ks, 4)),
     "fit": ("_kernel_products", lambda ks: fit(ks, SolverConfig(k=4))),
     "fit_kkm": ("_top_eigenvectors", lambda ks: fit_kkm(ks[0], 4)),
-    "fit_mkkm": ("_ritz_step", lambda ks: fit_mkkm(ks, 4)),
+    "fit_mkkm": ("_ritz_step", lambda ks: fit_mkkm(ks, SolverConfig(k=4))),
 }
 
 
@@ -1057,32 +1058,20 @@ def test_baselines_reject_k_above_n():
     with pytest.raises(BadParamError, match="k=4 exceeds sample count 3"):
         fit_kkm(np.eye(3), 4)
     with pytest.raises(BadParamError, match="k=4 exceeds sample count 3"):
-        fit_mkkm([np.eye(3)] * 2, 4)
+        fit_mkkm([np.eye(3)] * 2, SolverConfig(k=4))
 
 
 def test_fit_mkkm_single_view_reduces_to_kkm(rng):
     # the start is kkm's embedding, and the Ritz step keeps its subspace
     K = random_psd_kernel(rng, 8)
-    H, gamma, _ = fit_mkkm([K], 3)
+    H, gamma, _ = fit_mkkm([K], SolverConfig(k=3))
     assert subspace_distance(H, fit_kkm(K, 3)) <= 1e-12
     assert np.array_equal(gamma, [1.0])
 
 
-@pytest.mark.parametrize("limits", [{"max_iters": -1}, {"rel_tol": 0.0},
-                                    {"rel_tol": float("nan")}])
-def test_fit_mkkm_rejects_bad_limits(rng, limits):
-    # the checks SolverConfig makes, with its messages, before any solve
-    K = random_psd_kernel(rng, 8)
-    with pytest.raises(BadParamError) as mkkm_err:
-        fit_mkkm([K, K], 3, **limits)
-    with pytest.raises(BadParamError) as config_err:
-        SolverConfig(k=3, **limits)
-    assert str(mkkm_err.value) == str(config_err.value)
-
-
 def test_fit_mkkm_identical_views_uniform_gamma(rng):
     K = random_psd_kernel(rng, 8)
-    _, gamma, _ = fit_mkkm([K, K], 3)
+    _, gamma, _ = fit_mkkm([K, K], SolverConfig(k=3))
     assert np.max(np.abs(gamma - 0.5)) < 1e-10
 
 
@@ -1128,7 +1117,7 @@ def test_fit_mkkm_matches_summed_reference(normalization, per):
         kernels[0] = kernels[0].copy()
         kernels[0][:3, :3] = -0.0
         kernels[0][3:6, 3:6] = 0.0
-    H, gamma, _ = fit_mkkm(kernels, 4)
+    H, gamma, _ = fit_mkkm(kernels, SolverConfig(k=4))
     assert_at_mkkm_fixed_point(kernels, H, gamma, SolverConfig.rel_tol)
 
 
@@ -1144,7 +1133,7 @@ def test_fit_mkkm_overflow_raises_without_a_warning(n, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteError, match=message):
-            fit_mkkm(kernels, 2)
+            fit_mkkm(kernels, SolverConfig(k=2))
 
 
 def test_mkkm_objective_never_increases():
@@ -1152,7 +1141,7 @@ def test_mkkm_objective_never_increases():
     # fall, and each gamma step solves the simplex problem, so
     # J = sum gamma_v^2 (tr K_v - tr(H K_v H^T)) falls or stays
     kernels = rbf_views(300, seed=1)
-    H, gamma, trace = fit_mkkm(kernels, 4)
+    H, gamma, trace = fit_mkkm(kernels, SolverConfig(k=4))
     assert trace.size > 2
     assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
     assert trace[-1] < trace[0]
