@@ -1069,6 +1069,21 @@ def test_fit_mkkm_single_view_reduces_to_kkm(rng):
     assert np.array_equal(gamma, [1.0])
 
 
+@pytest.mark.parametrize("limits", [{"max_iters": -1}, {"rel_tol": 0.0},
+                                    {"rel_tol": float("nan")}])
+def test_fit_mkkm_rejects_bad_limits(rng, limits, monkeypatch):
+    # fit_mkkm reads its limits from its SolverConfig, which rejects a bad
+    # one with its own message before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solver, "_top_eigenvectors", no_solve)
+    K = random_psd_kernel(rng, 8)
+    (name,) = limits
+    with pytest.raises(BadParamError, match=f"^{name} must be"):
+        fit_mkkm([K, K], SolverConfig(k=3, **limits))
+
+
 def test_fit_mkkm_identical_views_uniform_gamma(rng):
     K = random_psd_kernel(rng, 8)
     _, gamma, _ = fit_mkkm([K, K], SolverConfig(k=3))
