@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the
+config classes' fields."""
+
+import operator
 
 
 class MvkmfError(Exception):
@@ -11,6 +14,19 @@ class NonFiniteError(MvkmfError):
 
 class BadParamError(MvkmfError):
     """A parameter is outside its valid range."""
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise :class:`BadParamError`, naming the field, if one of the fields
+    ``names`` of ``config`` is not an integer: Python's or numpy's, whatever
+    ``operator.index`` takes."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise BadParamError(
+                f"{name} must be an integer, got {value!r}") from None
 
 
 class ZeroDiagonalError(MvkmfError):

@@ -1,8 +1,10 @@
 """External clustering quality measures.
 
-All four scores are computed from the contingency table of two labelings.
-Label values are opaque: any hashable integers work, and neither labeling
-needs to use the same alphabet as the other.
+All four scores are computed from the contingency table of two labelings:
+each public scorer forms the table and passes it to its private form, and
+``evaluate`` forms it once for all four. Label values are opaque: any
+hashable integers work, and neither labeling needs to use the same alphabet
+as the other.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ def accuracy(labels_true, labels_pred) -> float:
     """Best-case agreement fraction over one-to-one cluster-to-class maps,
     found by solving the assignment problem on the contingency table, which
     may be rectangular."""
-    table = contingency_table(labels_true, labels_pred)
+    return _accuracy(contingency_table(labels_true, labels_pred))
+
+
+def _accuracy(table: np.ndarray) -> float:
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum()) / float(table.sum())
 
@@ -70,7 +75,10 @@ def nmi(labels_true, labels_pred) -> float:
     entropies, natural log. Degenerate cases: both entropies zero scores 1.0
     when the partitions agree and 0.0 otherwise; exactly one zero scores 0.0.
     """
-    table = contingency_table(labels_true, labels_pred)
+    return _nmi(contingency_table(labels_true, labels_pred))
+
+
+def _nmi(table: np.ndarray) -> float:
     n = int(table.sum())
     a = table.sum(axis=1)
     b = table.sum(axis=0)
@@ -89,7 +97,10 @@ def nmi(labels_true, labels_pred) -> float:
 def purity(labels_true, labels_pred) -> float:
     """Fraction of samples whose cluster's majority true class matches their
     own true class."""
-    table = contingency_table(labels_true, labels_pred)
+    return _purity(contingency_table(labels_true, labels_pred))
+
+
+def _purity(table: np.ndarray) -> float:
     return float(table.max(axis=0).sum()) / float(table.sum())
 
 
@@ -99,7 +110,10 @@ def ari(labels_true, labels_pred) -> float:
     When the expected and maximum index coincide (zero denominator) returns
     1.0 for identical partitions and 0.0 otherwise.
     """
-    table = contingency_table(labels_true, labels_pred)
+    return _ari(contingency_table(labels_true, labels_pred))
+
+
+def _ari(table: np.ndarray) -> float:
     n = int(table.sum())
 
     def comb2(x):
@@ -119,9 +133,7 @@ def ari(labels_true, labels_pred) -> float:
 
 
 def evaluate(labels_true, labels_pred) -> MetricReport:
-    return MetricReport(
-        acc=accuracy(labels_true, labels_pred),
-        nmi=nmi(labels_true, labels_pred),
-        purity=purity(labels_true, labels_pred),
-        ari=ari(labels_true, labels_pred),
-    )
+    """All four scores, from one contingency table."""
+    table = contingency_table(labels_true, labels_pred)
+    return MetricReport(acc=_accuracy(table), nmi=_nmi(table),
+                        purity=_purity(table), ari=_ari(table))

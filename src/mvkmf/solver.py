@@ -98,6 +98,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     RankDeficientWarning,
+    require_integers,
 )
 from .kernels import KernelMatrix, KernelSet
 
@@ -132,6 +133,7 @@ class SolverConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        require_integers(self, "k", "max_iters")
         if self.k < 2:
             raise BadParamError(f"cluster count must be >= 2, got {self.k}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):

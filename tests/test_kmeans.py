@@ -153,6 +153,12 @@ def test_config_validation():
         KMeansConfig(k=2, restarts=0)
     with pytest.raises(BadParamError):
         KMeansConfig(k=2, seed=-1)
+    # integer fields take integers only, numpy's too
+    for field, value in [("k", 3.0), ("restarts", 2.5), ("seed", 1.5),
+                         ("k", "3"), ("seed", None)]:
+        with pytest.raises(BadParamError, match=field):
+            KMeansConfig(**{"k": 3, field: value})
+    KMeansConfig(k=np.int64(3), restarts=np.int32(2), seed=np.uint8(1))
 
 
 def test_config_sets_clusters_restarts_and_seed_only():
@@ -539,7 +545,7 @@ def test_assignment_ties_after_the_clamp_go_to_lowest_index():
     assert np.array_equal(_assign_with_repair(X, repaired), expected)
     # and the lockstep pass, with each restart's rows interleaved by center
     both = np.stack([centers, centers[::-1]])
-    lockstep, _ = kmeans_module._assign(X, 2.0 * X.T, xx, both)
+    lockstep, _, _ = kmeans_module._assign(X, 2.0 * X.T, xx, both)
     assert np.array_equal(lockstep[0], expected)
     assert np.array_equal(lockstep[1],
                           ref_assign_with_repair(X, centers[::-1].copy()))
@@ -553,15 +559,17 @@ def test_assign_repairs_each_restart_in_place():
     repaired = centers[0].copy()
     expected = ref_assign_with_repair(X, repaired)
     untouched = centers[1].copy()
-    labels, counts = kmeans_module._assign(X, 2.0 * X.T, np.sum(X * X, axis=1),
-                                           centers)
+    labels, counts, bins = kmeans_module._assign(
+        X, 2.0 * X.T, np.sum(X * X, axis=1), centers)
     assert np.array_equal(labels[0], expected)
     assert np.array_equal(centers[0], repaired)
     assert np.array_equal(centers[1], untouched)
     assert np.array_equal(labels[1], [0, 0, 1, 2, 2])
-    # the counts handed to the next step's means are those of the repair
+    # the counts and bins handed to the next step's means are those of the
+    # repair
     assert np.array_equal(counts, [np.bincount(row, minlength=3)
                                    for row in labels])
+    assert np.array_equal(bins, kmeans_module._bins(labels, 3))
 
 
 def fitted_embedding(n, algorithm, alpha=None):
@@ -585,10 +593,92 @@ def test_lockstep_matches_reference_on_fits(n, algorithm, alpha):
         assert_matches_reference(H, KMeansConfig(k=4, seed=seed), f"seed {seed}")
 
 
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_cold_and_warm_calls_match_reference(order):
+    # the cached seeding draws give the reference's bits whether this call
+    # made them or an earlier one did. make_synthetic orders the samples by
+    # cluster, so consecutive points of a restart share a means bin; shuffled,
+    # they do not. Each bin still adds its points in sample order
+    H = fitted_embedding(300, "umklmf", 16.0)
+    if order == "shuffled":
+        H = H[:, np.random.default_rng(1).permutation(H.shape[1])]
+    cfg = KMeansConfig(k=4, restarts=50, seed=5)
+    kmeans_module._draws.cache_clear()
+    assert_matches_reference(H, cfg, "cold")
+    assert kmeans_module._draws.cache_info().misses == 1
+    assert_matches_reference(H, cfg, "warm")
+    assert kmeans_module._draws.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("spots", [1, 3, 5])
+def test_zero_total_after_a_warm_call_matches_reference(spots):
+    # n = 30 points on this many distinct spots and k one or two above it:
+    # each restart's D^2 total is 0 from its (spots + 1)-th center on, so a
+    # warm call rebuilds its generator there, past the draws the cache holds.
+    # The repair overwrites the centers drawn at a zero total, so the seeded
+    # centers are checked as well
+    rng = np.random.default_rng(spots)
+    where = np.concatenate([np.arange(spots),
+                            rng.integers(spots, size=30 - spots)])
+    X = rng.standard_normal((spots, 2))[rng.permutation(where)]
+    for k in (spots + 1, spots + 2):
+        cfg = KMeansConfig(k=k, restarts=12, seed=spots)
+        kmeans_module._draws.cache_clear()
+        kmeans(X.T, cfg)
+        assert_matches_reference(X.T, cfg, f"k {k}")
+        assert kmeans_module._draws.cache_info().hits == 1
+        seeded = kmeans_module._seed_centers(X, k, spots, 12)
+        for r in range(12):
+            expected = ref_kmeanspp_centers(
+                X, k, np.random.default_rng([spots, r]))
+            assert np.array_equal(seeded[r], expected), (k, r)
+
+
+def test_zero_total_on_distinct_points_after_a_warm_call(monkeypatch):
+    # as in test_lockstep_matches_reference_zero_total_on_distinct_points,
+    # the index drawn at a zero total reaches the output here
+    rng = np.random.default_rng(161)
+    for case in range(20):
+        pts, cfg, max_iters = subnormal_case(rng)
+        set_limits(monkeypatch, max_iters, 1e-9)
+        kmeans(pts, cfg)
+        assert_matches_reference(pts, cfg, f"case {case}: {cfg}")
+
+
+def test_draws_are_the_serial_draws_and_read_only():
+    first, u = kmeans_module._draws(4, 6, 30, 5)
+    for r in range(6):
+        rng = np.random.default_rng([4, r])
+        assert first[r] == rng.integers(30)
+        assert u[:, r].tolist() == [rng.random() for _ in range(4)]
+    for a in (first, u):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 259])
+def test_random_of_a_size_gives_successive_random_draws(size):
+    # the cache takes a restart's k - 1 uniform draws as one random(k - 1),
+    # and a restart rebuilt at a zero total skips past them the same way;
+    # both rest on numpy giving the doubles, and leaving the state, of k - 1
+    # random() calls, as the seeding rests on choice's internals
+    for seed in range(5):
+        together, apart = (np.random.default_rng([seed, size])
+                           for _ in range(2))
+        assert together.integers(300) == apart.integers(300)
+        drawn = together.random(size)
+        assert drawn.tolist() == [apart.random() for _ in range(size)]
+        assert (together.integers(300, size=4).tolist()
+                == apart.integers(300, size=4).tolist())
+
+
 def test_fifty_restarts_at_n2000_hold_one_distance_array():
     # the distance expansion and the final residuals are each formed in one
-    # (R*k) x n buffer, the label passes overwrite the distances, and each
-    # restart's labels are held once, so a call peaks near one such array
+    # (R*k) x n buffer, the label passes overwrite the distances, each
+    # restart's labels are held once, and the means' bins (a quarter of such
+    # an array at k = 4) are not held through a distance product, so a call
+    # peaks near one such array
     H = fitted_embedding(2000, "umklmf", 16.0)
     cfg = KMeansConfig(k=4, restarts=50, seed=0)
     tracemalloc.start()
@@ -599,7 +689,7 @@ def test_fifty_restarts_at_n2000_hold_one_distance_array():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 2000 * 50 * 4 * 8
+    assert peak <= 1.3 * 2000 * 50 * 4 * 8
 
 
 class CountingGenerator:
@@ -619,6 +709,9 @@ class CountingGenerator:
 
 
 def test_production_call_makes_no_choice_call(monkeypatch):
+    # a cold call builds each restart's generator once for the cached draws;
+    # a warm one builds none for restarts whose D^2 total stays positive,
+    # and one per restart that reaches a zero total, the first time it does
     H = fitted_embedding(300, "umklmf", 16.0)
     made, calls = [], []
 
@@ -627,12 +720,20 @@ def test_production_call_makes_no_choice_call(monkeypatch):
         return CountingGenerator(seed, calls)
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    kmeans(H, KMeansConfig(k=4, restarts=50, seed=3))
+    kmeans_module._draws.cache_clear()
+    cfg = KMeansConfig(k=4, restarts=50, seed=3)
+    kmeans(H, cfg)
     assert len(made) == 50 and calls == []
-    # a zero D^2 total draws from the same generators, with no second seeding
     made.clear()
-    kmeans(np.array([[0.0, 0.0, 5.0, 9.0]]), KMeansConfig(k=4, restarts=2))
-    assert len(made) == 2 and calls == []
+    kmeans(H, cfg)
+    assert made == [] and calls == []
+    # three distinct spots and k = 4: every restart's total is 0 at its
+    # fourth center
+    pts, cfg = np.array([[0.0, 0.0, 5.0, 9.0]]), KMeansConfig(k=4, restarts=2)
+    kmeans(pts, cfg)
+    made.clear()
+    kmeans(pts, cfg)
+    assert made == [[0, 0], [0, 1]] and calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200,

@@ -206,3 +206,14 @@ def test_evaluate_report():
 def test_evaluate_length_mismatch():
     with pytest.raises(LengthMismatchError):
         evaluate([0, 1], [0])
+
+
+def test_evaluate_equals_the_four_scorers(rng):
+    # evaluate scores one contingency table; each public scorer forms its own
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        t = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        p = rng.integers(0, int(rng.integers(1, 6)), size=n) * 7 - 3
+        rep = evaluate(t, p)
+        assert rep == MetricReport(acc=accuracy(t, p), nmi=nmi(t, p),
+                                   purity=purity(t, p), ari=ari(t, p))

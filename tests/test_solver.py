@@ -87,6 +87,13 @@ def test_config_validation():
     for alpha in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(BadParamError):
             SolverConfig(k=3, alpha=alpha)
+    # integer fields take integers only, numpy's too: k = 4.0 would reach
+    # ARPACK, and max_iters = 1.5 would run and warn of a cap of 1.5
+    for field, value in [("k", 4.0), ("max_iters", 1.5), ("k", "4"),
+                         ("max_iters", None)]:
+        with pytest.raises(BadParamError, match=field):
+            SolverConfig(**{"k": 4, field: value})
+    SolverConfig(k=np.int64(4), max_iters=np.int32(5))
 
 
 # ---------------------------------------------------------------------------
