@@ -81,59 +81,45 @@ def _configs(args, algorithm: str, clusters: int, alpha: float | None,
             KMeansConfig(k=clusters, restarts=args.restarts, seed=seed))
 
 
-def _start(ks: KernelSet, cfg: SolverConfig):
-    """The start H of ``init_point``, which every algorithm shares, and the
-    seconds it took: (H, seconds). So ``bench`` computes it once per
-    dataset."""
+def _timed(fn, *args):
+    """(fn(*args), the seconds it took)."""
     t0 = time.perf_counter()
-    return init_point(ks, cfg.k), time.perf_counter() - t0
+    return fn(*args), time.perf_counter() - t0
 
 
-def _shared_part(ks: KernelSet, algorithm: str, cfg: SolverConfig, start):
-    """The part of a run that depends on neither alpha nor the k-means
-    seed, from the dataset's ``start`` pair of ``_start``, as a triple
-    (H, weights, trace): for umklmf and kkm the start H, which umklmf starts
-    from and kkm returns as its embedding, with weights and trace None; for
-    mkkm its fit (H, gamma, trace) from that H. So ``bench`` computes it
-    once per dataset for umklmf and kkm together, and once per dataset for
-    mkkm.
-
-    Returns (part, seconds it took with the start's).
-    """
-    H, seconds = start
-    if algorithm != "mkkm":
-        return (H, None, None), seconds
-    t0 = time.perf_counter()
-    part = fit_mkkm(ks, cfg, H)
-    return part, seconds + time.perf_counter() - t0
+def _embedding(ks: KernelSet, algorithm: str, cfg: SolverConfig, start):
+    """The embedding of one run of ``algorithm`` from the dataset's start H
+    (``init_point(ks, cfg.k)``), which every algorithm shares, as
+    (H, weights, trace, G); those an algorithm has none of are None. kkm's
+    is the start itself, mkkm's its fit from the start, and umklmf's its
+    fit from the start at ``cfg``'s alpha. Only umklmf's depends on alpha,
+    and none on the k-means seed."""
+    if algorithm == "kkm":
+        return start, None, None, None
+    if algorithm == "mkkm":
+        return (*fit_mkkm(ks, cfg, start), None)
+    state = fit(ks, cfg, start)
+    return state.H, state.omega, state.objective_trace, state.G
 
 
-def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
-             shared):
-    """Fit one algorithm, cluster its embedding with k-means and score the
-    labels: the run behind both ``fit`` and each ``bench`` cell.
+def _record(manifest, truth, algorithm: str, configs, embedding, seconds):
+    """Cluster the columns of ``embedding``'s H with k-means and score the
+    labels: the record behind ``fit``, each ``bench`` cell and each
+    ``evolve`` row.
 
-    ``configs`` is the run's pair from ``_configs`` and ``shared`` the
-    (part, seconds) pair of ``_shared_part`` for this dataset and
-    algorithm. The umklmf fit starts from the part's H; a baseline's
-    (H, weights, trace) is the part itself.
+    ``configs`` is the run's pair from ``_configs`` and ``seconds`` what
+    the embedding cost, the shared start's share included; the wall time is
+    that plus the k-means. alpha is recorded as None for the baselines,
+    which take none, and iterations and the final objective come from the
+    embedding's trace (0 and None without one).
 
-    Returns (RunRecord, (H, weights, trace, G, labels)); weights, trace and G
-    are None where the algorithm has none. alpha is recorded as None for the
-    baselines, which take none. The wall time is what the run costs alone:
-    the shared part's seconds plus the fit and k-means.
+    Returns (RunRecord, labels).
     """
     cfg, km_cfg = configs
-    part, shared_seconds = shared
-    h, weights, trace = part
-    g_list = None
+    h, _, trace, _ = embedding
     t0 = time.perf_counter()
-    if algorithm == "umklmf":
-        state = fit(ks, cfg, h)
-        h, weights = state.H, state.omega
-        trace, g_list = state.objective_trace, state.G
     labels = kmeans(h, km_cfg).labels
-    elapsed = shared_seconds + (time.perf_counter() - t0)
+    seconds += time.perf_counter() - t0
     record = mio.RunRecord(
         dataset=manifest.name,
         algorithm=algorithm,
@@ -142,9 +128,9 @@ def _run_fit(manifest, ks: KernelSet, truth, algorithm: str, configs,
         metrics=mmetrics.evaluate(truth, labels).as_dict(),
         iterations=0 if trace is None else len(trace) - 1,
         objective_final=None if trace is None else float(trace[-1]),
-        wall_time_seconds=elapsed,
+        wall_time_seconds=seconds,
     )
-    return record, (h, weights, trace, g_list, labels)
+    return record, labels
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +164,8 @@ def cmd_kernels(args) -> int:
 # fit
 
 
-def _write_fit_artifacts(out: Path, artifacts, g_files) -> None:
-    h, weights, trace, g_list, labels = artifacts
+def _write_fit_artifacts(out: Path, embedding, labels, g_files) -> None:
+    h, weights, trace, g_list = embedding
     out.mkdir(parents=True, exist_ok=True)
     mio.write_matrix(out / "H.mvk1", h)
     mio.write_labels(out / "labels.csv", labels)
@@ -199,12 +185,14 @@ def cmd_fit(args) -> int:
                        args.seed)
     ks, truth = mio.load_dataset(manifest)
     g_files = _view_files("G", ks.view_names)
-    record, artifacts = _run_fit(
-        manifest, ks, truth, args.algorithm, configs,
-        _shared_part(ks, args.algorithm, configs[0], _start(ks, configs[0])))
+    t0 = time.perf_counter()
+    embedding = _embedding(ks, args.algorithm, configs[0],
+                           init_point(ks, manifest.clusters))
+    record, labels = _record(manifest, truth, args.algorithm, configs,
+                             embedding, time.perf_counter() - t0)
 
     out = Path(args.out)
-    _write_fit_artifacts(out, artifacts, g_files)
+    _write_fit_artifacts(out, embedding, labels, g_files)
     mio.append_record(out / "records.jsonl", record)
     _say(args, f"{manifest.name} {record.algorithm}"
                + (f" alpha={_g(record.alpha)}" if record.alpha is not None else "")
@@ -282,12 +270,18 @@ def cmd_bench(args) -> int:
 
     for i, j, alpha, seed, configs in cells:
         (manifest, ks, truth), alg = datasets[i], algorithms[j]
-        # the seed- and alpha-free parts: one start per dataset, and from it
-        # one part for umklmf and kkm together and one for mkkm
+        # one start per dataset, and from it one embedding per baseline;
+        # each umklmf cell fits its own
         try:
-            shared = once((i, alg == "mkkm"), lambda: _shared_part(
-                ks, alg, configs[0], once(i, lambda: _start(ks, configs[0]))))
-            record, _ = _run_fit(manifest, ks, truth, alg, configs, shared)
+            start, seconds = once(i, lambda: _timed(init_point, ks,
+                                                    manifest.clusters))
+
+            def embed():
+                return _timed(_embedding, ks, alg, configs[0], start)
+            embedding, own = (embed() if alg == "umklmf"
+                              else once((i, alg), embed))
+            record, _ = _record(manifest, truth, alg, configs, embedding,
+                                seconds + own)
         except MvkmfError as exc:
             # on stderr, so that --quiet does not hide it
             print(f"cell failed: {manifest.name} {alg} alpha={alpha} "
@@ -399,20 +393,23 @@ def cmd_heatmap(args) -> int:
 def cmd_evolve(args) -> int:
     manifest = mio.load_manifest(args.manifest)
     # both configs are validated before the data is read and the fit starts
-    cfg, km_cfg = _configs(args, "umklmf", manifest.clusters, args.alpha,
-                           args.seed)
+    configs = _configs(args, "umklmf", manifest.clusters, args.alpha,
+                       args.seed)
+    cfg = configs[0]
     ks, truth = mio.load_dataset(manifest)
 
     # the start (a fit of 0 iterations) and then each iteration's state,
-    # all from one start
-    point = init_point(ks, cfg.k)
-    states = [fit(ks, replace(cfg, max_iters=0), point),
-              *iterate(ks, cfg, point)]
+    # all from one start: row t is the record of a fit stopped at t, whose
+    # wall time the CSV does not hold
+    start = init_point(ks, cfg.k)
     rows = []
-    for iteration, state in enumerate(states):
-        report = mmetrics.evaluate(truth, kmeans(state.H, km_cfg).labels)
-        rows.append([iteration, float(state.objective_trace[-1]),
-                     *report.as_dict().values()])
+    for state in [fit(ks, replace(cfg, max_iters=0), start),
+                  *iterate(ks, cfg, start)]:
+        record, _ = _record(manifest, truth, "umklmf", configs,
+                            (state.H, state.omega, state.objective_trace,
+                             state.G), 0.0)
+        rows.append((record.iterations, record.objective_final,
+                     *record.metrics.values()))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

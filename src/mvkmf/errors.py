@@ -19,10 +19,13 @@ class BadParamError(MvkmfError):
 def require_integers(config, *names: str) -> None:
     """Raise :class:`BadParamError`, naming the field, if one of the fields
     ``names`` of ``config`` is not an integer: Python's or numpy's, whatever
-    ``operator.index`` takes."""
+    ``operator.index`` takes, except a ``bool`` (``np.bool_`` it already
+    refuses)."""
     for name in names:
         value = getattr(config, name)
         try:
+            if isinstance(value, bool):
+                raise TypeError(name)
             operator.index(value)
         except TypeError:
             raise BadParamError(

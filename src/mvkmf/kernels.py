@@ -253,6 +253,14 @@ class KernelSet:
         return tuple(k.view_name for k in self.kernels)
 
 
+def _reject_bools(**values) -> None:
+    """Raise ``BadParamError``, naming the field, for a value that is a
+    bool, which Python's and numpy's numeric checks would pass as 0 or 1."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise BadParamError(f"{name} must not be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel function descriptor: linear, rbf(sigma), or polynomial(c, degree).
@@ -264,7 +272,8 @@ class KernelSpec:
     Only specs whose kernels are PSD for every input are accepted: c < 0
     (or NaN) and a degree that is not an integer >= 1 raise
     ``BadParamError``, since (x^T y + c)^degree is indefinite for some
-    inputs with either. An integral float degree is stored as an int.
+    inputs with either. An integral float degree is stored as an int. A
+    bool, Python's or numpy's, is refused for sigma, c and degree alike.
     """
 
     kind: str = "rbf"
@@ -275,6 +284,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise BadParamError(f"unknown kernel kind {self.kind!r}")
+        _reject_bools(sigma=self.sigma, c=self.c, degree=self.degree)
         if self.sigma is not None and not self.sigma > 0:
             raise BadParamError(f"rbf sigma must be > 0, got {self.sigma}")
         if not self.c >= 0:
@@ -289,10 +299,12 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
+        c = d.get("c", 1.0)
+        _reject_bools(c=c)  # before float() turns a true into 1.0
         return cls(
             kind=d.get("kind", "rbf"),
             sigma=d.get("sigma"),
-            c=float(d.get("c", 1.0)),
+            c=float(c),
             degree=d.get("degree", 2),
         )
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mvkmf
-from mvkmf.cli import ALGORITHMS, DEFAULT_ALPHAS, main
+from mvkmf.cli import ALGORITHMS, DEFAULT_ALPHAS, METRICS, main
 from mvkmf.io import read_matrix
 from mvkmf.stats import read_results_table
 
@@ -168,6 +168,9 @@ def test_kernels_estimates_each_view_once(tmp_path, monkeypatch):
     ({"kind": "polynomial", "c": -5, "degree": 2}, "c must be >= 0, got -5.0"),
     ({"kind": "polynomial", "c": 0, "degree": 2.5},
      "degree must be an integer, got 2.5"),
+    # JSON's true, a Python bool, would otherwise pass as degree 1
+    ({"kind": "polynomial", "degree": True},
+     "degree must not be a bool, got True"),
 ])
 def test_kernels_indefinite_polynomial_spec_exit_2(tmp_path, capsys, spec,
                                                    named):
@@ -439,6 +442,35 @@ def test_evolve_row_count_matches_fit_iterations(tmp_path):
                  "--out", str(ev_out), "--quiet"]) == 0
     lines = (ev_out / "evolve.csv").read_text().splitlines()
     assert len(lines) == record.iterations + 2      # header + init + iters
+
+
+def test_each_evolve_row_is_the_record_of_a_capped_fit(tmp_path):
+    # overlapping clusters, on which the metrics change between iterations
+    mpath = tmp_path / "hard" / "manifest.json"
+    assert main(["synth", "--name", "hard", "--per-cluster", "20",
+                 "--clusters", "4", "--separation", "2.5", "--seed", "2",
+                 "--out", str(mpath.parent), "--quiet"]) == 0
+    common = ["--manifest", str(mpath), "--alpha", "16", "--seed", "1",
+              "--restarts", "10", "--quiet"]
+    assert main(["evolve", "--out", str(tmp_path / "ev")] + common) == 0
+    lines = (tmp_path / "ev" / "evolve.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    converged = len(rows) - 1
+    assert converged >= 3
+    assert len({tuple(r[2:]) for r in rows}) > 1
+    for t, row in enumerate(rows):
+        out = tmp_path / f"fit{t}"
+        argv = ["fit", "--max-iters", str(t), "--out", str(out)] + common
+        if 0 < t < converged:
+            with pytest.warns(mvkmf.errors.ConvergenceWarning):
+                assert main(argv) == 0
+        else:
+            assert main(argv) == 0
+        [record] = read_run_records(out / "records.jsonl")
+        # the CSV's metrics are in METRICS order, the record's keys sorted
+        assert int(row[0]) == record.iterations == t
+        assert [float(v) for v in row[1:]] == [
+            record.objective_final, *(record.metrics[m] for m in METRICS)]
 
 
 @pytest.mark.parametrize("argv", [

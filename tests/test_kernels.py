@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -288,6 +289,19 @@ def test_kernel_spec_rejects_non_integer_degree(degree):
     # a manifest's 2.5 is not truncated to 2
     with pytest.raises(BadParamError, match=f"got {degree!r}"):
         KernelSpec.from_dict({"kind": "polynomial", "degree": degree})
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("field", ["sigma", "c", "degree"])
+def test_kernel_spec_rejects_bools(field, value):
+    # a bool passes the numeric checks as 0 or 1: degree=True would be 1,
+    # and a manifest's "sigma": true would be sigma = 1
+    kind = "rbf" if field == "sigma" else "polynomial"
+    match = f"{field} must not be a bool, got {value!r}"
+    with pytest.raises(BadParamError, match=re.escape(match)):
+        KernelSpec(kind=kind, **{field: value})
+    with pytest.raises(BadParamError, match=re.escape(match)):
+        KernelSpec.from_dict({"kind": kind, field: value})
 
 
 def test_non_integer_degree_gives_indefinite_kernel():

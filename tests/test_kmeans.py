@@ -153,9 +153,11 @@ def test_config_validation():
         KMeansConfig(k=2, restarts=0)
     with pytest.raises(BadParamError):
         KMeansConfig(k=2, seed=-1)
-    # integer fields take integers only, numpy's too
+    # integer fields take integers only, numpy's too, and no bools
     for field, value in [("k", 3.0), ("restarts", 2.5), ("seed", 1.5),
-                         ("k", "3"), ("seed", None)]:
+                         ("k", "3"), ("seed", None), ("restarts", True),
+                         ("seed", True), ("seed", False),
+                         ("restarts", np.True_)]:
         with pytest.raises(BadParamError, match=field):
             KMeansConfig(**{"k": 3, field: value})
     KMeansConfig(k=np.int64(3), restarts=np.int32(2), seed=np.uint8(1))

@@ -88,9 +88,11 @@ def test_config_validation():
         with pytest.raises(BadParamError):
             SolverConfig(k=3, alpha=alpha)
     # integer fields take integers only, numpy's too: k = 4.0 would reach
-    # ARPACK, and max_iters = 1.5 would run and warn of a cap of 1.5
+    # ARPACK, and max_iters = 1.5 would run and warn of a cap of 1.5; a
+    # bool would run as 0 or 1
     for field, value in [("k", 4.0), ("max_iters", 1.5), ("k", "4"),
-                         ("max_iters", None)]:
+                         ("max_iters", None), ("max_iters", False),
+                         ("max_iters", True), ("max_iters", np.False_)]:
         with pytest.raises(BadParamError, match=field):
             SolverConfig(**{"k": 4, field: value})
     SolverConfig(k=np.int64(4), max_iters=np.int32(5))
